@@ -5,7 +5,8 @@ CSV (one series per file); no plotting. The FWFLOW_OUTPUT_DIR environment
 variable overrides any output directory given on the command line, so
 batch jobs can be redirected without editing configs.
 
-Exit codes: 0 success, 2 invalid configuration, 1 runtime failure.
+Exit codes: 0 success, 2 invalid configuration, 1 runtime failure such as a
+numerical error while the solver iterates.
 """
 
 from __future__ import annotations
@@ -20,12 +21,9 @@ import numpy as np
 
 from . import diagnostics, problems, tableau as tableau_mod
 from .solvers import StepSchedule, run as run_solver
+from .tableau import ConfigError
 
-PRESET_NAMES = ("fig1", "fig2-top", "fig2-bottom", "fig3", "lower-bound", "sensing")
-
-
-class ConfigError(Exception):
-    """Invalid experiment configuration (maps to exit code 2)."""
+_ZIGZAG_HEADER = "method,delta,W,energy"
 
 
 def _out_dir(path_arg: str) -> Path:
@@ -59,6 +57,16 @@ def _load_tableau(name: str | None, path: str | None):
     return tableau_mod.builtin(name)
 
 
+def _write_rows(path: Path, rows) -> Path:
+    path.write_text("\n".join(rows) + "\n")
+    return path
+
+
+def _zigzag_rows(traj, label: str, windows, T: float) -> list:
+    """Zig-zag energy table rows of one trajectory, one per window W."""
+    return [diagnostics.zigzag_protocol(traj, W, T).to_csv_row(label) for W in windows]
+
+
 def _run_config(cfg: dict, out_dir: Path) -> list:
     """Execute one run configuration, returning the written file paths."""
     problem = _build_problem(cfg.get("problem", "triangle"), int(cfg.get("seed", 0)))
@@ -67,81 +75,54 @@ def _run_config(cfg: dict, out_dir: Path) -> list:
     tab = _load_tableau(cfg.get("tableau"), cfg.get("tableau_file"))
     max_iter = int(cfg.get("max_iter", 1000))
     stop_gap = float(cfg.get("stop_gap", 0.0))
-    try:
-        traj = run_solver(
-            problem.objective,
-            problem.feasible_set,
-            problem.x0,
-            method,
-            sched,
-            max_iter,
-            stop_gap=stop_gap,
-            tableau=tab,
-        )
-    except ValueError as e:
-        raise ConfigError(str(e)) from None
+    traj = run_solver(
+        problem.objective,
+        problem.feasible_set,
+        problem.x0,
+        method,
+        sched,
+        max_iter,
+        stop_gap=stop_gap,
+        tableau=tab,
+    )
     stem = cfg.get("output") or f"{problem.name}_{method.replace('+', '_')}"
-    written = []
-    traj_path = out_dir / f"{stem}.csv"
-    traj.to_csv(traj_path)
-    written.append(traj_path)
+    written = [out_dir / f"{stem}.csv"]
+    traj.to_csv(written[0])
 
     diag = cfg.get("diagnostics", {})
     if "zigzag" in diag:
         zcfg = diag["zigzag"]
-        rows = ["method,delta,W,energy"]
-        for W in zcfg.get("W", [5]):
-            rep = diagnostics.zigzag_protocol(traj, int(W), float(zcfg.get("T", 100.0)))
-            rows.append(rep.to_csv_row(method))
-        p = out_dir / f"{stem}_zigzag.csv"
-        p.write_text("\n".join(rows) + "\n")
-        written.append(p)
+        windows = [int(W) for W in zcfg.get("W", [5])]
+        rows = _zigzag_rows(traj, method, windows, float(zcfg.get("T", 100.0)))
+        written.append(_write_rows(out_dir / f"{stem}_zigzag.csv", [_ZIGZAG_HEADER] + rows))
     if "slope" in diag:
         if problem.f_star is None:
             raise ConfigError("slope diagnostic needs a problem with known optimum")
         s = diagnostics.slope_fit(traj, problem.f_star, int(diag["slope"].get("k_min", 100)))
-        p = out_dir / f"{stem}_slope.csv"
-        p.write_text(f"k_min,slope\n{diag['slope'].get('k_min', 100)},{s:.17g}\n")
-        written.append(p)
+        rows = ["k_min,slope", f"{diag['slope'].get('k_min', 100)},{s:.17g}"]
+        written.append(_write_rows(out_dir / f"{stem}_slope.csv", rows))
     if "lower_bound" in diag:
         anchors = [int(a) for a in diag["lower_bound"].get("anchors", [10, 100, 1000])]
         vals = diagnostics.lower_bound_probe(traj, anchors)
-        lines = ["anchor,probe"] + [f"{a},{v:.17g}" for a, v in zip(anchors, vals)]
-        p = out_dir / f"{stem}_lower_bound.csv"
-        p.write_text("\n".join(lines) + "\n")
-        written.append(p)
+        rows = ["anchor,probe"] + [f"{a},{v:.17g}" for a, v in zip(anchors, vals)]
+        written.append(_write_rows(out_dir / f"{stem}_lower_bound.csv", rows))
     if "bound_compare" in diag:
         if problem.f_star is None:
             raise ConfigError("bound comparison needs a problem with known optimum")
         h0 = problem.objective.value(problem.x0) - problem.f_star
-        lines = ["t,normalized_error,bound"]
+        rows = ["t,normalized_error,bound"]
         for r in traj:
             norm_err = (r.f_value - problem.f_star) / h0
-            lines.append(
+            rows.append(
                 f"{r.t:.17g},{norm_err:.17g},{diagnostics.continuous_bound(sched.c, r.t):.17g}"
             )
-        p = out_dir / f"{stem}_bound.csv"
-        p.write_text("\n".join(lines) + "\n")
-        written.append(p)
+        written.append(_write_rows(out_dir / f"{stem}_bound.csv", rows))
     return written
 
 
 def _cmd_run(args) -> int:
-    cfg = {
-        "problem": args.problem,
-        "method": args.method,
-        "c": args.c,
-        "delta": args.delta,
-        "max_iter": args.max_iter,
-        "stop_gap": args.stop_gap,
-        "seed": args.seed,
-        "tableau": args.tableau,
-        "tableau_file": args.tableau_file,
-        "output": args.output,
-        "diagnostics": {},
-    }
-    written = _run_config(cfg, _out_dir(args.output_dir))
-    for p in written:
+    # the argparse dests are the config keys
+    for p in _run_config(vars(args), _out_dir(args.output_dir)):
         print(p)
     return 0
 
@@ -178,181 +159,136 @@ def _cmd_bound(args) -> int:
         cb = diagnostics.continuous_bound(c, t)
         sb = diagnostics.schedule_bound(sched_gamma, t)
         lines.append(f"{t:.17g},{cb:.17g},{sb:.17g}")
-    out = "\n".join(lines) + "\n"
     if args.output:
-        path = _out_dir(args.output_dir) / args.output
-        path.write_text(out)
-        print(path)
+        print(_write_rows(_out_dir(args.output_dir) / args.output, lines))
     else:
-        sys.stdout.write(out)
+        sys.stdout.write("\n".join(lines) + "\n")
     return 0
+
+
+def _zigzag_table(path: Path, problem, runs, windows, T: float) -> Path:
+    """Write the zig-zag energy of each run over each window W to one CSV.
+
+    runs holds (label, method, schedule, tableau) tuples; each run covers
+    time T, in round(T / delta) steps.
+    """
+    rows = [_ZIGZAG_HEADER]
+    for label, method, sched, tab in runs:
+        traj = run_solver(
+            problem.objective,
+            problem.feasible_set,
+            problem.x0,
+            method,
+            sched,
+            int(round(T / sched.delta)),
+            tableau=tab,
+        )
+        rows += _zigzag_rows(traj, label, windows, T)
+    return _write_rows(path, rows)
 
 
 def _cmd_zigzag(args) -> int:
     out_dir = _out_dir(args.output_dir)
     deltas = [float(d) for d in args.deltas.split(",")]
     windows = [int(w) for w in args.windows.split(",")]
-    rows = ["method,delta,W,energy"]
-    for delta in deltas:
-        problem = _build_problem(args.problem, args.seed)
-        sched = StepSchedule(c=args.c, delta=delta)
-        max_iter = int(round(args.T / delta))
-        traj = run_solver(
-            problem.objective, problem.feasible_set, problem.x0, "flow", sched, max_iter
-        )
-        for W in windows:
-            rep = diagnostics.zigzag_protocol(traj, W, args.T)
-            rows.append(rep.to_csv_row(args.method))
-    path = out_dir / (args.output or "zigzag.csv")
-    path.write_text("\n".join(rows) + "\n")
-    print(path)
+    runs = [(args.method, "flow", StepSchedule(c=args.c, delta=d), None) for d in deltas]
+    problem = _build_problem(args.problem, args.seed)
+    print(_zigzag_table(out_dir / (args.output or "zigzag.csv"), problem, runs, windows, args.T))
     return 0
 
 
 # ---------------------------------------------------------------------------
-# presets
-
-
-def _preset_fig1(out_dir: Path) -> None:
-    """Continuous flow vs discrete FW on the triangle, several c and delta."""
-    for c in (1.0, 2.0, 4.0):
-        _run_config(
-            {
-                "problem": "triangle",
-                "method": "fw",
-                "c": c,
-                "max_iter": 500,
-                "output": f"fig1_fw_c{c:g}",
-                "diagnostics": {"bound_compare": {}},
-            },
-            out_dir,
-        )
-        for delta in (0.1, 0.01, 0.001):
-            _run_config(
-                {
-                    "problem": "triangle",
-                    "method": "flow",
-                    "c": c,
-                    "delta": delta,
-                    "max_iter": int(round(50.0 / delta)),
-                    "output": f"fig1_flow_c{c:g}_d{delta:g}",
-                    "diagnostics": {"bound_compare": {}},
-                },
-                out_dir,
-            )
-
-
-def _preset_fig2_top(out_dir: Path) -> None:
-    """Zig-zag energy of the flow at delta in {1, 0.1, 0.01}, W in {5, 20}."""
-    rows = ["method,delta,W,energy"]
-    problem = problems.sensing_logistic(seed=0)
-    for delta in (1.0, 0.1, 0.01):
-        sched = StepSchedule(c=2.0, delta=delta)
-        traj = run_solver(
-            problem.objective,
-            problem.feasible_set,
-            problem.x0,
-            "flow",
-            sched,
-            int(round(100.0 / delta)),
-        )
-        for W in (5, 20):
-            rows.append(diagnostics.zigzag_protocol(traj, W, 100.0).to_csv_row("fw"))
-    (out_dir / "fig2_top_zigzag.csv").write_text("\n".join(rows) + "\n")
-
-
-def _preset_fig2_bottom(out_dir: Path) -> None:
-    """Zig-zag energy of fw vs midpoint vs rk4 at delta = 1, W = 5."""
-    rows = ["method,delta,W,energy"]
-    problem = problems.sensing_logistic(seed=0)
-    sched = StepSchedule(c=2.0, delta=1.0)
-    for method, tab in (("fw", None), ("midpoint", "midpoint"), ("rk4", "rk4")):
-        traj = run_solver(
-            problem.objective,
-            problem.feasible_set,
-            problem.x0,
-            "fw" if tab is None else "rk",
-            sched,
-            100,
-            tableau=None if tab is None else tableau_mod.builtin(tab),
-        )
-        rows.append(diagnostics.zigzag_protocol(traj, 5, 100.0).to_csv_row(method))
-    (out_dir / "fig2_bottom_zigzag.csv").write_text("\n".join(rows) + "\n")
-
-
-def _preset_fig3(out_dir: Path) -> None:
-    """Triangle problem: plain, line-search, and momentum variants."""
-    for method, tab in (
-        ("fw", None),
-        ("fw+linesearch", None),
-        ("rk+linesearch", "rk4"),
-        ("fw+momentum", None),
-    ):
-        _run_config(
-            {
-                "problem": "triangle",
-                "method": method,
-                "c": 2.0,
-                "max_iter": 1000,
-                "tableau": tab,
-                "output": f"fig3_{method.replace('+', '_')}",
-            },
-            out_dir,
-        )
-
-
-def _preset_lower_bound(out_dir: Path) -> None:
-    """Tail-suprema probe on the scalar box problem, FW and every builtin tableau."""
-    configs = [("fw", None)] + [("rk", name) for name in tableau_mod.builtin_names()]
-    for method, tab in configs:
-        if tab == "euler":
-            continue  # identical to fw
-        _run_config(
-            {
-                "problem": "scalar_box",
-                "method": method,
-                "c": 2.0,
-                "max_iter": 10000,
-                "tableau": tab,
-                "output": f"lower_bound_{tab or 'fw'}",
-                "diagnostics": {"lower_bound": {"anchors": [10, 100, 1000]}},
-            },
-            out_dir,
-        )
-
-
-def _preset_sensing(out_dir: Path) -> None:
-    """Convergence of fw / midpoint / rk4 on the l1 least-squares sensing problem."""
-    for method, tab in (("fw", None), ("rk", "midpoint"), ("rk", "rk4")):
-        _run_config(
-            {
-                "problem": "sensing",
-                "method": method,
-                "c": 2.0,
-                "max_iter": 500,
-                "seed": 0,
-                "tableau": tab,
-                "output": f"sensing_{tab or 'fw'}",
-            },
-            out_dir,
-        )
-
+# presets: each is a list of jobs. A dict is a _run_config configuration; a
+# tuple (output, runs, windows) is a _zigzag_table on the seed-0 logistic
+# problem over T = 100.
 
 _PRESETS = {
-    "fig1": _preset_fig1,
-    "fig2-top": _preset_fig2_top,
-    "fig2-bottom": _preset_fig2_bottom,
-    "fig3": _preset_fig3,
-    "lower-bound": _preset_lower_bound,
-    "sensing": _preset_sensing,
+    # continuous flow vs discrete FW on the triangle, several c and delta
+    "fig1": [
+        {
+            "problem": "triangle",
+            "method": "fw" if delta is None else "flow",
+            "c": c,
+            "delta": delta or 1.0,
+            "max_iter": 500 if delta is None else int(round(50.0 / delta)),
+            "output": f"fig1_fw_c{c:g}" if delta is None else f"fig1_flow_c{c:g}_d{delta:g}",
+            "diagnostics": {"bound_compare": {}},
+        }
+        for c in (1.0, 2.0, 4.0)
+        for delta in (None, 0.1, 0.01, 0.001)
+    ],
+    # zig-zag energy of the flow at delta in {1, 0.1, 0.01}, W in {5, 20}
+    "fig2-top": [
+        (
+            "fig2_top_zigzag.csv",
+            [("fw", "flow", StepSchedule(c=2.0, delta=d), None) for d in (1.0, 0.1, 0.01)],
+            (5, 20),
+        )
+    ],
+    # zig-zag energy of fw vs midpoint vs rk4 at delta = 1, W = 5
+    "fig2-bottom": [
+        (
+            "fig2_bottom_zigzag.csv",
+            [
+                ("fw", "fw", StepSchedule(c=2.0), None),
+                ("midpoint", "rk", StepSchedule(c=2.0), tableau_mod.builtin("midpoint")),
+                ("rk4", "rk", StepSchedule(c=2.0), tableau_mod.builtin("rk4")),
+            ],
+            (5,),
+        )
+    ],
+    # triangle problem: plain, line-search, and momentum variants
+    "fig3": [
+        {
+            "problem": "triangle",
+            "method": method,
+            "c": 2.0,
+            "max_iter": 1000,
+            "tableau": "rk4" if method.startswith("rk") else None,
+            "output": f"fig3_{method.replace('+', '_')}",
+        }
+        for method in ("fw", "fw+linesearch", "rk+linesearch", "fw+momentum")
+    ],
+    # scalar-box tail-suprema probe: fw and every builtin tableau but euler (= fw)
+    "lower-bound": [
+        {
+            "problem": "scalar_box",
+            "method": "fw" if tab is None else "rk",
+            "c": 2.0,
+            "max_iter": 10000,
+            "tableau": tab,
+            "output": f"lower_bound_{tab or 'fw'}",
+            "diagnostics": {"lower_bound": {"anchors": [10, 100, 1000]}},
+        }
+        for tab in [None] + [n for n in tableau_mod.builtin_names() if n != "euler"]
+    ],
+    # convergence of fw / midpoint / rk4 on the l1 least-squares sensing problem
+    "sensing": [
+        {
+            "problem": "sensing",
+            "method": "fw" if tab is None else "rk",
+            "c": 2.0,
+            "max_iter": 500,
+            "seed": 0,
+            "tableau": tab,
+            "output": f"sensing_{tab or 'fw'}",
+        }
+        for tab in (None, "midpoint", "rk4")
+    ],
 }
+PRESET_NAMES = tuple(_PRESETS)
 
 
 def _cmd_preset(args) -> int:
     if args.name not in _PRESETS:
         raise ConfigError(f"unknown preset {args.name!r}; choose from {sorted(_PRESETS)}")
     out_dir = _out_dir(args.output_dir)
-    _PRESETS[args.name](out_dir)
+    for job in _PRESETS[args.name]:
+        if isinstance(job, dict):
+            _run_config(job, out_dir)
+        else:
+            output, runs, windows = job
+            _zigzag_table(out_dir / output, _build_problem("logistic", 0), runs, windows, 100.0)
     print(out_dir)
     return 0
 

@@ -2,8 +2,8 @@
 
 Each set supports three operations: ``lmo`` (minimize a linear function over
 the set), ``violation`` (constraint slack of a point, 0 inside), and
-``diameter`` (sup of pairwise Euclidean distances). Module-level ``lmo``,
-``contains`` and ``diameter`` wrap the methods.
+``diameter`` (sup of pairwise Euclidean distances). Module-level
+``contains`` tests membership up to a slack.
 
 Tie-breaking is deterministic everywhere: lowest-index vertex (hulls),
 lowest-index coordinate (l1 ball), and sign(0) = +1 (boxes), so trajectories
@@ -22,9 +22,7 @@ __all__ = [
     "Box",
     "L1Ball",
     "NuclearBall",
-    "lmo",
     "contains",
-    "diameter",
 ]
 
 
@@ -217,18 +215,8 @@ class NuclearBall:
         return 2.0 * self.radius
 
 
-def lmo(feasible_set, gradient) -> np.ndarray:
-    """Return argmin over s in the set of gradient . s."""
-    return feasible_set.lmo(gradient)
-
-
 def contains(feasible_set, point, tol: float = 1e-9) -> bool:
     """True iff the point is within constraint slack ``tol`` of the set."""
     if tol < 0:
         raise ValueError("tol must be nonnegative")
     return feasible_set.violation(point) <= tol
-
-
-def diameter(feasible_set) -> float:
-    """Euclidean diameter of the set."""
-    return feasible_set.diameter()

@@ -1,32 +1,30 @@
 """Iteration schemes: Frank-Wolfe, flow discretization, Runge-Kutta multistep,
 line-search and momentum variants, plus the driver loop.
 
-All steps share the update form x + coefficient * (target - x) so that the
-Euler tableau, the plain FW step and the unit-step flow step produce
+Every update is the mix x + coefficient * (target - x), written once in
+``_mix``, and every Runge-Kutta step runs the one stage loop ``_stages``, so
+the Euler tableau, the plain FW step and the unit-step flow step produce
 bit-identical iterates.
 """
 
 from __future__ import annotations
 
-import io
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import geometry
-from .tableau import Tableau, validate
+from .tableau import ConfigError, Tableau, _gammas, validate
 
 __all__ = [
     "StepSchedule",
     "Trajectory",
     "TrajectoryRecord",
     "RKStageState",
-    "gamma_discrete",
     "fw_step",
     "flow_step",
     "rk_step",
     "fw_gap",
-    "line_search_gamma",
     "momentum_step",
     "run",
 ]
@@ -36,31 +34,21 @@ FEASIBILITY_TOL = 1e-9
 
 @dataclass(frozen=True)
 class StepSchedule:
-    """Mixing-coefficient family gamma(k) = c/(c+k), gamma(t) = c/(c+t)."""
+    """Mixing-coefficient family gamma(k) = c/(c+k), at an index or a flow time k."""
 
     c: float = 2.0
     delta: float = 1.0
 
     def __post_init__(self):
         if self.c < 1:
-            raise ValueError("schedule constant c must be >= 1")
+            raise ConfigError("schedule constant c must be >= 1")
         if not 0.0 < self.delta <= 1.0:
-            raise ValueError("discretization unit delta must be in (0, 1]")
+            raise ConfigError("discretization unit delta must be in (0, 1]")
 
-    def gamma(self, k: int) -> float:
+    def gamma(self, k: float) -> float:
         if k < 0:
             raise ValueError("iteration index must be >= 0")
         return self.c / (self.c + k)
-
-    def gamma_t(self, t: float) -> float:
-        if t < 0:
-            raise ValueError("time must be >= 0")
-        return self.c / (self.c + t)
-
-
-def gamma_discrete(sched: StepSchedule, k: int) -> float:
-    """Discrete mixing coefficient c/(c+k)."""
-    return sched.gamma(k)
 
 
 @dataclass
@@ -71,7 +59,6 @@ class TrajectoryRecord:
     f_value: float
     fw_gap: float
     feas_violation: float
-    stage_count: int
 
 
 @dataclass
@@ -108,23 +95,13 @@ class Trajectory:
 
     def to_csv(self, target) -> None:
         """Write iter,t,f,gap,feas_violation rows with 17 significant digits."""
-        if isinstance(target, (str,)) or hasattr(target, "__fspath__"):
-            with open(target, "w", newline="\n") as fh:
-                self._write_csv(fh)
-        else:
-            self._write_csv(target)
-
-    def _write_csv(self, fh) -> None:
-        fh.write("iter,t,f,gap,feas_violation\n")
-        for r in self.records:
-            fh.write(
-                f"{r.k},{r.t:.17g},{r.f_value:.17g},{r.fw_gap:.17g},{r.feas_violation:.17g}\n"
-            )
-
-    def to_csv_string(self) -> str:
-        buf = io.StringIO()
-        self._write_csv(buf)
-        return buf.getvalue()
+        is_path = isinstance(target, str) or hasattr(target, "__fspath__")
+        with open(target, "w", newline="\n") if is_path else nullcontext(target) as fh:
+            fh.write("iter,t,f,gap,feas_violation\n")
+            for r in self.records:
+                fh.write(
+                    f"{r.k},{r.t:.17g},{r.f_value:.17g},{r.fw_gap:.17g},{r.feas_violation:.17g}\n"
+                )
 
 
 @dataclass
@@ -137,18 +114,51 @@ class RKStageState:
     gamma_tilde: np.ndarray
 
 
-def _require_feasible(fset, x):
+def _mix(x, s, coef):
+    """The one update rule: move x toward s by the fraction coef."""
+    return x + coef * (s - x)
+
+
+def _momentum(m, g, k: int):
+    """Gradient average (1 - d_k) m + d_k g with d_k = 2/(k+2)."""
+    d_k = 2.0 / (k + 2.0)
+    return (1.0 - d_k) * m + d_k * g
+
+
+def _stages(obj, fset, x, t: Tableau, coef):
+    """Run the stages of tableau t from x; return (x_next, xi, xbar, sbar).
+
+    Stage i evaluates the LMO at xbar_i = x + sum_j A_ij xi_j and sets
+    xi_i = coef(i, xbar_i, d_i) * d_i with d_i = s_i - xbar_i; the step is
+    x + sum_i beta_i xi_i.
+    """
+    xi, xbars, sbars = [], [], []
+    for i in range(t.q):
+        xb = x.copy()
+        for j in range(i):
+            if t.A[i, j] != 0.0:
+                xb = xb + t.A[i, j] * xi[j]
+        s = fset.lmo(obj.gradient(xb))
+        d = s - xb
+        xi.append(coef(i, xb, d) * d)
+        xbars.append(xb)
+        sbars.append(s)
+    incr = t.beta[0] * xi[0]
+    for i in range(1, t.q):
+        incr = incr + t.beta[i] * xi[i]
+    return x + incr, xi, xbars, sbars
+
+
+def _checked_fw_mix(obj, fset, x, coef) -> np.ndarray:
+    x = np.asarray(x, dtype=float)
     if fset.violation(x) > FEASIBILITY_TOL:
         raise ValueError("iterate is outside the feasible set")
+    return _mix(x, fset.lmo(obj.gradient(x)), coef)
 
 
 def fw_step(obj, fset, x, k: int, sched: StepSchedule) -> np.ndarray:
     """One vanilla Frank-Wolfe step: mix the LMO vertex in with weight gamma(k)."""
-    x = np.asarray(x, dtype=float)
-    _require_feasible(fset, x)
-    s = fset.lmo(obj.gradient(x))
-    gamma = sched.gamma(k)
-    return x + gamma * (s - x)
+    return _checked_fw_mix(obj, fset, x, sched.gamma(k))
 
 
 def flow_step(obj, fset, x, t: float, sched: StepSchedule) -> np.ndarray:
@@ -157,11 +167,7 @@ def flow_step(obj, fset, x, t: float, sched: StepSchedule) -> np.ndarray:
     gamma is evaluated at the left endpoint of the time step. With delta = 1
     and t = k this is exactly ``fw_step``.
     """
-    x = np.asarray(x, dtype=float)
-    _require_feasible(fset, x)
-    s = fset.lmo(obj.gradient(x))
-    coef = sched.delta * sched.gamma_t(t)
-    return x + coef * (s - x)
+    return _checked_fw_mix(obj, fset, x, sched.delta * sched.gamma(t))
 
 
 def rk_step(obj, fset, x, k: int, sched: StepSchedule, t: Tableau):
@@ -177,22 +183,9 @@ def rk_step(obj, fset, x, k: int, sched: StepSchedule, t: Tableau):
     x = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(x)):
         raise ValueError("iterate has non-finite entries")
-    gamma_tilde = sched.c / (sched.c + k + t.omega)
-    xi, xbars, sbars = [], [], []
-    for i in range(t.q):
-        xb = x.copy()
-        for j in range(i):
-            if t.A[i, j] != 0.0:
-                xb = xb + t.A[i, j] * xi[j]
-        s = fset.lmo(obj.gradient(xb))
-        xi.append(gamma_tilde[i] * (s - xb))
-        xbars.append(xb)
-        sbars.append(s)
-    incr = t.beta[0] * xi[0]
-    for i in range(1, t.q):
-        incr = incr + t.beta[i] * xi[i]
-    state = RKStageState(xi=xi, xbar=xbars, sbar=sbars, gamma_tilde=gamma_tilde)
-    return x + incr, state
+    gamma_tilde = _gammas(t, sched.c, k)
+    x_next, xi, xbars, sbars = _stages(obj, fset, x, t, lambda i, xb, d: gamma_tilde[i])
+    return x_next, RKStageState(xi=xi, xbar=xbars, sbar=sbars, gamma_tilde=gamma_tilde)
 
 
 def fw_gap(obj, fset, x) -> float:
@@ -214,8 +207,7 @@ def _sublevel_max(obj, x, d, k: int, slack: float = 1e-14):
     def ok(g):
         return obj.value(x + g * d) <= fx + slack
 
-    fallback = min(2.0 / (2.0 + k), 1.0)
-    g = fallback
+    g = min(2.0 / (2.0 + k), 1.0)
     if not ok(g):
         lo, hi = 0.0, g
     else:
@@ -236,21 +228,6 @@ def _sublevel_max(obj, x, d, k: int, slack: float = 1e-14):
         else:
             hi = mid
     return lo, False
-
-
-def line_search_gamma(obj, x, d, k: int) -> float:
-    """Aggressive step length max{2/(2+k), gamma_bar}.
-
-    gamma_bar is the largest gamma in [0, 1] for which f does not increase
-    along d (located by exponential probing plus bisection on the sublevel
-    boundary; for convex f the sublevel set in gamma is an interval).
-    """
-    x = np.asarray(x, dtype=float)
-    d = np.asarray(d, dtype=float)
-    if not np.all(np.isfinite(d)):
-        raise ValueError("search direction has non-finite entries")
-    gamma_bar, _ = _sublevel_max(obj, x, d, k)
-    return max(min(2.0 / (2.0 + k), 1.0), gamma_bar)
 
 
 def _descent_gamma(obj, x, d, k: int) -> float:
@@ -274,11 +251,8 @@ def momentum_step(obj, fset, x, m_prev, k: int, sched: StepSchedule):
     m_prev = np.asarray(m_prev, dtype=float)
     if m_prev.shape != x.shape:
         raise ValueError("momentum buffer dimension does not match x")
-    d_k = 2.0 / (k + 2.0)
-    m = (1.0 - d_k) * m_prev + d_k * obj.gradient(x)
-    s = fset.lmo(m)
-    gamma = sched.gamma(k)
-    return x + gamma * (s - x), m
+    m = _momentum(m_prev, obj.gradient(x), k)
+    return _mix(x, fset.lmo(m), sched.gamma(k)), m
 
 
 METHODS = ("fw", "flow", "rk", "rk+linesearch", "fw+linesearch", "fw+momentum")
@@ -298,23 +272,22 @@ def run(
 
     RK schedule indices start at k = 1; everything else starts at k = 0.
     Stops early once fw_gap <= stop_gap (stop_gap = 0 disables the check).
-    Feasibility is monitored (recorded per step), never enforced.
+    Feasibility is monitored (recorded per step), never enforced. Settings
+    are checked before the first step; a bad one raises ConfigError.
     """
     if method not in METHODS:
-        raise ValueError(f"unknown method {method!r}; choose from {METHODS}")
+        raise ConfigError(f"unknown method {method!r}; choose from {METHODS}")
     if max_iter < 1:
-        raise ValueError("max_iter must be >= 1")
-    needs_tableau = method in ("rk", "rk+linesearch")
-    if needs_tableau:
+        raise ConfigError("max_iter must be >= 1")
+    if method.startswith("rk"):
         if tableau is None:
-            raise ValueError(f"method {method!r} requires a tableau")
+            raise ConfigError(f"method {method!r} requires a tableau")
         validate(tableau)
     x = np.asarray(x0, dtype=float).copy()
     if fset.violation(x) > FEASIBILITY_TOL:
-        raise ValueError("x0 is outside the feasible set")
+        raise ConfigError("x0 is outside the feasible set")
 
     delta = sched.delta if method == "flow" else 1.0
-    stage_count = tableau.q if needs_tableau else 1
     m = np.zeros_like(x)  # momentum buffer
     traj = Trajectory(delta=delta, method=method)
 
@@ -330,53 +303,22 @@ def run(
                 f_value=obj.value(x),
                 fw_gap=gap,
                 feas_violation=fset.violation(x),
-                stage_count=0 if j == 0 else stage_count,
             )
         )
-        if j == max_iter:
-            break
-        if stop_gap > 0.0 and gap <= stop_gap:
+        if j == max_iter or (stop_gap > 0.0 and gap <= stop_gap):
             break
 
-        if method == "fw":
-            x = x + sched.gamma(j) * (s - x)
-        elif method == "flow":
-            coef = sched.delta * sched.gamma_t(j * delta)
-            x = x + coef * (s - x)
+        if method in ("fw", "flow"):  # fw is the flow at delta = 1
+            x = _mix(x, s, delta * sched.gamma(j * delta))
         elif method == "fw+linesearch":
-            d = s - x
-            x = x + _descent_gamma(obj, x, d, j) * d
+            x = _mix(x, s, _descent_gamma(obj, x, s - x, j))
         elif method == "fw+momentum":
-            d_k = 2.0 / (j + 2.0)
-            m = (1.0 - d_k) * m + d_k * g
-            sm = fset.lmo(m)
-            x = x + sched.gamma(j) * (sm - x)
+            m = _momentum(m, g, j)
+            x = _mix(x, fset.lmo(m), sched.gamma(j))
         elif method == "rk":
             x, _ = rk_step(obj, fset, x, j + 1, sched, tableau)
-        else:  # rk+linesearch
-            x = _rk_linesearch_step(obj, fset, x, j + 1, j, sched, tableau)
+        else:  # rk+linesearch: each stage takes the longer of gamma_tilde_i and a descent step
+            gammas = _gammas(tableau, sched.c, j + 1)
+            rule = lambda i, xb, d: max(gammas[i], _descent_gamma(obj, xb, d, j))  # noqa: E731
+            x = _stages(obj, fset, x, tableau, rule)[0]
     return traj
-
-
-def _rk_linesearch_step(obj, fset, x, k: int, k_ls: int, sched: StepSchedule, t: Tableau):
-    """RK step with a per-stage line search on each stage coefficient.
-
-    Stage i uses gamma_i = max(gamma_tilde_i, descent line search from the
-    stage point along s_i - xbar_i); the stage increments are then combined
-    with the beta weights as usual.
-    """
-    gamma_tilde = sched.c / (sched.c + k + t.omega)
-    xi = []
-    for i in range(t.q):
-        xb = x.copy()
-        for j in range(i):
-            if t.A[i, j] != 0.0:
-                xb = xb + t.A[i, j] * xi[j]
-        s = fset.lmo(obj.gradient(xb))
-        d = s - xb
-        gamma = max(gamma_tilde[i], _descent_gamma(obj, xb, d, k_ls))
-        xi.append(gamma * d)
-    incr = t.beta[0] * xi[0]
-    for i in range(1, t.q):
-        incr = incr + t.beta[i] * xi[i]
-    return x + incr

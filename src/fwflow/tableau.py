@@ -15,6 +15,7 @@ import numpy as np
 from scipy.linalg import solve_triangular
 
 __all__ = [
+    "ConfigError",
     "Tableau",
     "Certificate",
     "RateConstants",
@@ -25,6 +26,10 @@ __all__ = [
     "certificate_decay",
     "rate_constants",
 ]
+
+
+class ConfigError(ValueError):
+    """Invalid configuration: a bad schedule, tableau or solver setting."""
 
 
 @dataclass(frozen=True)
@@ -58,18 +63,22 @@ class Tableau:
 
 
 def validate(t: Tableau) -> None:
-    """Raise ValueError naming the first violated tableau invariant."""
+    """Raise ConfigError naming the first violated tableau invariant."""
     q = t.q
     if t.A.shape != (q, q) or t.omega.shape[0] != q:
-        raise ValueError("shape mismatch: A must be q x q and omega length q")
+        raise ConfigError("shape mismatch: A must be q x q and omega length q")
+    for name, entries in (("A", t.A), ("beta", t.beta), ("omega", t.omega)):
+        if not np.isfinite(entries).all():
+            at = tuple(int(i) for i in np.argwhere(~np.isfinite(entries))[0])
+            raise ConfigError(f"tableau entry {name}{list(at)} is {entries[at]}, must be finite")
     if abs(float(t.beta.sum()) - 1.0) > 1e-12:
-        raise ValueError(f"beta sum is {t.beta.sum()!r}, must be 1")
-    if np.any(np.triu(t.A) != 0.0):
-        raise ValueError("A is not strictly lower triangular")
+        raise ConfigError(f"beta sum is {t.beta.sum()!r}, must be 1")
+    if np.triu(t.A).any():
+        raise ConfigError("A is not strictly lower triangular")
     if t.omega[0] != 0.0:
-        raise ValueError("omega[0] must be 0")
-    if np.any(t.omega < 0.0) or np.any(t.omega > 1.0):
-        raise ValueError("omega entries must lie in [0, 1]")
+        raise ConfigError("omega[0] must be 0")
+    if t.omega.min() < 0.0 or t.omega.max() > 1.0:
+        raise ConfigError("omega entries must lie in [0, 1]")
 
 
 _BUILTINS = {
@@ -144,21 +153,21 @@ def _gammas(t: Tableau, c: float, k: int) -> np.ndarray:
     return c / (c + k + t.omega)
 
 
-def _solve_mixing(t: Tableau, gammas: np.ndarray) -> np.ndarray:
-    """Solve (I + A^T Gamma) y = beta; the system is unit upper triangular."""
+def _solve_mixing(t: Tableau, gammas: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve (I + A^T Gamma) y = rhs; the system is unit upper triangular."""
     M = np.eye(t.q) + t.A.T * gammas[None, :]
-    return solve_triangular(M, t.beta, lower=False, unit_diagonal=True)
+    return solve_triangular(M, rhs, lower=False, unit_diagonal=True)
 
 
 def certificate(t: Tableau, c: float, k: int) -> Certificate:
     """Compute z = q Gamma (I + A^T Gamma)^(-1) beta for one iteration index."""
     validate(t)
     if c < 1:
-        raise ValueError("schedule constant c must be >= 1")
+        raise ConfigError("schedule constant c must be >= 1")
     if k < 1:
         raise ValueError("certificate is defined for k >= 1")
     gammas = _gammas(t, c, k)
-    y = _solve_mixing(t, gammas)
+    y = _solve_mixing(t, gammas, t.beta)
     z = t.q * gammas * y
     inside = bool(np.all(z >= 0.0) and np.all(z <= 1.0))
     return Certificate(z=z, k=k, c=c, in_unit_interval=inside)
@@ -207,8 +216,7 @@ def rate_constants(t: Tableau, c: float, L: float, diam: float, h_x0: float = 0.
     if L <= 0 or diam < 0:
         raise ValueError("L must be positive and diam nonnegative")
     gammas = _gammas(t, c, 1)
-    M = np.eye(t.q) + t.A.T * gammas[None, :]
-    Minv = solve_triangular(M, np.eye(t.q), lower=False, unit_diagonal=True)
+    Minv = _solve_mixing(t, gammas, np.eye(t.q))
     P = gammas[:, None] * Minv
     p_max = float(np.max(np.linalg.norm(P, axis=0)))
     max_abs_A = float(np.max(np.abs(t.A)))

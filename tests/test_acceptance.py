@@ -4,6 +4,7 @@ Every numeric tolerance below is part of the acceptance contract; none of
 them are tuned to the implementation.
 """
 
+import io
 import time
 
 import numpy as np
@@ -132,13 +133,26 @@ def test_criterion_03_consistency():
         # fw run driven at the same indices
         x_fw2 = p.x0.copy()
         x_rk2 = p.x0.copy()
+        fw_iterates = [x_fw2]
         for k in range(1, 1001):
             x_fw2 = fw_step(p.objective, p.feasible_set, x_fw2, k, sched)
             x_rk2, _ = rk_step(p.objective, p.feasible_set, x_rk2, k, sched, euler)
+            fw_iterates.append(x_fw2)
             if not np.array_equal(x_fw2, x_rk2):
                 ok = False
                 break
-    assert _report(3, "consistency fw/flow/rk(euler)", ok, "bit-identical, 1000 steps")
+        # the same identities on the run() path that writes every CSV
+        csvs = []
+        for method in ("fw", "flow"):
+            buf = io.StringIO()
+            run(p.objective, p.feasible_set, p.x0, method, sched, 1000).to_csv(buf)
+            csvs.append(buf.getvalue())
+        xs_rk = run(p.objective, p.feasible_set, p.x0, "rk", sched, 1000, tableau=euler).xs()
+        if csvs[0] != csvs[1] or not np.array_equal(xs_rk, np.array(fw_iterates)):
+            ok = False
+    assert _report(
+        3, "consistency fw/flow/rk(euler)", ok, "bit-identical steps and run() paths, 1000 steps"
+    )
 
 
 def test_criterion_04_continuous_rate_bound():

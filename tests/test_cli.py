@@ -48,6 +48,10 @@ def test_unknown_tableau_exits_2(capsys):
     assert main(["certify", "heun"]) == 2
 
 
+def test_certify_c_below_1_exits_2(capsys):
+    assert main(["certify", "rk4", "--c", "0.5"]) == 2
+
+
 def test_unknown_preset_exits_2(tmp_path):
     assert main(["preset", "nope", "--output-dir", str(tmp_path)]) == 2
 
@@ -162,3 +166,34 @@ def test_zigzag_table_shape(tmp_path):
     lines = (tmp_path / "z.csv").read_text().strip().split("\n")
     assert lines[0] == "method,delta,W,energy"
     assert len(lines) == 3
+
+
+BETA_SUM_1_1 = {"A": [[0.0, 0.0], [0.5, 0.0]], "beta": [0.1, 1.0], "omega": [0.0, 0.5]}
+NAN_IN_A = {"A": [[0.0, 0.0], [float("nan"), 0.0]], "beta": [0.0, 1.0], "omega": [0.0, 0.5]}
+OVERFLOWS = {"A": [[0.0, 0.0], [1e308, 0.0]], "beta": [0.0, 1.0], "omega": [0.0, 0.5]}
+
+
+@pytest.mark.parametrize(
+    "argv, tableau, code, message",
+    [
+        (["--c", "0.5"], None, 2, "error: schedule constant c must be >= 1"),
+        (["--delta", "0"], None, 2, "error: discretization unit delta"),
+        (["--method", "rk"], BETA_SUM_1_1, 2, "error: beta sum is"),
+        (["--method", "rk"], NAN_IN_A, 2, "error: tableau entry A[1, 0] is nan"),
+        (
+            ["--problem", "scalar_box", "--method", "rk", "--max-iter", "5"],
+            OVERFLOWS,
+            1,
+            "runtime error: gradient has non-finite entries",
+        ),
+    ],
+    ids=["c-below-1", "delta-0", "beta-sum", "nan-tableau", "overflow-mid-run"],
+)
+def test_exit_code_contract(tmp_path, capsys, argv, tableau, code, message):
+    # 2: rejected before the first step; 1: failed while iterating
+    if tableau is not None:
+        path = tmp_path / "tableau.json"
+        path.write_text(json.dumps(tableau))
+        argv = argv + ["--tableau-file", str(path)]
+    assert main(["run", *argv, "--output-dir", str(tmp_path)]) == code
+    assert capsys.readouterr().err.startswith(message)

@@ -16,7 +16,7 @@ from fwflow.solvers import StepSchedule, Trajectory, TrajectoryRecord, run
 def _synthetic_traj(xs, delta=1.0):
     records = [
         TrajectoryRecord(k=k, t=k * delta, x=np.atleast_1d(np.asarray(x, dtype=float)),
-                         f_value=0.0, fw_gap=0.0, feas_violation=0.0, stage_count=1)
+                         f_value=0.0, fw_gap=0.0, feas_violation=0.0)
         for k, x in enumerate(xs)
     ]
     return Trajectory(records=records, delta=delta)

@@ -1,38 +1,38 @@
 import numpy as np
 import pytest
 
-from fwflow.geometry import Box, L1Ball, NuclearBall, VertexHull, contains, diameter, lmo
+from fwflow.geometry import Box, L1Ball, NuclearBall, VertexHull, contains
 
 TRIANGLE = VertexHull([[-1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 
 
 class TestLMO:
     def test_box_scalar(self):
-        assert lmo(Box(-1.0, 1.0, dim=1), [0.5]) == pytest.approx([-1.0])
+        assert Box(-1.0, 1.0, dim=1).lmo([0.5]) == pytest.approx([-1.0])
 
     def test_hull_unique_vertex(self):
-        np.testing.assert_allclose(lmo(TRIANGLE, [1.0, 0.0]), [-1.0, 0.0])
+        np.testing.assert_allclose(TRIANGLE.lmo([1.0, 0.0]), [-1.0, 0.0])
 
     def test_l1ball_picks_largest_coordinate(self):
-        s = lmo(L1Ball(1000.0, dim=3), [3.0, -7.0, 1.0])
+        s = L1Ball(1000.0, dim=3).lmo([3.0, -7.0, 1.0])
         np.testing.assert_allclose(s, [0.0, 1000.0, 0.0])
 
     def test_nuclear_ball_diag_gradient(self):
         # exact SVD oracle: gradient diag(3, 1) has top pair (e1, e1)
-        s = lmo(NuclearBall(2.0, 2, 2), [3.0, 0.0, 0.0, 1.0])
+        s = NuclearBall(2.0, 2, 2).lmo([3.0, 0.0, 0.0, 1.0])
         np.testing.assert_allclose(s.reshape(2, 2), [[-2.0, 0.0], [0.0, 0.0]], atol=1e-12)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            lmo(TRIANGLE, [1.0, 0.0, 0.0])
+            TRIANGLE.lmo([1.0, 0.0, 0.0])
 
     def test_non_finite_gradient(self):
         with pytest.raises(ValueError):
-            lmo(Box(-1.0, 1.0, dim=2), [np.nan, 0.0])
+            Box(-1.0, 1.0, dim=2).lmo([np.nan, 0.0])
 
     def test_box_sign_zero_convention(self):
         # sign(0) = +1 picks the lower face
-        np.testing.assert_allclose(lmo(Box(-1.0, 1.0, dim=2), [0.0, -1.0]), [-1.0, 1.0])
+        np.testing.assert_allclose(Box(-1.0, 1.0, dim=2).lmo([0.0, -1.0]), [-1.0, 1.0])
 
     def test_scale_invariance(self):
         rng = np.random.default_rng(3)
@@ -84,13 +84,13 @@ class TestContains:
 
 class TestDiameter:
     def test_triangle(self):
-        assert diameter(TRIANGLE) == pytest.approx(2.0)
+        assert TRIANGLE.diameter() == pytest.approx(2.0)
 
     def test_box(self):
-        assert diameter(Box(-1.0, 1.0, dim=1)) == pytest.approx(2.0)
+        assert Box(-1.0, 1.0, dim=1).diameter() == pytest.approx(2.0)
 
     def test_l1(self):
-        assert diameter(L1Ball(1000.0, dim=100)) == pytest.approx(2000.0)
+        assert L1Ball(1000.0, dim=100).diameter() == pytest.approx(2000.0)
 
     def test_hull_matches_brute_force(self):
         rng = np.random.default_rng(0)

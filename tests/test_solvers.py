@@ -1,3 +1,6 @@
+import hashlib
+import io
+
 import numpy as np
 import pytest
 
@@ -5,13 +8,13 @@ from fwflow.geometry import Box
 from fwflow.objectives import QuadraticDistance
 from fwflow.problems import scalar_box, triangle
 from fwflow.solvers import (
+    METHODS,
     StepSchedule,
     Trajectory,
+    _descent_gamma,
     flow_step,
     fw_gap,
     fw_step,
-    gamma_discrete,
-    line_search_gamma,
     momentum_step,
     rk_step,
     run,
@@ -24,9 +27,11 @@ HALF_SQUARE = QuadraticDistance(target=[0.0])  # f(x) = x^2/2 in 1-D
 
 class TestSchedule:
     def test_gamma_values(self):
-        assert gamma_discrete(StepSchedule(c=2.0), 0) == 1.0
-        assert gamma_discrete(StepSchedule(c=2.0), 2) == 0.5
-        assert gamma_discrete(StepSchedule(c=1.0), 9) == pytest.approx(0.1)
+        assert StepSchedule(c=2.0).gamma(0) == 1.0
+        assert StepSchedule(c=2.0).gamma(2) == 0.5
+        assert StepSchedule(c=1.0).gamma(9) == pytest.approx(0.1)
+        # a flow time t = k * delta gives the same coefficient as the index k
+        assert StepSchedule(c=2.5).gamma(7.0) == StepSchedule(c=2.5).gamma(7)
 
     def test_invalid_c(self):
         with pytest.raises(ValueError):
@@ -113,27 +118,35 @@ class TestGap:
             assert gap >= p.objective.value(x) - p.f_star - 1e-12
 
 
+def _vec(*v):
+    return np.array(v, dtype=float)
+
+
 class TestLineSearch:
+    """The descent step of the +linesearch solvers."""
+
     def test_clips_to_one(self):
         obj = QuadraticDistance(target=[0.2])
-        assert line_search_gamma(obj, [1.0], [-1.0], 1000) == 1.0
+        assert _descent_gamma(obj, _vec(1.0), _vec(-1.0), 1000) == 1.0
 
     def test_ascent_direction_falls_back(self):
+        # probing falls back below 2/(2+k) to the sublevel boundary at 0: no uphill step
         obj = QuadraticDistance(target=[0.0])
-        g = line_search_gamma(obj, [1.0], [1.0], 8)
-        assert g == pytest.approx(2.0 / 10.0)
+        g = _descent_gamma(obj, _vec(1.0), _vec(1.0), 8)
+        assert g == pytest.approx(0.0, abs=1e-13)
 
     def test_zero_direction(self):
         obj = QuadraticDistance(target=[0.0])
-        assert line_search_gamma(obj, [0.5], [0.0], 3) == 1.0
+        assert _descent_gamma(obj, _vec(0.5), _vec(0.0), 3) == 1.0
 
     def test_sublevel_boundary(self):
-        # f = x^2/2 from x=1 along d=-1: f(1-g) <= f(1) iff g <= 2
+        # f = x^2/2 from x=1 along d=-1: f(1-g) <= f(1) iff g <= 2, so the step clips
         obj = QuadraticDistance(target=[0.0])
-        assert line_search_gamma(obj, [1.0], [-1.0], 1000) == 1.0
-        # from x=1 along d=-4: f(1-4g) <= f(1) iff g <= 0.5
-        g = line_search_gamma(obj, [1.0], [-4.0], 1000)
-        assert g == pytest.approx(0.5, abs=1e-12)
+        assert _descent_gamma(obj, _vec(1.0), _vec(-1.0), 1000) == 1.0
+        # from x=1 along d=-4: f(1-4g) <= f(1) iff g <= 0.5; the midpoint 0.25
+        # of the sublevel interval is the exact minimizer
+        g = _descent_gamma(obj, _vec(1.0), _vec(-4.0), 1000)
+        assert g == pytest.approx(0.25, abs=1e-12)
 
 
 class TestMomentum:
@@ -216,8 +229,9 @@ class TestTrajectoryCSV:
     def test_header_and_shape(self):
         p = scalar_box()
         traj = run(p.objective, p.feasible_set, p.x0, "fw", StepSchedule(), 3)
-        text = traj.to_csv_string()
-        lines = text.strip().split("\n")
+        buf = io.StringIO()
+        traj.to_csv(buf)
+        lines = buf.getvalue().strip().split("\n")
         assert lines[0] == "iter,t,f,gap,feas_violation"
         assert len(lines) == 5
 
@@ -228,3 +242,27 @@ class TestTrajectoryCSV:
         traj.to_csv(path)
         got = np.loadtxt(path, delimiter=",", skiprows=1)
         np.testing.assert_array_equal(got[:, 2], traj.fs())
+
+
+# SHA-256 of to_csv on triangle() with StepSchedule(c=2), 200 steps, delta 0.1
+# for flow and rk4 for both rk methods. Any change to the arithmetic of an
+# update rule moves its digest.
+PINNED_CSV_SHA256 = {
+    "fw": "3afbf3a2267272b9f6cf5d56ec4172bf4ce980e0e3e7984b9441acd975b54a17",
+    "flow": "3a84f03b7915a6153f71de6de712fa8956e40478e8aea20ac7a3dd7071359b24",
+    "rk": "d2c2450d524bcb98726e7b99107446e251cd3e8cac502b9683d7bc2e8611dc91",
+    "rk+linesearch": "cd433a8ba8610ea9674053ea5f52f6eca98bc8f65048373411f71ada615b579c",
+    "fw+linesearch": "d0cd6e853ad2d07912ac9ddc700dde1e50be87f1f7536bac107f324b318509a0",
+    "fw+momentum": "d7848689df40e4658d54aa07333c93d20d317d6c0bfb85eee7666faf44ae53be",
+}
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_run_csv_digest_pinned(method):
+    p = triangle()
+    sched = StepSchedule(c=2.0, delta=0.1 if method == "flow" else 1.0)
+    tab = builtin("rk4") if method.startswith("rk") else None
+    traj = run(p.objective, p.feasible_set, p.x0, method, sched, 200, tableau=tab)
+    buf = io.StringIO()
+    traj.to_csv(buf)
+    assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == PINNED_CSV_SHA256[method]
