@@ -75,6 +75,12 @@ def _run_config(cfg: dict, out_dir: Path) -> list:
     tab = _load_tableau(cfg.get("tableau"), cfg.get("tableau_file"))
     max_iter = int(cfg.get("max_iter", 1000))
     stop_gap = float(cfg.get("stop_gap", 0.0))
+    diag = cfg.get("diagnostics", {})
+    if problem.f_star is None:
+        if "slope" in diag:
+            raise ConfigError("slope diagnostic needs a problem with known optimum")
+        if "bound_compare" in diag:
+            raise ConfigError("bound comparison needs a problem with known optimum")
     traj = run_solver(
         problem.objective,
         problem.feasible_set,
@@ -89,15 +95,12 @@ def _run_config(cfg: dict, out_dir: Path) -> list:
     written = [out_dir / f"{stem}.csv"]
     traj.to_csv(written[0])
 
-    diag = cfg.get("diagnostics", {})
     if "zigzag" in diag:
         zcfg = diag["zigzag"]
         windows = [int(W) for W in zcfg.get("W", [5])]
         rows = _zigzag_rows(traj, method, windows, float(zcfg.get("T", 100.0)))
         written.append(_write_rows(out_dir / f"{stem}_zigzag.csv", [_ZIGZAG_HEADER] + rows))
     if "slope" in diag:
-        if problem.f_star is None:
-            raise ConfigError("slope diagnostic needs a problem with known optimum")
         s = diagnostics.slope_fit(traj, problem.f_star, int(diag["slope"].get("k_min", 100)))
         rows = ["k_min,slope", f"{diag['slope'].get('k_min', 100)},{s:.17g}"]
         written.append(_write_rows(out_dir / f"{stem}_slope.csv", rows))
@@ -107,14 +110,12 @@ def _run_config(cfg: dict, out_dir: Path) -> list:
         rows = ["anchor,probe"] + [f"{a},{v:.17g}" for a, v in zip(anchors, vals)]
         written.append(_write_rows(out_dir / f"{stem}_lower_bound.csv", rows))
     if "bound_compare" in diag:
-        if problem.f_star is None:
-            raise ConfigError("bound comparison needs a problem with known optimum")
         h0 = problem.objective.value(problem.x0) - problem.f_star
         rows = ["t,normalized_error,bound"]
-        for r in traj:
-            norm_err = (r.f_value - problem.f_star) / h0
+        for t, f in zip(traj.t.tolist(), traj.f.tolist()):
+            norm_err = (f - problem.f_star) / h0
             rows.append(
-                f"{r.t:.17g},{norm_err:.17g},{diagnostics.continuous_bound(sched.c, r.t):.17g}"
+                f"{t:.17g},{norm_err:.17g},{diagnostics.continuous_bound(sched.c, t):.17g}"
             )
         written.append(_write_rows(out_dir / f"{stem}_bound.csv", rows))
     return written

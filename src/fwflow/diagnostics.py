@@ -9,6 +9,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import quad
 
+from .tableau import ConfigError
+
 __all__ = [
     "ZigzagReport",
     "zigzag_energy",
@@ -66,21 +68,20 @@ def zigzag_protocol(traj, W: int, T: float) -> ZigzagReport:
 
     The first T/delta steps are divided into consecutive non-overlapping
     windows of W steps each (anchored at k = 0); each window contributes one
-    zigzag_energy value and the report carries their uniform mean.
+    zigzag_energy value and the report carries their uniform mean. A bad W
+    or T, or a trajectory shorter than one window, raises ConfigError.
     """
     if W < 2:
-        raise ValueError("window size W must be >= 2")
+        raise ConfigError("window size W must be >= 2")
     if T <= 0:
-        raise ValueError("time span T must be positive")
+        raise ConfigError("time span T must be positive")
     delta = traj.delta
-    steps = int(round(T / delta))
-    xs = traj.xs()
-    steps = min(steps, xs.shape[0] - 1)
+    steps = min(int(round(T / delta)), len(traj) - 1)
     n_windows = steps // W
     if n_windows < 1:
-        raise ValueError("trajectory is shorter than one window")
+        raise ConfigError("trajectory is shorter than one window")
     per_window = np.array(
-        [zigzag_energy(xs[w * W : w * W + W + 1]) for w in range(n_windows)]
+        [zigzag_energy(traj.x[w * W : w * W + W + 1]) for w in range(n_windows)]
     )
     return ZigzagReport(
         W=W, energy=float(per_window.mean()), per_window=per_window, T=T, delta=delta
@@ -88,11 +89,14 @@ def zigzag_protocol(traj, W: int, T: float) -> ZigzagReport:
 
 
 def continuous_bound(c: float, t: float) -> float:
-    """Normalized error bound (c/(c+t))^c of the continuous flow."""
+    """Normalized error bound (c/(c+t))^c of the continuous flow.
+
+    Raises ConfigError for c < 1 or t < 0.
+    """
     if c < 1:
-        raise ValueError("schedule constant c must be >= 1")
+        raise ConfigError("schedule constant c must be >= 1")
     if t < 0:
-        raise ValueError("time must be >= 0")
+        raise ConfigError("time must be >= 0")
     return (c / (c + t)) ** c
 
 
@@ -116,8 +120,7 @@ def slope_fit(traj, f_star: float, k_min: int) -> float:
     """
     if k_min < 1:
         raise ValueError("k_min must be >= 1")
-    ks = traj.ks()
-    fs = traj.fs()
+    ks, fs = traj.k, traj.f
     mask = (ks >= k_min) & (fs > f_star)
     if mask.sum() < 10:
         raise ValueError("fewer than 10 usable points for the slope fit")
@@ -133,10 +136,9 @@ def lower_bound_probe(traj, anchor_ks) -> list:
     Values bounded away from zero across growing anchors certify that the
     iterates decay no faster than 1/k.
     """
-    xs = traj.xs()
+    xs, ks = traj.x, traj.k
     if xs.ndim != 2 or xs.shape[1] != 1:
         raise ValueError("lower-bound probe requires a scalar trajectory")
-    ks = traj.ks()
     absx = np.abs(xs[:, 0])
     # running suffix maximum: tail_sup[i] = max(absx[i:])
     tail_sup = np.maximum.accumulate(absx[::-1])[::-1]

@@ -10,7 +10,8 @@ bit-identical iterates.
 from __future__ import annotations
 
 from contextlib import nullcontext
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -19,7 +20,6 @@ from .tableau import ConfigError, Tableau, _gammas, validate
 __all__ = [
     "StepSchedule",
     "Trajectory",
-    "TrajectoryRecord",
     "RKStageState",
     "fw_step",
     "flow_step",
@@ -52,56 +52,42 @@ class StepSchedule:
 
 
 @dataclass
-class TrajectoryRecord:
-    k: int
-    t: float
-    x: np.ndarray
-    f_value: float
-    fw_gap: float
-    feas_violation: float
-
-
-@dataclass
 class Trajectory:
-    """Time-stamped iterate sequence with per-step metrics."""
+    """A run stored as columns: row k holds iterate x^(k), its objective value f,
+    FW gap and feasibility violation. Index k and flow time t = k * delta are derived.
+    """
 
-    records: list = field(default_factory=list)
+    x: np.ndarray
+    f: np.ndarray
+    gap: np.ndarray
+    violation: np.ndarray
     delta: float = 1.0
-    method: str = ""
 
     def __len__(self):
-        return len(self.records)
-
-    def __iter__(self):
-        return iter(self.records)
+        return self.f.shape[0]
 
     def __getitem__(self, i):
-        return self.records[i]
+        """Row i as an object with fields k, t, x, f, gap and violation."""
+        k = range(len(self))[i]
+        return SimpleNamespace(k=k, t=k * self.delta, x=self.x[k], f=float(self.f[k]),
+                               gap=float(self.gap[k]), violation=float(self.violation[k]))
 
-    def xs(self) -> np.ndarray:
-        return np.array([r.x for r in self.records])
+    @property
+    def k(self) -> np.ndarray:
+        return np.arange(len(self))
 
-    def fs(self) -> np.ndarray:
-        return np.array([r.f_value for r in self.records])
-
-    def gaps(self) -> np.ndarray:
-        return np.array([r.fw_gap for r in self.records])
-
-    def ks(self) -> np.ndarray:
-        return np.array([r.k for r in self.records])
-
-    def max_violation(self) -> float:
-        return max(r.feas_violation for r in self.records)
+    @property
+    def t(self) -> np.ndarray:
+        return self.k * self.delta
 
     def to_csv(self, target) -> None:
         """Write iter,t,f,gap,feas_violation rows with 17 significant digits."""
         is_path = isinstance(target, str) or hasattr(target, "__fspath__")
         with open(target, "w", newline="\n") if is_path else nullcontext(target) as fh:
             fh.write("iter,t,f,gap,feas_violation\n")
-            for r in self.records:
-                fh.write(
-                    f"{r.k},{r.t:.17g},{r.f_value:.17g},{r.fw_gap:.17g},{r.feas_violation:.17g}\n"
-                )
+            rows = zip(self.f.tolist(), self.gap.tolist(), self.violation.tolist())
+            for k, (f, gap, v) in enumerate(rows):
+                fh.write(f"{k},{k * self.delta:.17g},{f:.17g},{gap:.17g},{v:.17g}\n")
 
 
 @dataclass
@@ -289,22 +275,17 @@ def run(
 
     delta = sched.delta if method == "flow" else 1.0
     m = np.zeros_like(x)  # momentum buffer
-    traj = Trajectory(delta=delta, method=method)
+    xs = np.empty((max_iter + 1,) + x.shape)
+    fs, gaps, viols = np.empty((3, max_iter + 1))
 
     for j in range(max_iter + 1):
         g = obj.gradient(x)
         s = fset.lmo(g)
         gap = float(g @ (x - s))
-        traj.records.append(
-            TrajectoryRecord(
-                k=j,
-                t=j * delta,
-                x=x.copy(),
-                f_value=obj.value(x),
-                fw_gap=gap,
-                feas_violation=fset.violation(x),
-            )
-        )
+        xs[j] = x
+        fs[j] = obj.value(x)
+        gaps[j] = gap
+        viols[j] = fset.violation(x)
         if j == max_iter or (stop_gap > 0.0 and gap <= stop_gap):
             break
 
@@ -321,4 +302,5 @@ def run(
             gammas = _gammas(tableau, sched.c, j + 1)
             rule = lambda i, xb, d: max(gammas[i], _descent_gamma(obj, xb, d, j))  # noqa: E731
             x = _stages(obj, fset, x, tableau, rule)[0]
-    return traj
+    n = j + 1  # rows recorded; fewer than max_iter + 1 when stop_gap ended the run
+    return Trajectory(xs[:n], fs[:n], gaps[:n], viols[:n], delta=delta)

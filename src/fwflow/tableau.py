@@ -52,8 +52,16 @@ class Tableau:
 
     @classmethod
     def from_json(cls, text: str, name: str = "") -> "Tableau":
-        """Build a tableau from a JSON document {"A": [[..]], "beta": [..], "omega": [..]}."""
+        """Build a tableau from a JSON document {"A": [[..]], "beta": [..], "omega": [..]}.
+
+        Raises ConfigError when the document is not an object or lacks a key.
+        """
         doc = json.loads(text)
+        if not isinstance(doc, dict):
+            raise ConfigError("tableau JSON must be an object with keys A, beta and omega")
+        for key in ("A", "beta", "omega"):
+            if key not in doc:
+                raise ConfigError(f"tableau JSON lacks the key {key!r}")
         return cls(A=doc["A"], beta=doc["beta"], omega=doc["omega"], name=name)
 
     def to_json(self) -> str:

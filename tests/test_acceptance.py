@@ -147,7 +147,7 @@ def test_criterion_03_consistency():
             buf = io.StringIO()
             run(p.objective, p.feasible_set, p.x0, method, sched, 1000).to_csv(buf)
             csvs.append(buf.getvalue())
-        xs_rk = run(p.objective, p.feasible_set, p.x0, "rk", sched, 1000, tableau=euler).xs()
+        xs_rk = run(p.objective, p.feasible_set, p.x0, "rk", sched, 1000, tableau=euler).x
         if csvs[0] != csvs[1] or not np.array_equal(xs_rk, np.array(fw_iterates)):
             ok = False
     assert _report(
@@ -164,9 +164,9 @@ def test_criterion_04_continuous_rate_bound():
     for c in (2.0, 4.0):
         sched = StepSchedule(c=c, delta=0.001)
         traj = run(p.objective, p.feasible_set, p.x0, "flow", sched, 50000)
-        for r in traj:
-            bound = diagnostics.continuous_bound(c, r.t)
-            norm_err = (r.f_value - p.f_star) / h0
+        for t, f in zip(traj.t.tolist(), traj.f.tolist()):
+            bound = diagnostics.continuous_bound(c, t)
+            norm_err = (f - p.f_star) / h0
             if bound > 0:
                 worst_ratio = max(worst_ratio, norm_err / bound)
         if worst_ratio > 1.05:
@@ -187,8 +187,8 @@ def test_criterion_05_upper_rate(triangle_runs):
     for name in builtin_names():
         rc = rate_constants(builtin(name), 2.0, L, diam, h_x0)
         traj = runs[name]
-        errs = traj.fs() - p.f_star
-        bounds = rc.h0 / (traj.ks() + 1.0)
+        errs = traj.f - p.f_star
+        bounds = rc.h0 / (traj.k + 1.0)
         if not np.all(errs <= bounds + 1e-12):
             bound_ok = False
     slope = diagnostics.slope_fit(runs["fw"], p.f_star, k_min=100)
@@ -249,13 +249,14 @@ def test_criterion_08_zigzag_multistep_reduction(zigzag_energies):
 
 def test_criterion_09_feasibility(triangle_runs):
     p, runs = triangle_runs
-    fw_ok = runs["fw"].max_violation() <= 1e-9
+    fw_max = runs["fw"].violation.max()
+    fw_ok = fw_max <= 1e-9
     cap = 0.05 * p.feasible_set.diameter()
-    worst_rk = max(runs[name].max_violation() for name in builtin_names())
+    worst_rk = max(runs[name].violation.max() for name in builtin_names())
     rk_ok = worst_rk < cap
     ok = fw_ok and rk_ok
     assert _report(
-        9, "feasibility", ok, f"fw max {runs['fw'].max_violation():.1e}; rk max {worst_rk:.3e} < {cap}"
+        9, "feasibility", ok, f"fw max {fw_max:.1e}; rk max {worst_rk:.3e} < {cap}"
     )
 
 
@@ -263,12 +264,12 @@ def test_criterion_10_variant_sanity():
     p = problems.triangle()
     sched = StepSchedule(c=2.0)
     ls = run(p.objective, p.feasible_set, p.x0, "fw+linesearch", sched, 2000)
-    mono = bool(np.all(np.diff(ls.fs()) <= 1e-14))
+    mono = bool(np.all(np.diff(ls.f) <= 1e-14))
 
     def first_hit(traj, tol):
-        errs = traj.fs() - p.f_star
+        errs = traj.f - p.f_star
         hits = np.nonzero(errs <= tol)[0]
-        return int(traj.ks()[hits[0]]) if hits.size else None
+        return int(traj.k[hits[0]]) if hits.size else None
 
     rk_ls = run(
         p.objective, p.feasible_set, p.x0, "rk+linesearch", sched, 2000, tableau=builtin("rk4")

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -171,6 +172,7 @@ def test_zigzag_table_shape(tmp_path):
 BETA_SUM_1_1 = {"A": [[0.0, 0.0], [0.5, 0.0]], "beta": [0.1, 1.0], "omega": [0.0, 0.5]}
 NAN_IN_A = {"A": [[0.0, 0.0], [float("nan"), 0.0]], "beta": [0.0, 1.0], "omega": [0.0, 0.5]}
 OVERFLOWS = {"A": [[0.0, 0.0], [1e308, 0.0]], "beta": [0.0, 1.0], "omega": [0.0, 0.5]}
+NO_OMEGA = {"A": [[0]], "beta": [1]}
 
 
 @pytest.mark.parametrize(
@@ -180,14 +182,26 @@ OVERFLOWS = {"A": [[0.0, 0.0], [1e308, 0.0]], "beta": [0.0, 1.0], "omega": [0.0,
         (["--delta", "0"], None, 2, "error: discretization unit delta"),
         (["--method", "rk"], BETA_SUM_1_1, 2, "error: beta sum is"),
         (["--method", "rk"], NAN_IN_A, 2, "error: tableau entry A[1, 0] is nan"),
-        (
+        (["--method", "rk"], NO_OMEGA, 2, "error: tableau JSON lacks the key 'omega'"),
+        (["--method", "rk"], [[0.0]], 2, "error: tableau JSON must be an object"),
+        pytest.param(
             ["--problem", "scalar_box", "--method", "rk", "--max-iter", "5"],
             OVERFLOWS,
             1,
             "runtime error: gradient has non-finite entries",
+            # the iterate overflows on purpose, so numpy's overflow warnings are expected
+            marks=pytest.mark.filterwarnings("ignore::RuntimeWarning"),
         ),
     ],
-    ids=["c-below-1", "delta-0", "beta-sum", "nan-tableau", "overflow-mid-run"],
+    ids=[
+        "c-below-1",
+        "delta-0",
+        "beta-sum",
+        "nan-tableau",
+        "tableau-no-omega",
+        "tableau-not-object",
+        "overflow-mid-run",
+    ],
 )
 def test_exit_code_contract(tmp_path, capsys, argv, tableau, code, message):
     # 2: rejected before the first step; 1: failed while iterating
@@ -197,3 +211,62 @@ def test_exit_code_contract(tmp_path, capsys, argv, tableau, code, message):
         argv = argv + ["--tableau-file", str(path)]
     assert main(["run", *argv, "--output-dir", str(tmp_path)]) == code
     assert capsys.readouterr().err.startswith(message)
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["bound", "--c", "0.5"], "error: schedule constant c must be >= 1"),
+        (["zigzag", "--windows", "1"], "error: window size W must be >= 2"),
+    ],
+    ids=["bound-c-below-1", "zigzag-window-1"],
+)
+def test_diagnostic_settings_exit_2(tmp_path, capsys, argv, message):
+    assert main([*argv, "--output-dir", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith(message)
+
+
+def test_diagnostic_precondition_checked_before_run(tmp_path, capsys):
+    # the slope fit needs f*, which sensing lacks: reject before any step runs
+    cfg_path = tmp_path / "sweep.json"
+    cfg_path.write_text(json.dumps([{"problem": "sensing", "diagnostics": {"slope": {}}}]))
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", str(cfg_path), "--output-dir", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: slope diagnostic needs")
+    assert not list(out.glob("*.csv"))
+
+
+# SHA-256 of each diagnostic CSV that a run configuration can write
+@pytest.mark.parametrize(
+    "cfg, suffix, digest",
+    [
+        (
+            {"problem": "triangle", "method": "flow", "delta": 0.1, "max_iter": 100,
+             "diagnostics": {"bound_compare": {}}},
+            "bound",
+            "6dd26e3b3349887e55c90a6310adc79052e6313dc81ff40c7a0f8ec11f5bb457",
+        ),
+        (
+            {"problem": "scalar_box", "method": "rk", "tableau": "rk4", "max_iter": 1000,
+             "diagnostics": {"lower_bound": {}}},
+            "lower_bound",
+            "57599076eaf8f97b2b62894fef43a4db3c663194672ca54738c59ceab8c4253f",
+        ),
+        (
+            {"problem": "logistic", "method": "fw", "diagnostics": {"zigzag": {"W": [5]}}},
+            "zigzag",
+            "2db408633c9dfd479d465effe56ec6f1310b0d29b632aebcd23132dc909d084a",
+        ),
+        (
+            {"problem": "triangle", "method": "fw", "max_iter": 500, "diagnostics": {"slope": {}}},
+            "slope",
+            "32272b993468a8839712e42304ac1449e19b4291cdd1821f18e961e768d1bec5",
+        ),
+    ],
+    ids=["bound", "lower_bound", "zigzag", "slope"],
+)
+def test_diagnostic_csv_digest_pinned(tmp_path, cfg, suffix, digest):
+    cfg_path = tmp_path / "sweep.json"
+    cfg_path.write_text(json.dumps([{**cfg, "output": "d"}]))
+    assert main(["sweep", "--config", str(cfg_path), "--output-dir", str(tmp_path)]) == 0
+    assert hashlib.sha256((tmp_path / f"d_{suffix}.csv").read_bytes()).hexdigest() == digest

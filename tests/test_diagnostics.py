@@ -10,16 +10,13 @@ from fwflow.diagnostics import (
     zigzag_protocol,
 )
 from fwflow.problems import scalar_box, triangle
-from fwflow.solvers import StepSchedule, Trajectory, TrajectoryRecord, run
+from fwflow.solvers import StepSchedule, Trajectory, run
 
 
 def _synthetic_traj(xs, delta=1.0):
-    records = [
-        TrajectoryRecord(k=k, t=k * delta, x=np.atleast_1d(np.asarray(x, dtype=float)),
-                         f_value=0.0, fw_gap=0.0, feas_violation=0.0)
-        for k, x in enumerate(xs)
-    ]
-    return Trajectory(records=records, delta=delta)
+    n = len(xs)
+    x = np.array(xs, dtype=float)
+    return Trajectory(x=x, f=np.zeros(n), gap=np.zeros(n), violation=np.zeros(n), delta=delta)
 
 
 class TestZigzagEnergy:
@@ -94,8 +91,7 @@ class TestSlopeFit:
     def test_exact_power_law(self):
         xs = [(0.0,)] * 101
         traj = _synthetic_traj(xs)
-        for r in traj.records:
-            r.f_value = 1.0 / max(r.k, 1)
+        traj.f[:] = 1.0 / np.maximum(traj.k, 1)
         assert slope_fit(traj, 0.0, k_min=1) == pytest.approx(-1.0, abs=1e-6)
 
     def test_continuous_bound_samples(self):
@@ -103,15 +99,13 @@ class TestSlopeFit:
         # the fit window starts at t = 100
         xs = [(0.0,)] * 10001
         traj = _synthetic_traj(xs)
-        for r in traj.records:
-            r.f_value = continuous_bound(3.0, float(max(r.k, 1)))
+        traj.f[:] = [continuous_bound(3.0, float(max(k, 1))) for k in traj.k.tolist()]
         assert slope_fit(traj, 0.0, k_min=100) == pytest.approx(-3.0, abs=0.05)
 
     def test_too_few_points(self):
         xs = [(0.0,)] * 12
         traj = _synthetic_traj(xs)
-        for r in traj.records:
-            r.f_value = 1.0
+        traj.f[:] = 1.0
         with pytest.raises(ValueError):
             slope_fit(traj, 1.0, k_min=1)  # all f == f*, nothing usable
 

@@ -173,7 +173,7 @@ class TestRun:
         traj = run(p.objective, p.feasible_set, p.x0, "fw", StepSchedule(), 10)
         assert len(traj) == 11
         assert traj[0].k == 0 and traj[-1].k == 10
-        np.testing.assert_allclose(traj.ks(), np.arange(11))
+        np.testing.assert_allclose(traj.k, np.arange(11))
 
     def test_max_iter_boundary(self):
         p = triangle()
@@ -199,24 +199,28 @@ class TestRun:
         p = triangle()
         traj = run(p.objective, p.feasible_set, p.x0, "fw", StepSchedule(), 10000, stop_gap=1e-3)
         assert len(traj) < 10001
-        assert traj.gaps()[-1] <= 1e-3
+        assert traj.gap[-1] <= 1e-3
+        # stop_gap trims every column to the recorded rows
+        n = len(traj)
+        assert traj.x.shape == (n, 2)
+        assert traj.f.shape == traj.gap.shape == traj.violation.shape == (n,)
+        assert traj.k.shape == traj.t.shape == (n,) and traj[-1].k == n - 1
 
     def test_fw_iterates_feasible(self):
         p = triangle()
         traj = run(p.objective, p.feasible_set, p.x0, "fw", StepSchedule(), 200)
-        assert traj.max_violation() <= 1e-9
+        assert traj.violation.max() <= 1e-9
 
     def test_linesearch_monotone(self):
         p = triangle()
         traj = run(p.objective, p.feasible_set, p.x0, "fw+linesearch", StepSchedule(), 300)
-        fs = traj.fs()
-        assert np.all(np.diff(fs) <= 1e-14)
+        assert np.all(np.diff(traj.f) <= 1e-14)
 
     def test_momentum_beats_vanilla(self):
         p = triangle()
         sched = StepSchedule(c=2.0)
-        f_fw = run(p.objective, p.feasible_set, p.x0, "fw", sched, 500).fs()[-1]
-        f_m = run(p.objective, p.feasible_set, p.x0, "fw+momentum", sched, 500).fs()[-1]
+        f_fw = run(p.objective, p.feasible_set, p.x0, "fw", sched, 500).f[-1]
+        f_m = run(p.objective, p.feasible_set, p.x0, "fw+momentum", sched, 500).f[-1]
         assert f_m < f_fw
 
     def test_flow_time_axis(self):
@@ -241,7 +245,7 @@ class TestTrajectoryCSV:
         path = tmp_path / "traj.csv"
         traj.to_csv(path)
         got = np.loadtxt(path, delimiter=",", skiprows=1)
-        np.testing.assert_array_equal(got[:, 2], traj.fs())
+        np.testing.assert_array_equal(got[:, 2], traj.f)
 
 
 # SHA-256 of to_csv on triangle() with StepSchedule(c=2), 200 steps, delta 0.1
