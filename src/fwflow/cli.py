@@ -76,6 +76,11 @@ def _run_config(cfg: dict, out_dir: Path) -> list:
     max_iter = int(cfg.get("max_iter", 1000))
     stop_gap = float(cfg.get("stop_gap", 0.0))
     diag = cfg.get("diagnostics", {})
+    if "zigzag" in diag:
+        windows = [int(W) for W in diag["zigzag"].get("W", [5])]
+        T = float(diag["zigzag"].get("T", 100.0))
+        for W in windows:
+            diagnostics.check_zigzag_settings(W, T)
     if problem.f_star is None:
         if "slope" in diag:
             raise ConfigError("slope diagnostic needs a problem with known optimum")
@@ -96,9 +101,7 @@ def _run_config(cfg: dict, out_dir: Path) -> list:
     traj.to_csv(written[0])
 
     if "zigzag" in diag:
-        zcfg = diag["zigzag"]
-        windows = [int(W) for W in zcfg.get("W", [5])]
-        rows = _zigzag_rows(traj, method, windows, float(zcfg.get("T", 100.0)))
+        rows = _zigzag_rows(traj, method, windows, T)
         written.append(_write_rows(out_dir / f"{stem}_zigzag.csv", [_ZIGZAG_HEADER] + rows))
     if "slope" in diag:
         s = diagnostics.slope_fit(traj, problem.f_star, int(diag["slope"].get("k_min", 100)))
@@ -173,6 +176,8 @@ def _zigzag_table(path: Path, problem, runs, windows, T: float) -> Path:
     runs holds (label, method, schedule, tableau) tuples; each run covers
     time T, in round(T / delta) steps.
     """
+    for W in windows:
+        diagnostics.check_zigzag_settings(W, T)
     rows = [_ZIGZAG_HEADER]
     for label, method, sched, tab in runs:
         traj = run_solver(

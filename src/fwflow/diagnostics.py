@@ -14,6 +14,7 @@ from .tableau import ConfigError
 __all__ = [
     "ZigzagReport",
     "zigzag_energy",
+    "check_zigzag_settings",
     "zigzag_protocol",
     "continuous_bound",
     "schedule_bound",
@@ -63,6 +64,14 @@ def zigzag_energy(points) -> float:
     return total / (W - 1)
 
 
+def check_zigzag_settings(W: int, T: float) -> None:
+    """Raise ConfigError unless the window size W >= 2 and the time span T > 0."""
+    if W < 2:
+        raise ConfigError("window size W must be >= 2")
+    if not T > 0:
+        raise ConfigError("time span T must be positive")
+
+
 def zigzag_protocol(traj, W: int, T: float) -> ZigzagReport:
     """Windowed zig-zag measurement: mean of per-window energies.
 
@@ -71,10 +80,7 @@ def zigzag_protocol(traj, W: int, T: float) -> ZigzagReport:
     zigzag_energy value and the report carries their uniform mean. A bad W
     or T, or a trajectory shorter than one window, raises ConfigError.
     """
-    if W < 2:
-        raise ConfigError("window size W must be >= 2")
-    if T <= 0:
-        raise ConfigError("time span T must be positive")
+    check_zigzag_settings(W, T)
     delta = traj.delta
     steps = min(int(round(T / delta)), len(traj) - 1)
     n_windows = steps // W

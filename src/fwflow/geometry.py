@@ -12,7 +12,7 @@ are reproducible bit for bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.optimize import nnls
@@ -42,12 +42,15 @@ class VertexHull:
     """Convex hull of a finite vertex list (one point per row)."""
 
     vertices: np.ndarray
+    # violation's NNLS matrix: the vertices as columns over a sum-to-one row
+    _nnls_system: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         v = np.atleast_2d(np.asarray(self.vertices, dtype=float))
         if v.shape[0] < 1:
             raise ValueError("VertexHull needs at least one vertex")
         object.__setattr__(self, "vertices", v)
+        object.__setattr__(self, "_nnls_system", np.vstack([v.T, np.ones(v.shape[0])]))
 
     @classmethod
     def from_csv(cls, path) -> "VertexHull":
@@ -71,9 +74,10 @@ class VertexHull:
             raise ValueError("point dimension does not match hull dimension")
         # Nonnegative least squares over vertex weights with a sum-to-one row;
         # the residual is ~0 iff x is a convex combination of the vertices.
-        system = np.vstack([self.vertices.T, np.ones(self.vertices.shape[0])])
+        # nnls leaves its matrix unchanged, so the one built at construction
+        # serves every call.
         target = np.concatenate([x, [1.0]])
-        _, resid = nnls(system, target)
+        _, resid = nnls(self._nnls_system, target)
         return float(resid)
 
     def diameter(self) -> float:
@@ -188,19 +192,22 @@ class NuclearBall:
         rng = np.random.default_rng(0)
         v = rng.standard_normal(self.cols)
         v /= np.linalg.norm(v)
+        # w = G^T (G v) serves both as the Rayleigh-quotient product on v and
+        # as the next round's iterate, so each round costs two products
+        Gv = G @ v
+        w = G.T @ Gv
         rayleigh = 0.0
         for _ in range(self._power_max_iter):
-            w = G.T @ (G @ v)
             norm = np.linalg.norm(w)
             if norm == 0.0:
                 break
             v = w / norm
-            new_rayleigh = float(v @ (G.T @ (G @ v)))
+            Gv = G @ v
+            w = G.T @ Gv
+            new_rayleigh = float(v @ w)
             if abs(new_rayleigh - rayleigh) <= self._power_tol * max(1.0, new_rayleigh):
-                rayleigh = new_rayleigh
                 break
             rayleigh = new_rayleigh
-        Gv = G @ v
         u = Gv / np.linalg.norm(Gv)
         return u, v
 

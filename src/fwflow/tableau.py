@@ -54,15 +54,21 @@ class Tableau:
     def from_json(cls, text: str, name: str = "") -> "Tableau":
         """Build a tableau from a JSON document {"A": [[..]], "beta": [..], "omega": [..]}.
 
-        Raises ConfigError when the document is not an object or lacks a key.
+        Raises ConfigError when the document is not an object, lacks a key, or
+        holds a key whose value is not a (rectangular) array of numbers.
         """
         doc = json.loads(text)
         if not isinstance(doc, dict):
             raise ConfigError("tableau JSON must be an object with keys A, beta and omega")
+        entries = {}
         for key in ("A", "beta", "omega"):
             if key not in doc:
                 raise ConfigError(f"tableau JSON lacks the key {key!r}")
-        return cls(A=doc["A"], beta=doc["beta"], omega=doc["omega"], name=name)
+            try:
+                entries[key] = np.asarray(doc[key], dtype=float)
+            except (TypeError, ValueError) as e:
+                raise ConfigError(f"tableau JSON key {key!r} must hold numbers: {e}") from None
+        return cls(**entries, name=name)
 
     def to_json(self) -> str:
         return json.dumps(

@@ -173,6 +173,8 @@ BETA_SUM_1_1 = {"A": [[0.0, 0.0], [0.5, 0.0]], "beta": [0.1, 1.0], "omega": [0.0
 NAN_IN_A = {"A": [[0.0, 0.0], [float("nan"), 0.0]], "beta": [0.0, 1.0], "omega": [0.0, 0.5]}
 OVERFLOWS = {"A": [[0.0, 0.0], [1e308, 0.0]], "beta": [0.0, 1.0], "omega": [0.0, 0.5]}
 NO_OMEGA = {"A": [[0]], "beta": [1]}
+NON_NUMERIC = {"A": "x", "beta": [1], "omega": [0]}
+RAGGED_A = {"A": [[0.0], [0.5, 0.0]], "beta": [0.0, 1.0], "omega": [0.0, 0.5]}
 
 
 @pytest.mark.parametrize(
@@ -184,6 +186,8 @@ NO_OMEGA = {"A": [[0]], "beta": [1]}
         (["--method", "rk"], NAN_IN_A, 2, "error: tableau entry A[1, 0] is nan"),
         (["--method", "rk"], NO_OMEGA, 2, "error: tableau JSON lacks the key 'omega'"),
         (["--method", "rk"], [[0.0]], 2, "error: tableau JSON must be an object"),
+        (["--method", "rk"], NON_NUMERIC, 2, "error: tableau JSON key 'A' must hold numbers"),
+        (["--method", "rk"], RAGGED_A, 2, "error: tableau JSON key 'A' must hold numbers"),
         pytest.param(
             ["--problem", "scalar_box", "--method", "rk", "--max-iter", "5"],
             OVERFLOWS,
@@ -200,6 +204,8 @@ NO_OMEGA = {"A": [[0]], "beta": [1]}
         "nan-tableau",
         "tableau-no-omega",
         "tableau-not-object",
+        "tableau-non-numeric",
+        "tableau-ragged",
         "overflow-mid-run",
     ],
 )
@@ -218,8 +224,9 @@ def test_exit_code_contract(tmp_path, capsys, argv, tableau, code, message):
     [
         (["bound", "--c", "0.5"], "error: schedule constant c must be >= 1"),
         (["zigzag", "--windows", "1"], "error: window size W must be >= 2"),
+        (["zigzag", "--T", "-1"], "error: time span T must be positive"),
     ],
-    ids=["bound-c-below-1", "zigzag-window-1"],
+    ids=["bound-c-below-1", "zigzag-window-1", "zigzag-T-negative"],
 )
 def test_diagnostic_settings_exit_2(tmp_path, capsys, argv, message):
     assert main([*argv, "--output-dir", str(tmp_path)]) == 2
@@ -227,13 +234,22 @@ def test_diagnostic_settings_exit_2(tmp_path, capsys, argv, message):
 
 
 def test_diagnostic_precondition_checked_before_run(tmp_path, capsys):
-    # the slope fit needs f*, which sensing lacks: reject before any step runs
-    cfg_path = tmp_path / "sweep.json"
-    cfg_path.write_text(json.dumps([{"problem": "sensing", "diagnostics": {"slope": {}}}]))
-    out = tmp_path / "out"
-    assert main(["sweep", "--config", str(cfg_path), "--output-dir", str(out)]) == 2
-    assert capsys.readouterr().err.startswith("error: slope diagnostic needs")
-    assert not list(out.glob("*.csv"))
+    # reject before any step runs, so no CSV is written
+    cases = [
+        # the slope fit needs f*, which sensing lacks
+        ({"problem": "sensing", "diagnostics": {"slope": {}}}, "error: slope diagnostic needs"),
+        (
+            {"problem": "logistic", "diagnostics": {"zigzag": {"W": [1]}}},
+            "error: window size W must be >= 2",
+        ),
+    ]
+    for i, (cfg, message) in enumerate(cases):
+        cfg_path = tmp_path / f"sweep{i}.json"
+        cfg_path.write_text(json.dumps([cfg]))
+        out = tmp_path / f"out{i}"
+        assert main(["sweep", "--config", str(cfg_path), "--output-dir", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(message)
+        assert not list(out.glob("*.csv"))
 
 
 # SHA-256 of each diagnostic CSV that a run configuration can write

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.optimize import nnls
 
 from fwflow.geometry import Box, L1Ball, NuclearBall, VertexHull, contains
 
@@ -131,3 +132,89 @@ def test_power_iteration_matches_svd():
     # the vectors themselves when the top two singular values are close.
     err = min(np.abs(s - expected).max(), np.abs(s + expected).max())
     assert err < 1e-4
+
+
+# Reference oracles for the bit-identity tests below: the earlier per-call
+# implementations, kept verbatim apart from the round counter. The current
+# ones reuse the power iteration's G^T (G v) and a prebuilt NNLS matrix, and
+# must return the same bits.
+
+
+def _reference_top_singular_pair(G, max_iter=1000, tol=1e-10):
+    rng = np.random.default_rng(0)
+    v = rng.standard_normal(G.shape[1])
+    v /= np.linalg.norm(v)
+    rayleigh = 0.0
+    rounds = 0
+    for _ in range(max_iter):
+        rounds += 1
+        w = G.T @ (G @ v)
+        norm = np.linalg.norm(w)
+        if norm == 0.0:
+            break
+        v = w / norm
+        new_rayleigh = float(v @ (G.T @ (G @ v)))
+        if abs(new_rayleigh - rayleigh) <= tol * max(1.0, new_rayleigh):
+            rayleigh = new_rayleigh
+            break
+        rayleigh = new_rayleigh
+    Gv = G @ v
+    u = Gv / np.linalg.norm(Gv)
+    return u, v, rounds
+
+
+def _reference_hull_violation(vertices, x):
+    system = np.vstack([vertices.T, np.ones(vertices.shape[0])])
+    target = np.concatenate([x, [1.0]])
+    _, resid = nnls(system, target)
+    return float(resid)
+
+
+def _close_gap_gradient(rows, cols, ratio):
+    # U diag(sigma) V^T with sigma_1 / sigma_2 = ratio
+    rng = np.random.default_rng(2)
+    U, _ = np.linalg.qr(rng.standard_normal((rows, cols)))
+    V, _ = np.linalg.qr(rng.standard_normal((cols, cols)))
+    sigma = np.concatenate([[ratio, 1.0], np.linspace(0.9, 0.1, cols - 2)])
+    return U @ np.diag(sigma) @ V.T
+
+
+@pytest.mark.parametrize(
+    "G, cap",
+    [
+        (np.random.default_rng(0).standard_normal((30, 20)), False),
+        (np.random.default_rng(1).standard_normal((200, 150)), False),
+        (_close_gap_gradient(40, 30, 1.001), True),
+    ],
+    ids=["30x20", "200x150", "gap-1.001-cap"],
+)
+def test_power_iteration_bit_identical_to_reference(G, cap):
+    rows, cols = G.shape
+    radius = 2.5
+    u, v, rounds = _reference_top_singular_pair(G)
+    assert (rounds == NuclearBall._power_max_iter) == cap
+    expected = (-radius * np.outer(u, v)).ravel()
+    fset = NuclearBall(radius, rows, cols)
+    for _ in range(2):  # repeated calls are bit-identical too
+        assert np.array_equal(fset.lmo(G.ravel()), expected)
+
+
+def test_hull_violation_bit_identical_to_reference():
+    rng = np.random.default_rng(4)
+    points = [
+        [0.0, 0.5],  # inside
+        [0.2, 0.1],
+        [-1.0, 0.0],  # vertex
+        [0.5, 0.5],  # on an edge
+        [0.0, 0.0],
+        [2.0, 0.0],  # outside
+        [0.3, -0.4],
+        [-5.0, 7.0],
+    ]
+    for p in points:
+        assert TRIANGLE.violation(p) == _reference_hull_violation(TRIANGLE.vertices, np.array(p))
+    hull = VertexHull(rng.standard_normal((5, 3)))
+    for scale in (0.1, 1.0, 3.0):
+        for _ in range(20):
+            p = scale * rng.standard_normal(3)
+            assert hull.violation(p) == _reference_hull_violation(hull.vertices, p)
