@@ -27,10 +27,15 @@ _ZIGZAG_HEADER = "method,delta,W,energy"
 
 
 def _out_dir(path_arg: str) -> Path:
-    override = os.environ.get("FWFLOW_OUTPUT_DIR")
-    d = Path(override) if override else Path(path_arg)
-    d.mkdir(parents=True, exist_ok=True)
-    return d
+    return Path(os.environ.get("FWFLOW_OUTPUT_DIR") or path_arg)
+
+
+def _number(kind, value, key: str):
+    """kind(value); a value that is not a number is a ConfigError naming key."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"{key} must be a number, got {value!r}") from None
 
 
 def _build_problem(name: str, seed: int):
@@ -58,6 +63,7 @@ def _load_tableau(name: str | None, path: str | None):
 
 
 def _write_rows(path: Path, rows) -> Path:
+    path.parent.mkdir(parents=True, exist_ok=True)  # only once the settings are checked
     path.write_text("\n".join(rows) + "\n")
     return path
 
@@ -68,24 +74,28 @@ def _zigzag_rows(traj, label: str, windows, T: float) -> list:
 
 
 def _run_config(cfg: dict, out_dir: Path) -> list:
-    """Execute one run configuration, returning the written file paths."""
-    problem = _build_problem(cfg.get("problem", "triangle"), int(cfg.get("seed", 0)))
+    """Check every setting of one run configuration, run it, return the written paths."""
+    seed = _number(int, cfg.get("seed", 0), "seed")
+    problem = _build_problem(cfg.get("problem", "triangle"), seed)
     method = cfg.get("method", "fw")
-    sched = StepSchedule(c=float(cfg.get("c", 2.0)), delta=float(cfg.get("delta", 1.0)))
+    c = _number(float, cfg.get("c", 2.0), "c")
+    sched = StepSchedule(c=c, delta=_number(float, cfg.get("delta", 1.0), "delta"))
     tab = _load_tableau(cfg.get("tableau"), cfg.get("tableau_file"))
-    max_iter = int(cfg.get("max_iter", 1000))
-    stop_gap = float(cfg.get("stop_gap", 0.0))
+    max_iter = _number(int, cfg.get("max_iter", 1000), "max_iter")
+    stop_gap = _number(float, cfg.get("stop_gap", 0.0), "stop_gap")
     diag = cfg.get("diagnostics", {})
-    if "zigzag" in diag:
-        windows = [int(W) for W in diag["zigzag"].get("W", [5])]
-        T = float(diag["zigzag"].get("T", 100.0))
-        for W in windows:
-            diagnostics.check_zigzag_settings(W, T)
-    if problem.f_star is None:
-        if "slope" in diag:
-            raise ConfigError("slope diagnostic needs a problem with known optimum")
-        if "bound_compare" in diag:
-            raise ConfigError("bound comparison needs a problem with known optimum")
+    if not isinstance(diag, dict):
+        raise ConfigError(f"diagnostics must be a JSON object, got {diag!r}")
+    zigzag, slope, lower = (diag.get(name, {}) for name in ("zigzag", "slope", "lower_bound"))
+    windows = [_number(int, W, "W") for W in zigzag.get("W", [5])]
+    T = _number(float, zigzag.get("T", 100.0), "T")
+    for W in windows:
+        diagnostics.check_zigzag_settings(W, T)
+    k_min = _number(int, slope.get("k_min", 100), "k_min")
+    anchors = [_number(int, a, "anchors") for a in lower.get("anchors", [10, 100, 1000])]
+    for name in ("slope", "bound_compare"):
+        if name in diag and problem.f_star is None:
+            raise ConfigError(f"{name} diagnostic needs a problem with known optimum")
     traj = run_solver(
         problem.objective,
         problem.feasible_set,
@@ -97,6 +107,7 @@ def _run_config(cfg: dict, out_dir: Path) -> list:
         tableau=tab,
     )
     stem = cfg.get("output") or f"{problem.name}_{method.replace('+', '_')}"
+    out_dir.mkdir(parents=True, exist_ok=True)
     written = [out_dir / f"{stem}.csv"]
     traj.to_csv(written[0])
 
@@ -104,11 +115,10 @@ def _run_config(cfg: dict, out_dir: Path) -> list:
         rows = _zigzag_rows(traj, method, windows, T)
         written.append(_write_rows(out_dir / f"{stem}_zigzag.csv", [_ZIGZAG_HEADER] + rows))
     if "slope" in diag:
-        s = diagnostics.slope_fit(traj, problem.f_star, int(diag["slope"].get("k_min", 100)))
-        rows = ["k_min,slope", f"{diag['slope'].get('k_min', 100)},{s:.17g}"]
+        s = diagnostics.slope_fit(traj, problem.f_star, k_min)
+        rows = ["k_min,slope", f"{k_min},{s:.17g}"]
         written.append(_write_rows(out_dir / f"{stem}_slope.csv", rows))
     if "lower_bound" in diag:
-        anchors = [int(a) for a in diag["lower_bound"].get("anchors", [10, 100, 1000])]
         vals = diagnostics.lower_bound_probe(traj, anchors)
         rows = ["anchor,probe"] + [f"{a},{v:.17g}" for a, v in zip(anchors, vals)]
         written.append(_write_rows(out_dir / f"{stem}_lower_bound.csv", rows))
@@ -133,8 +143,8 @@ def _cmd_run(args) -> int:
 
 def _cmd_sweep(args) -> int:
     doc = json.loads(Path(args.config).read_text())
-    if not isinstance(doc, list):
-        raise ConfigError("sweep config must be a JSON list of run configurations")
+    if not isinstance(doc, list) or not all(isinstance(cfg, dict) for cfg in doc):
+        raise ConfigError("sweep config must be a JSON list of run configuration objects")
     out_dir = _out_dir(args.output_dir)
     for cfg in doc:
         for p in _run_config(cfg, out_dir):
@@ -146,6 +156,8 @@ def _cmd_certify(args) -> int:
     t = _load_tableau(args.tableau, args.tableau_file)
     if t is None:
         raise ConfigError("certify needs a tableau name or --tableau-file")
+    if args.k_max < 1:
+        raise ConfigError("--k-max must be >= 1")
     print("k," + ",".join(f"z{i + 1}" for i in range(t.q)) + ",z_inf")
     for k in range(1, args.k_max + 1):
         cert = tableau_mod.certificate(t, args.c, k)
@@ -155,13 +167,14 @@ def _cmd_certify(args) -> int:
 
 
 def _cmd_bound(args) -> int:
-    c = args.c
-    sched_gamma = lambda tau: c / (c + tau)  # noqa: E731
+    if args.points < 1:
+        raise ConfigError("--points must be >= 1")
+    sched = StepSchedule(c=args.c)
     lines = ["t,continuous_bound,schedule_bound"]
     for i in range(args.points + 1):
         t = args.t_max * i / args.points
-        cb = diagnostics.continuous_bound(c, t)
-        sb = diagnostics.schedule_bound(sched_gamma, t)
+        cb = diagnostics.continuous_bound(sched.c, t)
+        sb = diagnostics.schedule_bound(sched.gamma, t)
         lines.append(f"{t:.17g},{cb:.17g},{sb:.17g}")
     if args.output:
         print(_write_rows(_out_dir(args.output_dir) / args.output, lines))
@@ -195,8 +208,8 @@ def _zigzag_table(path: Path, problem, runs, windows, T: float) -> Path:
 
 def _cmd_zigzag(args) -> int:
     out_dir = _out_dir(args.output_dir)
-    deltas = [float(d) for d in args.deltas.split(",")]
-    windows = [int(w) for w in args.windows.split(",")]
+    deltas = [_number(float, d, "--deltas") for d in args.deltas.split(",")]
+    windows = [_number(int, w, "--windows") for w in args.windows.split(",")]
     runs = [(args.method, "flow", StepSchedule(c=args.c, delta=d), None) for d in deltas]
     problem = _build_problem(args.problem, args.seed)
     print(_zigzag_table(out_dir / (args.output or "zigzag.csv"), problem, runs, windows, args.T))

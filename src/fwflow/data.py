@@ -1,74 +1,21 @@
-"""Dataset ingestion and synthetic problem generation.
+"""Synthetic problem data.
 
 All randomness goes through numpy's default_rng (PCG64) with an explicit
-seed, so generated datasets — and everything downstream of them — are
+seed, so generated data — and everything downstream of it — is
 reproducible bit for bit.
 """
 
 from __future__ import annotations
 
-import io
-from dataclasses import dataclass
-
 import numpy as np
 
-__all__ = [
-    "DenseDataset",
-    "RatingsDataset",
-    "gen_sensing",
-    "gen_lowrank",
-    "parse_svmlight",
-    "serialize_svmlight",
-]
-
-
-@dataclass(frozen=True)
-class DenseDataset:
-    """Dense feature matrix with labels (classification, in {-1,+1}) or a response."""
-
-    features: np.ndarray
-    labels_or_response: np.ndarray
-    kind: str  # "classification" or "regression"
-
-    def __post_init__(self):
-        object.__setattr__(self, "features", np.asarray(self.features, dtype=float))
-        object.__setattr__(
-            self, "labels_or_response", np.asarray(self.labels_or_response, dtype=float).ravel()
-        )
-        if self.features.shape[0] != self.labels_or_response.shape[0]:
-            raise ValueError("feature and label row counts differ")
-        if self.kind not in ("classification", "regression"):
-            raise ValueError("kind must be 'classification' or 'regression'")
-        if self.kind == "classification" and not np.all(
-            np.isin(self.labels_or_response, (-1.0, 1.0))
-        ):
-            raise ValueError("classification labels must be -1 or +1")
-
-
-@dataclass(frozen=True)
-class RatingsDataset:
-    """Partially observed ratings: (row, col, value) triples over a users x items grid."""
-
-    entries: tuple
-    users: int
-    items: int
-
-    def __post_init__(self):
-        entries = tuple((int(i), int(j), float(v)) for i, j, v in self.entries)
-        seen = set()
-        for i, j, _ in entries:
-            if not (0 <= i < self.users and 0 <= j < self.items):
-                raise ValueError("entry index outside dataset shape")
-            if (i, j) in seen:
-                raise ValueError(f"duplicate entry at ({i}, {j})")
-            seen.add((i, j))
-        object.__setattr__(self, "entries", entries)
+__all__ = ["gen_sensing", "gen_lowrank"]
 
 
 def gen_sensing(m: int, n: int, sparsity: float, noise_sd: float = 0.0, seed: int = 0):
     """Synthetic sensing problem: Gaussian design, sparse Gaussian ground truth.
 
-    Returns (DenseDataset with regression response A @ true_x + noise, true_x).
+    Returns (A, b, true_x) with design A (m x n) and response b = A @ true_x + noise.
     round(sparsity * n) entries of true_x are nonzero, at seeded-random positions.
     """
     if m < 1 or n < 1:
@@ -86,7 +33,7 @@ def gen_sensing(m: int, n: int, sparsity: float, noise_sd: float = 0.0, seed: in
     b = A @ true_x
     if noise_sd > 0:
         b = b + noise_sd * rng.standard_normal(m)
-    return DenseDataset(features=A, labels_or_response=b, kind="regression"), true_x
+    return A, b, true_x
 
 
 def gen_lowrank(
@@ -96,8 +43,12 @@ def gen_lowrank(
     observed_fraction: float,
     noise_sd: float = 0.0,
     seed: int = 0,
-) -> RatingsDataset:
-    """Synthetic low-rank ratings: seeded Gaussian factors U V^T, partial observation."""
+):
+    """Synthetic low-rank ratings: seeded Gaussian factors U V^T, partial observation.
+
+    Returns (index, values): the ascending row-major flat indices i * items + j
+    of the observed entries and their values, plus Gaussian noise if noise_sd > 0.
+    """
     if rank < 1 or rank > min(users, items):
         raise ValueError("rank must be in [1, min(users, items)]")
     if not 0.0 < observed_fraction <= 1.0:
@@ -110,79 +61,8 @@ def gen_lowrank(
     M = U @ V.T
     total = users * items
     n_obs = int(round(observed_fraction * total))
-    flat = rng.choice(total, size=n_obs, replace=False)
-    entries = []
-    for f in sorted(flat):
-        i, j = divmod(int(f), items)
-        v = M[i, j]
-        if noise_sd > 0:
-            v += noise_sd * rng.standard_normal()
-        entries.append((i, j, float(v)))
-    return RatingsDataset(entries=tuple(entries), users=users, items=items)
-
-
-def parse_svmlight(source) -> DenseDataset:
-    """Parse svmlight/libsvm text: "label idx:val idx:val ..." per line.
-
-    Indices are 1-based and must be strictly ascending within a line. The
-    matrix is sized by the largest index seen. Labels in {0, 1} are remapped
-    to {-1, +1}; any other label set is kept as-is and the dataset is tagged
-    classification when all labels lie in {-1, +1} afterwards.
-    """
-    if isinstance(source, str):
-        source = io.StringIO(source)
-    rows = []
-    labels = []
-    max_idx = 0
-    lineno = 0
-    for raw in source:
-        lineno += 1
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        tokens = line.split()
-        try:
-            label = float(tokens[0])
-        except ValueError:
-            raise ValueError(f"line {lineno}: non-numeric label {tokens[0]!r}") from None
-        pairs = []
-        prev = 0
-        for tok in tokens[1:]:
-            if ":" not in tok:
-                raise ValueError(f"line {lineno}: malformed feature token {tok!r}")
-            idx_s, val_s = tok.split(":", 1)
-            try:
-                idx = int(idx_s)
-                val = float(val_s)
-            except ValueError:
-                raise ValueError(f"line {lineno}: non-numeric token {tok!r}") from None
-            if idx <= prev:
-                raise ValueError(f"line {lineno}: indices must be ascending and >= 1")
-            prev = idx
-            pairs.append((idx, val))
-            max_idx = max(max_idx, idx)
-        labels.append(label)
-        rows.append(pairs)
-    if not rows:
-        raise ValueError("empty file")
-    X = np.zeros((len(rows), max_idx))
-    for r, pairs in enumerate(rows):
-        for idx, val in pairs:
-            X[r, idx - 1] = val
-    y = np.array(labels)
-    uniq = set(np.unique(y).tolist())
-    if uniq <= {0.0, 1.0}:
-        y = np.where(y == 0.0, -1.0, 1.0)
-    kind = "classification" if set(np.unique(y).tolist()) <= {-1.0, 1.0} else "regression"
-    return DenseDataset(features=X, labels_or_response=y, kind=kind)
-
-
-def serialize_svmlight(ds: DenseDataset) -> str:
-    """Write a dataset in svmlight text form (only nonzero features emitted)."""
-    lines = []
-    for row, label in zip(ds.features, ds.labels_or_response):
-        parts = [f"{label:g}"]
-        for j in np.nonzero(row)[0]:
-            parts.append(f"{j + 1}:{row[j]:.17g}")
-        lines.append(" ".join(parts))
-    return "\n".join(lines) + "\n"
+    index = np.sort(rng.choice(total, size=n_obs, replace=False))
+    values = M.ravel()[index]
+    if noise_sd > 0:
+        values = values + noise_sd * rng.standard_normal(n_obs)
+    return index, values

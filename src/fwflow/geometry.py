@@ -52,12 +52,6 @@ class VertexHull:
         object.__setattr__(self, "vertices", v)
         object.__setattr__(self, "_nnls_system", np.vstack([v.T, np.ones(v.shape[0])]))
 
-    @classmethod
-    def from_csv(cls, path) -> "VertexHull":
-        """Load vertices from a CSV file, one comma-separated vertex per row."""
-        rows = np.loadtxt(path, delimiter=",", ndmin=2)
-        return cls(rows)
-
     @property
     def dim(self) -> int:
         return self.vertices.shape[1]

@@ -142,19 +142,21 @@ class LogisticLoss:
 class MatrixHuber:
     """Sum of Huber(delta) residuals on observed entries of a rows x cols matrix.
 
-    Points are flattened matrices. Unobserved entries contribute nothing.
+    Points are flattened matrices, entry (i, j) at flat index i * cols + j; index
+    lists the observed flat indices and values their targets.
     """
 
-    def __init__(self, entries, rows: int, cols: int, delta: float = 1.0):
+    def __init__(self, index, values, rows: int, cols: int, delta: float = 1.0):
         if not delta > 0:
             raise ValueError("MatrixHuber delta must be positive")
-        entries = list(entries)
         self.rows = rows
         self.cols = cols
         self.delta = float(delta)
-        self._idx = np.array([i * cols + j for i, j, _ in entries], dtype=int)
-        self._vals = np.array([v for _, _, v in entries], dtype=float)
-        if len(entries) and (self._idx.min() < 0 or self._idx.max() >= rows * cols):
+        self._idx = np.asarray(index, dtype=int).ravel()
+        self._vals = np.asarray(values, dtype=float).ravel()
+        if self._idx.shape != self._vals.shape:
+            raise ValueError("index and values lengths differ")
+        if self._idx.size and (self._idx.min() < 0 or self._idx.max() >= rows * cols):
             raise ValueError("entry indices outside matrix shape")
         self.smoothness = 1.0  # Huber curvature is at most 1 per entry
 

@@ -66,8 +66,8 @@ def sensing_least_squares(
     seed: int = 0,
 ) -> Problem:
     """l1-constrained least squares on a synthetic sensing dataset."""
-    ds, _ = gen_sensing(m, n, sparsity, noise_sd, seed)
-    obj = LeastSquares(ds.features, ds.labels_or_response)
+    A, b, _ = gen_sensing(m, n, sparsity, noise_sd, seed)
+    obj = LeastSquares(A, b)
     return Problem("sensing", obj, L1Ball(radius, n), x0=np.zeros(n))
 
 
@@ -84,9 +84,8 @@ def sensing_logistic(
     The default radius of 10 keeps the optimum on the l1 boundary without
     saturating the loss, which is the regime where zig-zagging is visible.
     """
-    ds, _ = gen_sensing(m, n, sparsity, noise_sd, seed)
-    labels = np.where(ds.labels_or_response >= 0.0, 1.0, -1.0)
-    obj = LogisticLoss(ds.features, labels)
+    A, b, _ = gen_sensing(m, n, sparsity, noise_sd, seed)
+    obj = LogisticLoss(A, np.where(b >= 0.0, 1.0, -1.0))
     return Problem("logistic", obj, L1Ball(radius, n), x0=np.zeros(n))
 
 
@@ -101,8 +100,8 @@ def lowrank_huber(
     seed: int = 0,
 ) -> Problem:
     """Nuclear-norm constrained Huber regression on synthetic low-rank ratings."""
-    ds = gen_lowrank(users, items, rank, observed_fraction, noise_sd, seed)
-    obj = MatrixHuber(ds.entries, users, items, delta=delta)
+    index, values = gen_lowrank(users, items, rank, observed_fraction, noise_sd, seed)
+    obj = MatrixHuber(index, values, users, items, delta=delta)
     fset = NuclearBall(radius, users, items)
     return Problem("lowrank", obj, fset, x0=np.zeros(users * items))
 

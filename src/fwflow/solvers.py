@@ -20,7 +20,6 @@ from .tableau import ConfigError, Tableau, _gammas, validate
 __all__ = [
     "StepSchedule",
     "Trajectory",
-    "RKStageState",
     "fw_step",
     "flow_step",
     "rk_step",
@@ -90,16 +89,6 @@ class Trajectory:
                 fh.write(f"{k},{k * self.delta:.17g},{f:.17g},{gap:.17g},{v:.17g}\n")
 
 
-@dataclass
-class RKStageState:
-    """Per-stage internals of one Runge-Kutta step, kept for diagnostics."""
-
-    xi: list
-    xbar: list
-    sbar: list
-    gamma_tilde: np.ndarray
-
-
 def _mix(x, s, coef):
     """The one update rule: move x toward s by the fraction coef."""
     return x + coef * (s - x)
@@ -112,13 +101,13 @@ def _momentum(m, g, k: int):
 
 
 def _stages(obj, fset, x, t: Tableau, coef):
-    """Run the stages of tableau t from x; return (x_next, xi, xbar, sbar).
+    """Run the stages of tableau t from x; return x_next.
 
     Stage i evaluates the LMO at xbar_i = x + sum_j A_ij xi_j and sets
     xi_i = coef(i, xbar_i, d_i) * d_i with d_i = s_i - xbar_i; the step is
     x + sum_i beta_i xi_i.
     """
-    xi, xbars, sbars = [], [], []
+    xi = []
     for i in range(t.q):
         xb = x.copy()
         for j in range(i):
@@ -127,12 +116,10 @@ def _stages(obj, fset, x, t: Tableau, coef):
         s = fset.lmo(obj.gradient(xb))
         d = s - xb
         xi.append(coef(i, xb, d) * d)
-        xbars.append(xb)
-        sbars.append(s)
     incr = t.beta[0] * xi[0]
     for i in range(1, t.q):
         incr = incr + t.beta[i] * xi[i]
-    return x + incr, xi, xbars, sbars
+    return x + incr
 
 
 def _checked_fw_mix(obj, fset, x, coef) -> np.ndarray:
@@ -156,12 +143,12 @@ def flow_step(obj, fset, x, t: float, sched: StepSchedule) -> np.ndarray:
     return _checked_fw_mix(obj, fset, x, sched.delta * sched.gamma(t))
 
 
-def rk_step(obj, fset, x, k: int, sched: StepSchedule, t: Tableau):
+def rk_step(obj, fset, x, k: int, sched: StepSchedule, t: Tableau) -> np.ndarray:
     """One generalized Runge-Kutta multistep update.
 
     Stages run in order; stage i evaluates the LMO at
     xbar_i = x + sum_j A_ij xi_j and scales the direction by
-    gamma_tilde_i = c/(c+k+omega_i). Returns (x_next, RKStageState).
+    gamma_tilde_i = c/(c+k+omega_i). Returns x_next.
     """
     validate(t)
     if k < 1:
@@ -170,8 +157,7 @@ def rk_step(obj, fset, x, k: int, sched: StepSchedule, t: Tableau):
     if not np.all(np.isfinite(x)):
         raise ValueError("iterate has non-finite entries")
     gamma_tilde = _gammas(t, sched.c, k)
-    x_next, xi, xbars, sbars = _stages(obj, fset, x, t, lambda i, xb, d: gamma_tilde[i])
-    return x_next, RKStageState(xi=xi, xbar=xbars, sbar=sbars, gamma_tilde=gamma_tilde)
+    return _stages(obj, fset, x, t, lambda i, xb, d: gamma_tilde[i])
 
 
 def fw_gap(obj, fset, x) -> float:
@@ -297,10 +283,10 @@ def run(
             m = _momentum(m, g, j)
             x = _mix(x, fset.lmo(m), sched.gamma(j))
         elif method == "rk":
-            x, _ = rk_step(obj, fset, x, j + 1, sched, tableau)
+            x = rk_step(obj, fset, x, j + 1, sched, tableau)
         else:  # rk+linesearch: each stage takes the longer of gamma_tilde_i and a descent step
             gammas = _gammas(tableau, sched.c, j + 1)
             rule = lambda i, xb, d: max(gammas[i], _descent_gamma(obj, xb, d, j))  # noqa: E731
-            x = _stages(obj, fset, x, tableau, rule)[0]
+            x = _stages(obj, fset, x, tableau, rule)
     n = j + 1  # rows recorded; fewer than max_iter + 1 when stop_gap ended the run
     return Trajectory(xs[:n], fs[:n], gaps[:n], viols[:n], delta=delta)

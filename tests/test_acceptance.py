@@ -125,7 +125,7 @@ def test_criterion_03_consistency():
         for k in range(1000):
             x_fw = fw_step(p.objective, p.feasible_set, x_fw, k, sched)
             x_fl = flow_step(p.objective, p.feasible_set, x_fl, float(k), sched)
-            x_rk, _ = rk_step(p.objective, p.feasible_set, x_rk, k + 1, sched, euler)
+            x_rk = rk_step(p.objective, p.feasible_set, x_rk, k + 1, sched, euler)
             if not (np.array_equal(x_fw, x_fl)):
                 ok = False
                 break
@@ -136,7 +136,7 @@ def test_criterion_03_consistency():
         fw_iterates = [x_fw2]
         for k in range(1, 1001):
             x_fw2 = fw_step(p.objective, p.feasible_set, x_fw2, k, sched)
-            x_rk2, _ = rk_step(p.objective, p.feasible_set, x_rk2, k, sched, euler)
+            x_rk2 = rk_step(p.objective, p.feasible_set, x_rk2, k, sched, euler)
             fw_iterates.append(x_fw2)
             if not np.array_equal(x_fw2, x_rk2):
                 ok = False
@@ -301,7 +301,7 @@ def test_criterion_11_numerics_hygiene():
         ScalarHuber(eps=0.1),
         LeastSquares(A, rng.standard_normal(40)),
         LogisticLoss(A, y),
-        MatrixHuber([(0, 1, 0.5), (2, 0, -1.0)], 3, 3),
+        MatrixHuber([1, 6], [0.5, -1.0], 3, 3),  # entries (0, 1) and (2, 0)
     ]
     worst_grad = 0.0
     for obj in objs:

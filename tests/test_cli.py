@@ -175,26 +175,69 @@ OVERFLOWS = {"A": [[0.0, 0.0], [1e308, 0.0]], "beta": [0.0, 1.0], "omega": [0.0,
 NO_OMEGA = {"A": [[0]], "beta": [1]}
 NON_NUMERIC = {"A": "x", "beta": [1], "omega": [0]}
 RAGGED_A = {"A": [[0.0], [0.5, 0.0]], "beta": [0.0, 1.0], "omega": [0.0, 0.5]}
+NOT_NUMBERS = "error: tableau JSON key 'A' must hold numbers"
+
+
+def _sweep_entry_with(**settings):
+    return [{"problem": "triangle", "max_iter": 5, **settings}]
 
 
 @pytest.mark.parametrize(
-    "argv, tableau, code, message",
+    "argv, doc, code, message",
     [
-        (["--c", "0.5"], None, 2, "error: schedule constant c must be >= 1"),
-        (["--delta", "0"], None, 2, "error: discretization unit delta"),
-        (["--method", "rk"], BETA_SUM_1_1, 2, "error: beta sum is"),
-        (["--method", "rk"], NAN_IN_A, 2, "error: tableau entry A[1, 0] is nan"),
-        (["--method", "rk"], NO_OMEGA, 2, "error: tableau JSON lacks the key 'omega'"),
-        (["--method", "rk"], [[0.0]], 2, "error: tableau JSON must be an object"),
-        (["--method", "rk"], NON_NUMERIC, 2, "error: tableau JSON key 'A' must hold numbers"),
-        (["--method", "rk"], RAGGED_A, 2, "error: tableau JSON key 'A' must hold numbers"),
+        (["run", "--c", "0.5"], None, 2, "error: schedule constant c must be >= 1"),
+        (["run", "--delta", "0"], None, 2, "error: discretization unit delta"),
+        (["run", "--method", "rk"], BETA_SUM_1_1, 2, "error: beta sum is"),
+        (["run", "--method", "rk"], NAN_IN_A, 2, "error: tableau entry A[1, 0] is nan"),
+        (["run", "--method", "rk"], NO_OMEGA, 2, "error: tableau JSON lacks the key 'omega'"),
+        (["run", "--method", "rk"], [[0.0]], 2, "error: tableau JSON must be an object"),
+        (["run", "--method", "rk"], NON_NUMERIC, 2, NOT_NUMBERS),
+        (["run", "--method", "rk"], RAGGED_A, 2, NOT_NUMBERS),
         pytest.param(
-            ["--problem", "scalar_box", "--method", "rk", "--max-iter", "5"],
+            ["run", "--problem", "scalar_box", "--method", "rk", "--max-iter", "5"],
             OVERFLOWS,
             1,
             "runtime error: gradient has non-finite entries",
             # the iterate overflows on purpose, so numpy's overflow warnings are expected
             marks=pytest.mark.filterwarnings("ignore::RuntimeWarning"),
+        ),
+        (["run", "--method", "bogus"], None, 2, "error: unknown method 'bogus'"),
+        (["zigzag", "--deltas", "a"], None, 2, "error: --deltas must be a number, got 'a'"),
+        (["zigzag", "--windows", "5,a"], None, 2, "error: --windows must be a number, got 'a'"),
+        *[
+            (["sweep"], _sweep_entry_with(**{key: "x"}), 2, f"error: {key} must be a number")
+            for key in ("max_iter", "c", "delta", "seed", "stop_gap")
+        ],
+        (
+            ["sweep"],
+            _sweep_entry_with(diagnostics={"zigzag": {"W": [5, "x"]}}),
+            2,
+            "error: W must be a number, got 'x'",
+        ),
+        (
+            ["sweep"],
+            _sweep_entry_with(diagnostics={"zigzag": {"T": "x"}}),
+            2,
+            "error: T must be a number, got 'x'",
+        ),
+        (
+            ["sweep"],
+            _sweep_entry_with(diagnostics={"lower_bound": {"anchors": [10, "x"]}}),
+            2,
+            "error: anchors must be a number, got 'x'",
+        ),
+        (
+            ["sweep"],
+            _sweep_entry_with(diagnostics={"slope": {"k_min": "x"}}),
+            2,
+            "error: k_min must be a number, got 'x'",
+        ),
+        (["sweep"], [1], 2, "error: sweep config must be a JSON list of run configuration"),
+        (
+            ["sweep"],
+            _sweep_entry_with(diagnostics=[1]),
+            2,
+            "error: diagnostics must be a JSON object",
         ),
     ],
     ids=[
@@ -207,16 +250,33 @@ RAGGED_A = {"A": [[0.0], [0.5, 0.0]], "beta": [0.0, 1.0], "omega": [0.0, 0.5]}
         "tableau-non-numeric",
         "tableau-ragged",
         "overflow-mid-run",
+        "unknown-method",
+        "zigzag-delta-not-number",
+        "zigzag-window-not-number",
+        "sweep-max_iter-not-number",
+        "sweep-c-not-number",
+        "sweep-delta-not-number",
+        "sweep-seed-not-number",
+        "sweep-stop_gap-not-number",
+        "sweep-zigzag-W-not-number",
+        "sweep-zigzag-T-not-number",
+        "sweep-anchors-not-number",
+        "sweep-k_min-not-number",
+        "sweep-entry-not-object",
+        "sweep-diagnostics-not-object",
     ],
 )
-def test_exit_code_contract(tmp_path, capsys, argv, tableau, code, message):
-    # 2: rejected before the first step; 1: failed while iterating
-    if tableau is not None:
-        path = tmp_path / "tableau.json"
-        path.write_text(json.dumps(tableau))
-        argv = argv + ["--tableau-file", str(path)]
-    assert main(["run", *argv, "--output-dir", str(tmp_path)]) == code
+def test_exit_code_contract(tmp_path, capsys, argv, doc, code, message):
+    # 2: rejected before the first step, leaving no output directory; 1: failed while iterating
+    if doc is not None:  # a tableau file for run, the configuration list for sweep
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        argv = argv + [{"run": "--tableau-file", "sweep": "--config"}[argv[0]], str(path)]
+    out = tmp_path / "out"
+    assert main([*argv, "--output-dir", str(out)]) == code
     assert capsys.readouterr().err.startswith(message)
+    if code == 2:
+        assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -229,8 +289,26 @@ def test_exit_code_contract(tmp_path, capsys, argv, tableau, code, message):
     ids=["bound-c-below-1", "zigzag-window-1", "zigzag-T-negative"],
 )
 def test_diagnostic_settings_exit_2(tmp_path, capsys, argv, message):
-    assert main([*argv, "--output-dir", str(tmp_path)]) == 2
+    out = tmp_path / "out"
+    assert main([*argv, "--output-dir", str(out), "--output", "o.csv"]) == 2
     assert capsys.readouterr().err.startswith(message)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["bound", "--points", "0"], "error: --points must be >= 1"),
+        (["bound", "--points", "-1"], "error: --points must be >= 1"),
+        (["certify", "rk4", "--k-max", "0"], "error: --k-max must be >= 1"),
+    ],
+    ids=["bound-points-0", "bound-points-negative", "certify-k-max-0"],
+)
+def test_count_below_1_exits_2(capsys, argv, message):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(message)
+    assert captured.out == ""  # not even a header
 
 
 def test_diagnostic_precondition_checked_before_run(tmp_path, capsys):

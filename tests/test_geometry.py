@@ -112,12 +112,6 @@ class TestConstruction:
         with pytest.raises(ValueError):
             L1Ball(0.0, dim=2)
 
-    def test_from_csv(self, tmp_path):
-        p = tmp_path / "verts.csv"
-        p.write_text("-1.0,0.0\n1.0,0.0\n0.0,1.0\n")
-        hull = VertexHull.from_csv(p)
-        np.testing.assert_allclose(hull.vertices, TRIANGLE.vertices)
-
 
 def test_power_iteration_matches_svd():
     # force the power-iteration path with a 12x12 gradient

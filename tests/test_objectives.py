@@ -15,13 +15,14 @@ def _all_objectives(rng):
     A = rng.standard_normal((30, 8))
     b = rng.standard_normal(30)
     y = np.where(rng.standard_normal(30) >= 0, 1.0, -1.0)
-    entries = [(0, 0, 1.5), (1, 2, -0.3), (2, 1, 0.7)]
+    # observed entries (0, 0), (1, 2) and (2, 1) of a 3 x 3 matrix, at flat index 3 i + j
+    index, values = [0, 5, 7], [1.5, -0.3, 0.7]
     return [
         QuadraticDistance(target=rng.standard_normal(8)),
         ScalarHuber(eps=0.1),
         LeastSquares(A, b),
         LogisticLoss(A, y),
-        MatrixHuber(entries, 3, 3, delta=1.0),
+        MatrixHuber(index, values, 3, 3, delta=1.0),
     ]
 
 
@@ -103,7 +104,11 @@ class TestConstruction:
 
     def test_matrix_huber_index_bounds(self):
         with pytest.raises(ValueError):
-            MatrixHuber([(5, 0, 1.0)], 3, 3)
+            MatrixHuber([15], [1.0], 3, 3)  # entry (5, 0)
+
+    def test_matrix_huber_lengths_match(self):
+        with pytest.raises(ValueError, match="lengths differ"):
+            MatrixHuber([0, 1], [1.0], 3, 3)
 
     def test_check_gradient_needs_positive_h(self):
         with pytest.raises(ValueError):

@@ -25,6 +25,28 @@ BOX = Box(-1.0, 1.0, dim=1)
 HALF_SQUARE = QuadraticDistance(target=[0.0])  # f(x) = x^2/2 in 1-D
 
 
+def _reference_rk_step(obj, fset, x, k, sched, t):
+    """The RK stage loop written out; returns (x_next, xi, xbar) so tests can see the stages.
+
+    Stage i evaluates the LMO at xbar_i = x + sum_j A_ij xi_j and sets
+    xi_i = gamma_tilde_i (s_i - xbar_i) with gamma_tilde_i = c/(c+k+omega_i).
+    """
+    gamma_tilde = sched.c / (sched.c + k + t.omega)
+    x = np.asarray(x, dtype=float)
+    xi, xbar = [], []
+    for i in range(t.q):
+        xb = x.copy()
+        for j in range(i):
+            if t.A[i, j] != 0.0:
+                xb = xb + t.A[i, j] * xi[j]
+        xi.append(gamma_tilde[i] * (fset.lmo(obj.gradient(xb)) - xb))
+        xbar.append(xb)
+    incr = t.beta[0] * xi[0]
+    for i in range(1, t.q):
+        incr = incr + t.beta[i] * xi[i]
+    return x + incr, xi, xbar
+
+
 class TestSchedule:
     def test_gamma_values(self):
         assert StepSchedule(c=2.0).gamma(0) == 1.0
@@ -72,13 +94,15 @@ class TestSteps:
     def test_rk_euler_matches_fw(self):
         sched = StepSchedule(c=2.0)
         x_fw = fw_step(HALF_SQUARE, BOX, [0.3], 1, sched)
-        x_rk, _ = rk_step(HALF_SQUARE, BOX, [0.3], 1, sched, builtin("euler"))
+        x_rk = rk_step(HALF_SQUARE, BOX, [0.3], 1, sched, builtin("euler"))
         assert x_fw[0] == x_rk[0]
 
     def test_rk_midpoint_hand_value(self):
-        x1, state = rk_step(HALF_SQUARE, BOX, [0.3], 1, StepSchedule(c=2.0), builtin("midpoint"))
-        assert state.xi[0][0] == pytest.approx(-0.8667, abs=1e-4)
-        assert state.xbar[1][0] == pytest.approx(-0.1333, abs=1e-4)
+        args = (HALF_SQUARE, BOX, [0.3], 1, StepSchedule(c=2.0), builtin("midpoint"))
+        x1, xi, xbar = _reference_rk_step(*args)
+        assert np.array_equal(x1, rk_step(*args))
+        assert xi[0][0] == pytest.approx(-0.8667, abs=1e-4)
+        assert xbar[1][0] == pytest.approx(-0.1333, abs=1e-4)
         assert x1[0] == pytest.approx(0.9476, abs=1e-4)
 
     def test_rk_requires_k_positive(self):
@@ -96,9 +120,11 @@ class TestSteps:
             x = p.x0.copy()
             for k in range(1, 30):
                 cap = sched.gamma(1) * t.q * rc.p_max * p.feasible_set.diameter()
-                x, state = rk_step(p.objective, p.feasible_set, x, k, sched, t)
-                for xi in state.xi:
-                    assert np.linalg.norm(xi) <= cap + 1e-9
+                args = (p.objective, p.feasible_set, x, k, sched, t)
+                x, xi, _ = _reference_rk_step(*args)
+                assert np.array_equal(x, rk_step(*args))
+                for xi_i in xi:
+                    assert np.linalg.norm(xi_i) <= cap + 1e-9
 
 
 class TestGap:
