@@ -38,6 +38,15 @@ def _number(kind, value, key: str):
         raise ConfigError(f"{key} must be a number, got {value!r}") from None
 
 
+def _json(cfg: dict, key: str, kind: type, default=None):
+    """cfg.get(key, default), which must be a kind, or null if default is None."""
+    value = cfg.get(key, default)
+    if not isinstance(value, kind) and (value is not None or default is not None):
+        names = {str: "a string", list: "a JSON list", dict: "a JSON object"}
+        raise ConfigError(f"{key} must be {names[kind]}, got {value!r}")
+    return value
+
+
 def _build_problem(name: str, seed: int):
     if name not in problems.BUILDERS:
         raise ConfigError(f"unknown problem {name!r}; choose from {sorted(problems.BUILDERS)}")
@@ -76,23 +85,29 @@ def _zigzag_rows(traj, label: str, windows, T: float) -> list:
 def _run_config(cfg: dict, out_dir: Path) -> list:
     """Check every setting of one run configuration, run it, return the written paths."""
     seed = _number(int, cfg.get("seed", 0), "seed")
-    problem = _build_problem(cfg.get("problem", "triangle"), seed)
-    method = cfg.get("method", "fw")
+    problem = _build_problem(_json(cfg, "problem", str, "triangle"), seed)
+    method = _json(cfg, "method", str, "fw")
     c = _number(float, cfg.get("c", 2.0), "c")
     sched = StepSchedule(c=c, delta=_number(float, cfg.get("delta", 1.0), "delta"))
-    tab = _load_tableau(cfg.get("tableau"), cfg.get("tableau_file"))
+    tab = _load_tableau(_json(cfg, "tableau", str), _json(cfg, "tableau_file", str))
     max_iter = _number(int, cfg.get("max_iter", 1000), "max_iter")
     stop_gap = _number(float, cfg.get("stop_gap", 0.0), "stop_gap")
-    diag = cfg.get("diagnostics", {})
-    if not isinstance(diag, dict):
-        raise ConfigError(f"diagnostics must be a JSON object, got {diag!r}")
-    zigzag, slope, lower = (diag.get(name, {}) for name in ("zigzag", "slope", "lower_bound"))
-    windows = [_number(int, W, "W") for W in zigzag.get("W", [5])]
+    stem = _json(cfg, "output", str) or f"{problem.name}_{method.replace('+', '_')}"
+    diag = _json(cfg, "diagnostics", dict, {})
+    names = ("zigzag", "slope", "lower_bound", "bound_compare")
+    zigzag, slope, lower, _ = (_json(diag, name, dict, {}) for name in names)
+    windows = [_number(int, W, "W") for W in _json(zigzag, "W", list, [5])]
     T = _number(float, zigzag.get("T", 100.0), "T")
     for W in windows:
         diagnostics.check_zigzag_settings(W, T)
     k_min = _number(int, slope.get("k_min", 100), "k_min")
-    anchors = [_number(int, a, "anchors") for a in lower.get("anchors", [10, 100, 1000])]
+    if k_min < 1:
+        raise ConfigError("k_min must be >= 1")
+    anchors = [_number(int, a, "anchors") for a in _json(lower, "anchors", list, [10, 100, 1000])]
+    if "lower_bound" in diag and np.shape(problem.x0) != (1,):
+        raise ConfigError("lower_bound diagnostic needs a problem with a scalar x0")
+    if "lower_bound" in diag and not all(0 <= a <= max_iter for a in anchors):
+        raise ConfigError(f"lower_bound anchors must be in [0, max_iter] = [0, {max_iter}]")
     for name in ("slope", "bound_compare"):
         if name in diag and problem.f_star is None:
             raise ConfigError(f"{name} diagnostic needs a problem with known optimum")
@@ -106,7 +121,6 @@ def _run_config(cfg: dict, out_dir: Path) -> list:
         stop_gap=stop_gap,
         tableau=tab,
     )
-    stem = cfg.get("output") or f"{problem.name}_{method.replace('+', '_')}"
     out_dir.mkdir(parents=True, exist_ok=True)
     written = [out_dir / f"{stem}.csv"]
     traj.to_csv(written[0])

@@ -4,6 +4,7 @@ and the scalar lower-bound probe.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,7 +61,7 @@ def zigzag_energy(points) -> float:
     for i in range(1, W):
         d = pts[i + 1] - pts[i]
         ortho = d - (d @ d_bar) / nn * d_bar
-        total += float(np.linalg.norm(ortho))
+        total += math.sqrt(ortho @ ortho)
     return total / (W - 1)
 
 

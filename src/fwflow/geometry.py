@@ -32,7 +32,7 @@ def _check_gradient(set_dim: int, gradient: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"gradient dimension {g.shape[0]} does not match set dimension {set_dim}"
         )
-    if not np.all(np.isfinite(g)):
+    if not np.isfinite(g).all():
         raise ValueError("gradient has non-finite entries")
     return g
 
@@ -103,8 +103,8 @@ class Box:
         x = np.asarray(point, dtype=float).ravel()
         if x.shape[0] != self.dim:
             raise ValueError("point dimension does not match box dimension")
-        over = max(0.0, float(np.max(x - self.upper)))
-        under = max(0.0, float(np.max(self.lower - x)))
+        over = max(0.0, float((x - self.upper).max()))
+        under = max(0.0, float((self.lower - x).max()))
         return max(over, under)
 
     def diameter(self) -> float:

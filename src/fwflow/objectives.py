@@ -8,7 +8,8 @@ against central finite differences.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.special import expit
@@ -49,7 +50,7 @@ class QuadraticDistance:
 
     def value(self, x) -> float:
         x = _check_x(self.dim, x)
-        return 0.5 * float(np.sum((x - self.target) ** 2))
+        return 0.5 * float(((x - self.target) ** 2).sum())
 
     def gradient(self, x) -> np.ndarray:
         x = _check_x(self.dim, x)
@@ -82,7 +83,26 @@ class ScalarHuber:
         return np.array([self.eps if v > 0 else -self.eps])
 
 
-class LeastSquares:
+class _DenseObjective:
+    """Value and gradient at one point share one matrix product: the last point's product
+    and gradient are kept, keyed on its bytes, so the data arrays must not change."""
+
+    _key = _prod = _grad = None
+
+    def _at(self, x) -> np.ndarray:
+        x = _check_x(self.dim, x)
+        if (key := x.tobytes()) != self._key:
+            self._key, self._prod, self._grad = key, self._product(x), None
+        return self._prod
+
+    def gradient(self, x) -> np.ndarray:
+        prod = self._at(x)
+        if self._grad is None:
+            self._grad = self._gradient_from(prod)
+        return self._grad.copy()
+
+
+class LeastSquares(_DenseObjective):
     """f(x) = 0.5 ||A x - b||^2."""
 
     def __init__(self, design, response):
@@ -90,23 +110,27 @@ class LeastSquares:
         self.response = np.asarray(response, dtype=float).ravel()
         if self.design.shape[0] != self.response.shape[0]:
             raise ValueError("design and response row counts differ")
-        self.smoothness = float(np.linalg.norm(self.design, 2) ** 2)
 
     @property
     def dim(self) -> int:
         return self.design.shape[1]
 
+    @cached_property
+    def smoothness(self) -> float:
+        return float(np.linalg.norm(self.design, 2) ** 2)
+
+    def _product(self, x) -> np.ndarray:
+        return self.design @ x - self.response  # the residual
+
+    def _gradient_from(self, r) -> np.ndarray:
+        return self.design.T @ r
+
     def value(self, x) -> float:
-        x = _check_x(self.dim, x)
-        r = self.design @ x - self.response
+        r = self._at(x)
         return 0.5 * float(r @ r)
 
-    def gradient(self, x) -> np.ndarray:
-        x = _check_x(self.dim, x)
-        return self.design.T @ (self.design @ x - self.response)
 
-
-class LogisticLoss:
+class LogisticLoss(_DenseObjective):
     """Mean logistic loss over labels in {-1, +1}.
 
     f(x) = (1/m) sum_i log(1 + exp(-y_i a_i . x)). Using the mean keeps the
@@ -120,23 +144,24 @@ class LogisticLoss:
             raise ValueError("features and labels row counts differ")
         if not np.all(np.isin(self.labels, (-1.0, 1.0))):
             raise ValueError("labels must be -1 or +1")
-        m = self.features.shape[0]
-        self.smoothness = float(np.linalg.norm(self.features, 2) ** 2) / (4.0 * m)
 
     @property
     def dim(self) -> int:
         return self.features.shape[1]
 
-    def value(self, x) -> float:
-        x = _check_x(self.dim, x)
-        margins = self.labels * (self.features @ x)
-        return float(np.logaddexp(0.0, -margins).mean())
+    @cached_property
+    def smoothness(self) -> float:
+        return float(np.linalg.norm(self.features, 2) ** 2) / (4.0 * self.features.shape[0])
 
-    def gradient(self, x) -> np.ndarray:
-        x = _check_x(self.dim, x)
-        margins = self.labels * (self.features @ x)
-        weights = self.labels * expit(-margins)
-        return -(self.features.T @ weights) / self.features.shape[0]
+    def _product(self, x) -> np.ndarray:
+        return self.labels * (self.features @ x)  # the margins
+
+    def _gradient_from(self, margins) -> np.ndarray:
+        return -(self.features.T @ (self.labels * expit(-margins))) / self.features.shape[0]
+
+    def value(self, x) -> float:
+        margins = self._at(x)
+        return float(np.logaddexp(0.0, -margins).sum() / margins.shape[0])
 
 
 class MatrixHuber:

@@ -239,6 +239,60 @@ def _sweep_entry_with(**settings):
             2,
             "error: diagnostics must be a JSON object",
         ),
+        (
+            ["sweep"],
+            _sweep_entry_with(diagnostics={"slope": {"k_min": 0}}),
+            2,
+            "error: k_min must be >= 1",
+        ),
+        *[
+            (
+                ["sweep"],
+                _sweep_entry_with(
+                    problem="scalar_box", diagnostics={"lower_bound": {"anchors": [a]}}
+                ),
+                2,
+                "error: lower_bound anchors must be in [0, max_iter] = [0, 5]",
+            )
+            for a in (6, -1)
+        ],
+        (
+            ["sweep"],
+            _sweep_entry_with(diagnostics={"lower_bound": {"anchors": [1]}}),
+            2,
+            "error: lower_bound diagnostic needs a problem with a scalar x0",
+        ),
+        (
+            # a shortfall only the run reveals: stop_gap ends it before the anchor
+            ["sweep"],
+            _sweep_entry_with(
+                problem="scalar_box", stop_gap=10.0, diagnostics={"lower_bound": {"anchors": [5]}}
+            ),
+            1,
+            "runtime error: anchor 5 is outside the trajectory range",
+        ),
+        *[
+            (["sweep"], _sweep_entry_with(**{key: value}), 2, f"error: {key} must be a string")
+            for key, value in (("problem", []), ("tableau", 5), ("output", ["a"]))
+        ],
+        (
+            ["sweep"],
+            _sweep_entry_with(diagnostics={"zigzag": 5}),
+            2,
+            "error: zigzag must be a JSON object, got 5",
+        ),
+        (
+            ["sweep"],
+            _sweep_entry_with(diagnostics={"zigzag": {"W": 5}}),
+            2,
+            "error: W must be a JSON list, got 5",
+        ),
+        (
+            ["sweep"],
+            _sweep_entry_with(diagnostics={"lower_bound": {"anchors": 10}}),
+            2,
+            "error: anchors must be a JSON list, got 10",
+        ),
     ],
     ids=[
         "c-below-1",
@@ -264,6 +318,17 @@ def _sweep_entry_with(**settings):
         "sweep-k_min-not-number",
         "sweep-entry-not-object",
         "sweep-diagnostics-not-object",
+        "sweep-k_min-below-1",
+        "sweep-anchor-past-max_iter",
+        "sweep-anchor-negative",
+        "sweep-lower_bound-not-scalar",
+        "sweep-anchor-past-early-stop",
+        "sweep-problem-not-string",
+        "sweep-tableau-not-string",
+        "sweep-output-not-string",
+        "sweep-zigzag-not-object",
+        "sweep-zigzag-W-not-list",
+        "sweep-anchors-not-list",
     ],
 )
 def test_exit_code_contract(tmp_path, capsys, argv, doc, code, message):

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+from scipy.special import expit
 
+import fwflow.objectives
 from fwflow.objectives import (
     LeastSquares,
     LogisticLoss,
@@ -9,6 +11,9 @@ from fwflow.objectives import (
     ScalarHuber,
     check_gradient,
 )
+from fwflow.problems import sensing_logistic
+from fwflow.solvers import StepSchedule, run
+from fwflow.tableau import builtin
 
 
 def _all_objectives(rng):
@@ -113,3 +118,100 @@ class TestConstruction:
     def test_check_gradient_needs_positive_h(self):
         with pytest.raises(ValueError):
             check_gradient(QuadraticDistance(target=[0.0]), [1.0], h=0.0)
+
+
+def _dense_data(cls):
+    rng = np.random.default_rng(31)
+    A = rng.standard_normal((40, 6))
+    b = rng.standard_normal(40)
+    return A, (b if cls is LeastSquares else np.where(b >= 0.0, 1.0, -1.0))
+
+
+def _reference(cls, data, x):
+    """Value and gradient of a dense objective by the direct formulas, nothing cached."""
+    A, v = data
+    if cls is LeastSquares:
+        r = A @ x - v
+        return {"value": 0.5 * float(r @ r), "gradient": A.T @ r}
+    margins = v * (A @ x)
+    return {
+        "value": float(np.logaddexp(0.0, -margins).mean()),
+        "gradient": -(A.T @ (v * expit(-margins))) / A.shape[0],
+    }
+
+
+def _assert_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("cls", [LeastSquares, LogisticLoss])
+class TestDenseCache:
+    def test_interleaved_calls_match_fresh_instance(self, cls):
+        data = _dense_data(cls)
+        flipped = tuple(a[::-1].copy() for a in data)
+        obj, other = cls(*data), cls(*flipped)
+        rng = np.random.default_rng(7)
+        x = rng.standard_normal(6)
+        signed_zeros = [np.zeros(6), -np.zeros(6), np.array([0.0, -0.0, 1.0, -0.0, 0.0, 2.0])]
+        steps = [("gradient", x), ("value", x), ("gradient", x), ("value", x + 1.0)]
+        steps += [(name, z) for z in signed_zeros for name in ("value", "gradient", "value")]
+        steps += [("gradient", x), ("value", list(x)), ("gradient", x.reshape(2, 3))]
+        for name, point in steps:
+            want = getattr(cls(*data), name)(np.copy(point))
+            _assert_bits(want, _reference(cls, data, np.ravel(point))[name])
+            _assert_bits(getattr(obj, name)(point), want)
+            # a second instance at the same point keeps its own product
+            _assert_bits(getattr(other, name)(point), getattr(cls(*flipped), name)(point))
+
+    def test_point_mutated_in_place(self, cls):
+        data = _dense_data(cls)
+        obj = cls(*data)
+        x = np.linspace(-1.0, 1.0, 6)
+        obj.gradient(x)
+        obj.value(x)
+        x[2] += 0.5
+        _assert_bits(obj.value(x), cls(*data).value(x.copy()))
+        _assert_bits(obj.gradient(x), cls(*data).gradient(x.copy()))
+
+    def test_caller_writes_into_returned_gradient(self, cls):
+        data = _dense_data(cls)
+        obj = cls(*data)
+        x = np.linspace(-1.0, 1.0, 6)
+        g = obj.gradient(x)
+        g[:] = 7.0
+        _assert_bits(obj.gradient(x), cls(*data).gradient(x))
+        _assert_bits(obj.value(x), cls(*data).value(x))
+
+    def test_smoothness_lazy_and_equal_to_eager_formula(self, cls):
+        data = _dense_data(cls)
+        obj = cls(*data)
+        assert "smoothness" not in vars(obj)
+        A = data[0]
+        if cls is LeastSquares:
+            eager = float(np.linalg.norm(A, 2) ** 2)
+        else:
+            m = A.shape[0]
+            eager = float(np.linalg.norm(A, 2) ** 2) / (4.0 * m)
+        _assert_bits(obj.smoothness, eager)
+        assert "smoothness" in vars(obj)
+
+
+@pytest.mark.parametrize(
+    "method, tab, per_step", [("fw", None, 1), ("rk", "rk4", 4), ("rk", "midpoint", 2)]
+)
+def test_logistic_expit_calls_per_run(monkeypatch, method, tab, per_step):
+    # N steps record N+1 gradients; RK stage 1 (xbar_1 = x) reuses the recorded one, so
+    # q-stage RK adds q-1 per step, and value reuses the margins without calling expit
+    calls = []
+
+    def counting_expit(z):
+        calls.append(None)
+        return expit(z)
+
+    monkeypatch.setattr(fwflow.objectives, "expit", counting_expit)
+    p = sensing_logistic(seed=0)
+    n = 12
+    tableau = builtin(tab) if tab else None
+    run(p.objective, p.feasible_set, p.x0, method, StepSchedule(c=2.0), n, tableau=tableau)
+    assert len(calls) == per_step * n + 1

@@ -6,7 +6,7 @@ import pytest
 
 from fwflow.geometry import Box
 from fwflow.objectives import QuadraticDistance
-from fwflow.problems import scalar_box, triangle
+from fwflow.problems import scalar_box, sensing_least_squares, sensing_logistic, triangle
 from fwflow.solvers import (
     METHODS,
     StepSchedule,
@@ -296,3 +296,40 @@ def test_run_csv_digest_pinned(method):
     buf = io.StringIO()
     traj.to_csv(buf)
     assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == PINNED_CSV_SHA256[method]
+
+
+# SHA-256 of to_csv on the seed-0 dense sensing problems with StepSchedule(c=2),
+# 50 steps: (builder, method, tableau) -> digest. These pin the dense
+# objectives' value and gradient bits along whole runs, including the many
+# off-iterate points that the line search probes.
+PINNED_DENSE_CSV_SHA256 = {
+    (sensing_logistic, "fw", None):
+        "adfa63fefe2596d09419eb1173c807489552f668fc2189f8a520408cd60d1553",
+    (sensing_logistic, "rk", "rk4"):
+        "dc89959aae095fa00cde25c341954a5501961bd0b6cf75ceff9b278a5169ae49",
+    (sensing_logistic, "rk", "midpoint"):
+        "dbf76b6babeee13d2b3fe259281a817e40437f834a5c883d1bf81e4af26ecacd",
+    (sensing_logistic, "fw+linesearch", None):
+        "4f11ab2c80f325b462e1ba0c1ca723f3f3649a354881a076fd58aaf581c5ef1d",
+    (sensing_logistic, "fw+momentum", None):
+        "57e0bc4fc8823ceaa99895b0167a07b32ccfaa7b86b9e729feb05b68d41c748a",
+    (sensing_least_squares, "rk", "midpoint"):
+        "edc99470bb8f316c82960d24b984212fa10bc20d953e60ca3a20a6f3c8a6313d",
+    (sensing_least_squares, "rk+linesearch", "midpoint"):
+        "ac2590c498dda570b07b49ec41bf96233ef1b1643820945e0fd977656da564c0",
+}
+
+
+@pytest.mark.parametrize(
+    "builder, method, tab",
+    list(PINNED_DENSE_CSV_SHA256),
+    ids=[f"{b.__name__}-{m}-{t or 'none'}" for b, m, t in PINNED_DENSE_CSV_SHA256],
+)
+def test_dense_run_csv_digest_pinned(builder, method, tab):
+    p = builder(seed=0)
+    tableau = builtin(tab) if tab else None
+    traj = run(p.objective, p.feasible_set, p.x0, method, StepSchedule(c=2.0), 50, tableau=tableau)
+    buf = io.StringIO()
+    traj.to_csv(buf)
+    digest = hashlib.sha256(buf.getvalue().encode()).hexdigest()
+    assert digest == PINNED_DENSE_CSV_SHA256[builder, method, tab]
