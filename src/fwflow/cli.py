@@ -24,6 +24,10 @@ from .solvers import StepSchedule, run as run_solver
 from .tableau import ConfigError
 
 _ZIGZAG_HEADER = "method,delta,W,energy"
+_CONFIG_KEYS = ("problem", "method", "c", "delta", "tableau", "tableau_file", "max_iter",
+                "stop_gap", "seed", "output", "diagnostics")
+_DIAGNOSTIC_KEYS = {"zigzag": ("W", "T"), "slope": ("k_min",), "lower_bound": ("anchors",),
+                    "bound_compare": ()}
 
 
 def _out_dir(path_arg: str) -> Path:
@@ -45,6 +49,14 @@ def _json(cfg: dict, key: str, kind: type, default=None):
         names = {str: "a string", list: "a JSON list", dict: "a JSON object"}
         raise ConfigError(f"{key} must be {names[kind]}, got {value!r}")
     return value
+
+
+def _known_keys(cfg: dict, keys, where: str) -> dict:
+    """cfg, which must hold no key outside keys."""
+    for key in cfg:
+        if key not in keys:
+            raise ConfigError(f"unknown key {key!r} in {where}; choose from {sorted(keys)}")
+    return cfg
 
 
 def _build_problem(name: str, seed: int):
@@ -84,6 +96,7 @@ def _zigzag_rows(traj, label: str, windows, T: float) -> list:
 
 def _run_config(cfg: dict, out_dir: Path) -> list:
     """Check every setting of one run configuration, run it, return the written paths."""
+    _known_keys(cfg, _CONFIG_KEYS, "run configuration")
     seed = _number(int, cfg.get("seed", 0), "seed")
     problem = _build_problem(_json(cfg, "problem", str, "triangle"), seed)
     method = _json(cfg, "method", str, "fw")
@@ -93,9 +106,11 @@ def _run_config(cfg: dict, out_dir: Path) -> list:
     max_iter = _number(int, cfg.get("max_iter", 1000), "max_iter")
     stop_gap = _number(float, cfg.get("stop_gap", 0.0), "stop_gap")
     stem = _json(cfg, "output", str) or f"{problem.name}_{method.replace('+', '_')}"
-    diag = _json(cfg, "diagnostics", dict, {})
-    names = ("zigzag", "slope", "lower_bound", "bound_compare")
-    zigzag, slope, lower, _ = (_json(diag, name, dict, {}) for name in names)
+    diag = _known_keys(_json(cfg, "diagnostics", dict, {}), _DIAGNOSTIC_KEYS, "diagnostics")
+    zigzag, slope, lower, _ = (
+        _known_keys(_json(diag, name, dict, {}), keys, name)
+        for name, keys in _DIAGNOSTIC_KEYS.items()
+    )
     windows = [_number(int, W, "W") for W in _json(zigzag, "W", list, [5])]
     T = _number(float, zigzag.get("T", 100.0), "T")
     for W in windows:
@@ -111,16 +126,8 @@ def _run_config(cfg: dict, out_dir: Path) -> list:
     for name in ("slope", "bound_compare"):
         if name in diag and problem.f_star is None:
             raise ConfigError(f"{name} diagnostic needs a problem with known optimum")
-    traj = run_solver(
-        problem.objective,
-        problem.feasible_set,
-        problem.x0,
-        method,
-        sched,
-        max_iter,
-        stop_gap=stop_gap,
-        tableau=tab,
-    )
+    traj = run_solver(problem.objective, problem.feasible_set, problem.x0, method, sched,
+                      max_iter, stop_gap=stop_gap, tableau=tab)
     out_dir.mkdir(parents=True, exist_ok=True)
     written = [out_dir / f"{stem}.csv"]
     traj.to_csv(written[0])
@@ -149,8 +156,8 @@ def _run_config(cfg: dict, out_dir: Path) -> list:
 
 
 def _cmd_run(args) -> int:
-    # the argparse dests are the config keys
-    for p in _run_config(vars(args), _out_dir(args.output_dir)):
+    cfg = {key: value for key, value in vars(args).items() if key in _CONFIG_KEYS}
+    for p in _run_config(cfg, _out_dir(args.output_dir)):
         print(p)
     return 0
 
@@ -200,23 +207,17 @@ def _cmd_bound(args) -> int:
 def _zigzag_table(path: Path, problem, runs, windows, T: float) -> Path:
     """Write the zig-zag energy of each run over each window W to one CSV.
 
-    runs holds (label, method, schedule, tableau) tuples; each run covers
-    time T, in round(T / delta) steps.
+    runs holds (method, schedule, tableau) tuples; each run covers time T, in
+    round(T / delta) steps, and its rows are labelled with the tableau's name,
+    or fw without one.
     """
     for W in windows:
         diagnostics.check_zigzag_settings(W, T)
     rows = [_ZIGZAG_HEADER]
-    for label, method, sched, tab in runs:
-        traj = run_solver(
-            problem.objective,
-            problem.feasible_set,
-            problem.x0,
-            method,
-            sched,
-            int(round(T / sched.delta)),
-            tableau=tab,
-        )
-        rows += _zigzag_rows(traj, label, windows, T)
+    for method, sched, tab in runs:
+        traj = run_solver(problem.objective, problem.feasible_set, problem.x0, method, sched,
+                          int(round(T / sched.delta)), tableau=tab)
+        rows += _zigzag_rows(traj, tab.name if tab else "fw", windows, T)
     return _write_rows(path, rows)
 
 
@@ -224,7 +225,7 @@ def _cmd_zigzag(args) -> int:
     out_dir = _out_dir(args.output_dir)
     deltas = [_number(float, d, "--deltas") for d in args.deltas.split(",")]
     windows = [_number(int, w, "--windows") for w in args.windows.split(",")]
-    runs = [(args.method, "flow", StepSchedule(c=args.c, delta=d), None) for d in deltas]
+    runs = [("flow", StepSchedule(c=args.c, delta=d), None) for d in deltas]
     problem = _build_problem(args.problem, args.seed)
     print(_zigzag_table(out_dir / (args.output or "zigzag.csv"), problem, runs, windows, args.T))
     return 0
@@ -254,7 +255,7 @@ _PRESETS = {
     "fig2-top": [
         (
             "fig2_top_zigzag.csv",
-            [("fw", "flow", StepSchedule(c=2.0, delta=d), None) for d in (1.0, 0.1, 0.01)],
+            [("flow", StepSchedule(c=2.0, delta=d), None) for d in (1.0, 0.1, 0.01)],
             (5, 20),
         )
     ],
@@ -263,9 +264,9 @@ _PRESETS = {
         (
             "fig2_bottom_zigzag.csv",
             [
-                ("fw", "fw", StepSchedule(c=2.0), None),
-                ("midpoint", "rk", StepSchedule(c=2.0), tableau_mod.builtin("midpoint")),
-                ("rk4", "rk", StepSchedule(c=2.0), tableau_mod.builtin("rk4")),
+                ("fw", StepSchedule(c=2.0), None),
+                ("rk", StepSchedule(c=2.0), tableau_mod.builtin("midpoint")),
+                ("rk", StepSchedule(c=2.0), tableau_mod.builtin("rk4")),
             ],
             (5,),
         )
@@ -367,9 +368,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.set_defaults(func=_cmd_bound)
 
-    p = sub.add_parser("zigzag", help="windowed zig-zag energy over deltas")
+    p = sub.add_parser("zigzag", help="zig-zag energy of the flow over deltas, rows labelled fw")
     p.add_argument("--problem", default="logistic")
-    p.add_argument("--method", default="fw")
     p.add_argument("--c", type=float, default=2.0)
     p.add_argument("--deltas", default="1,0.1,0.01")
     p.add_argument("--windows", default="5,20")

@@ -52,58 +52,35 @@ def scalar_box() -> Problem:
     return Problem("scalar_box", obj, Box(-1.0, 1.0, dim=1), x0=[1.0], f_star=0.0)
 
 
-def scalar_huber(eps: float = 0.1) -> Problem:
-    """Huber variant of the scalar box problem (same LMO dynamics)."""
-    return Problem("scalar_huber", ScalarHuber(eps), Box(-1.0, 1.0, dim=1), x0=[1.0], f_star=0.0)
+def scalar_huber() -> Problem:
+    """Huber variant (eps = 0.1) of the scalar box problem (same LMO dynamics)."""
+    return Problem("scalar_huber", ScalarHuber(0.1), Box(-1.0, 1.0, dim=1), x0=[1.0], f_star=0.0)
 
 
-def sensing_least_squares(
-    m: int = 500,
-    n: int = 100,
-    sparsity: float = 0.1,
-    noise_sd: float = 0.0,
-    radius: float = 1000.0,
-    seed: int = 0,
-) -> Problem:
-    """l1-constrained least squares on a synthetic sensing dataset."""
-    A, b, _ = gen_sensing(m, n, sparsity, noise_sd, seed)
-    obj = LeastSquares(A, b)
-    return Problem("sensing", obj, L1Ball(radius, n), x0=np.zeros(n))
+def sensing_least_squares(seed: int = 0) -> Problem:
+    """l1-ball (radius 1000) least squares on noiseless 500 x 100 sensing data, 10% sparse."""
+    A, b, _ = gen_sensing(500, 100, 0.1, 0.0, seed)
+    return Problem("sensing", LeastSquares(A, b), L1Ball(1000.0, 100), x0=np.zeros(100))
 
 
-def sensing_logistic(
-    m: int = 500,
-    n: int = 100,
-    sparsity: float = 0.1,
-    noise_sd: float = 0.0,
-    radius: float = 10.0,
-    seed: int = 0,
-) -> Problem:
-    """l1-constrained logistic regression; labels are the sign of the response.
+def sensing_logistic(seed: int = 0) -> Problem:
+    """l1-ball (radius 10) logistic regression on the sensing data; labels are sign(b).
 
-    The default radius of 10 keeps the optimum on the l1 boundary without
-    saturating the loss, which is the regime where zig-zagging is visible.
+    The radius keeps the optimum on the l1 boundary without saturating the
+    loss, which is the regime where zig-zagging is visible.
     """
-    A, b, _ = gen_sensing(m, n, sparsity, noise_sd, seed)
+    A, b, _ = gen_sensing(500, 100, 0.1, 0.0, seed)
     obj = LogisticLoss(A, np.where(b >= 0.0, 1.0, -1.0))
-    return Problem("logistic", obj, L1Ball(radius, n), x0=np.zeros(n))
+    return Problem("logistic", obj, L1Ball(10.0, 100), x0=np.zeros(100))
 
 
-def lowrank_huber(
-    users: int = 20,
-    items: int = 15,
-    rank: int = 2,
-    observed_fraction: float = 0.5,
-    noise_sd: float = 0.1,
-    radius: float = 50.0,
-    delta: float = 1.0,
-    seed: int = 0,
-) -> Problem:
-    """Nuclear-norm constrained Huber regression on synthetic low-rank ratings."""
-    index, values = gen_lowrank(users, items, rank, observed_fraction, noise_sd, seed)
-    obj = MatrixHuber(index, values, users, items, delta=delta)
-    fset = NuclearBall(radius, users, items)
-    return Problem("lowrank", obj, fset, x0=np.zeros(users * items))
+def lowrank_huber(users: int = 20, items: int = 15, rank: int = 2, seed: int = 0) -> Problem:
+    """Nuclear-ball (radius 50) Huber (delta 1) regression on synthetic low-rank ratings,
+    half the entries observed, with noise sd 0.1.
+    """
+    index, values = gen_lowrank(users, items, rank, 0.5, 0.1, seed)
+    obj = MatrixHuber(index, values, users, items, delta=1.0)
+    return Problem("lowrank", obj, NuclearBall(50.0, users, items), x0=np.zeros(users * items))
 
 
 BUILDERS = {

@@ -168,49 +168,28 @@ def fw_gap(obj, fset, x) -> float:
     return float(g @ (x - s))
 
 
-def _sublevel_max(obj, x, d, k: int, slack: float = 1e-14):
-    """Largest gamma in [0, 1] keeping f(x + gamma d) <= f(x) + slack.
-
-    Exponential probing doubles from 2/(2+k) up to 1, then 60 bisection steps
-    pin the sublevel boundary. Returns (gamma_bar, hit_upper_clip).
-    """
-    fx = obj.value(x)
-
-    def ok(g):
-        return obj.value(x + g * d) <= fx + slack
-
-    g = min(2.0 / (2.0 + k), 1.0)
-    if not ok(g):
-        lo, hi = 0.0, g
-    else:
-        lo = g
-        while lo < 1.0:
-            g = min(1.0, 2.0 * g)
-            if ok(g):
-                lo = g
-            else:
-                break
-        if lo >= 1.0:
-            return 1.0, True
-        hi = g
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if ok(mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo, False
-
-
 def _descent_gamma(obj, x, d, k: int) -> float:
     """Monotone step length used by the +linesearch solver variants.
 
-    Takes the midpoint of the sublevel interval [0, gamma_bar] (the exact
-    minimizer when f is quadratic along d; never increases f for convex f),
-    or the full step when gamma_bar clips at 1.
+    gamma_bar is the largest gamma in [0, 1] with f(x + gamma d) <= f(x) + 1e-14:
+    probing doubles from 2/(2+k) up to 1, then 60 bisection steps pin the
+    sublevel boundary. Returns the midpoint gamma_bar / 2 of [0, gamma_bar]
+    (the exact minimizer when f is quadratic along d; never increases f for
+    convex f), or the full step 1 when gamma_bar clips at 1.
     """
-    gamma_bar, clipped = _sublevel_max(obj, x, d, k)
-    return gamma_bar if clipped else 0.5 * gamma_bar
+    bound = obj.value(x) + 1e-14
+    lo, hi = 0.0, min(2.0 / (2.0 + k), 1.0)
+    while obj.value(x + hi * d) <= bound:
+        if hi >= 1.0:
+            return 1.0
+        lo, hi = hi, min(1.0, 2.0 * hi)
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        if obj.value(x + mid * d) <= bound:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * lo
 
 
 def momentum_step(obj, fset, x, m_prev, k: int, sched: StepSchedule):
@@ -245,12 +224,15 @@ def run(
     RK schedule indices start at k = 1; everything else starts at k = 0.
     Stops early once fw_gap <= stop_gap (stop_gap = 0 disables the check).
     Feasibility is monitored (recorded per step), never enforced. Settings
-    are checked before the first step; a bad one raises ConfigError.
+    are checked before the first step; a bad one raises ConfigError. Only
+    the flow takes a step delta other than 1.
     """
     if method not in METHODS:
         raise ConfigError(f"unknown method {method!r}; choose from {METHODS}")
     if max_iter < 1:
         raise ConfigError("max_iter must be >= 1")
+    if sched.delta != 1.0 and method != "flow":
+        raise ConfigError(f"method {method!r} takes no step delta; delta must be 1")
     if method.startswith("rk"):
         if tableau is None:
             raise ConfigError(f"method {method!r} requires a tableau")
@@ -259,7 +241,6 @@ def run(
     if fset.violation(x) > FEASIBILITY_TOL:
         raise ConfigError("x0 is outside the feasible set")
 
-    delta = sched.delta if method == "flow" else 1.0
     m = np.zeros_like(x)  # momentum buffer
     xs = np.empty((max_iter + 1,) + x.shape)
     fs, gaps, viols = np.empty((3, max_iter + 1))
@@ -276,7 +257,7 @@ def run(
             break
 
         if method in ("fw", "flow"):  # fw is the flow at delta = 1
-            x = _mix(x, s, delta * sched.gamma(j * delta))
+            x = _mix(x, s, sched.delta * sched.gamma(j * sched.delta))
         elif method == "fw+linesearch":
             x = _mix(x, s, _descent_gamma(obj, x, s - x, j))
         elif method == "fw+momentum":
@@ -289,4 +270,4 @@ def run(
             rule = lambda i, xb, d: max(gammas[i], _descent_gamma(obj, xb, d, j))  # noqa: E731
             x = _stages(obj, fset, x, tableau, rule)
     n = j + 1  # rows recorded; fewer than max_iter + 1 when stop_gap ended the run
-    return Trajectory(xs[:n], fs[:n], gaps[:n], viols[:n], delta=delta)
+    return Trajectory(xs[:n], fs[:n], gaps[:n], viols[:n], delta=sched.delta)

@@ -4,7 +4,10 @@ import json
 import numpy as np
 import pytest
 
-from fwflow.cli import main
+from fwflow.cli import _zigzag_table, main
+from fwflow.problems import triangle
+from fwflow.solvers import StepSchedule
+from fwflow.tableau import builtin
 
 
 def test_run_writes_trajectory(tmp_path, capsys):
@@ -169,6 +172,24 @@ def test_zigzag_table_shape(tmp_path):
     assert len(lines) == 3
 
 
+def test_zigzag_rows_labelled_by_tableau(tmp_path):
+    runs = [
+        ("flow", StepSchedule(delta=0.5), None),
+        ("fw", StepSchedule(), None),
+        ("rk", StepSchedule(), builtin("midpoint")),
+    ]
+    path = _zigzag_table(tmp_path / "z.csv", triangle(), runs, (5,), 20.0)
+    labels = [row.split(",")[0] for row in path.read_text().strip().split("\n")[1:]]
+    assert labels == ["fw", "fw", "midpoint"]
+
+
+def test_zigzag_has_no_method_option(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["zigzag", "--method", "rk4", "--output-dir", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert not (tmp_path / "out").exists()
+
+
 BETA_SUM_1_1 = {"A": [[0.0, 0.0], [0.5, 0.0]], "beta": [0.1, 1.0], "omega": [0.0, 0.5]}
 NAN_IN_A = {"A": [[0.0, 0.0], [float("nan"), 0.0]], "beta": [0.0, 1.0], "omega": [0.0, 0.5]}
 OVERFLOWS = {"A": [[0.0, 0.0], [1e308, 0.0]], "beta": [0.0, 1.0], "omega": [0.0, 0.5]}
@@ -202,6 +223,7 @@ def _sweep_entry_with(**settings):
             marks=pytest.mark.filterwarnings("ignore::RuntimeWarning"),
         ),
         (["run", "--method", "bogus"], None, 2, "error: unknown method 'bogus'"),
+        (["run", "--delta", "0.1"], None, 2, "error: method 'fw' takes no step delta"),
         (["zigzag", "--deltas", "a"], None, 2, "error: --deltas must be a number, got 'a'"),
         (["zigzag", "--windows", "5,a"], None, 2, "error: --windows must be a number, got 'a'"),
         *[
@@ -293,6 +315,36 @@ def _sweep_entry_with(**settings):
             2,
             "error: anchors must be a JSON list, got 10",
         ),
+        (
+            ["sweep"],
+            _sweep_entry_with(max_iters=5),
+            2,
+            "error: unknown key 'max_iters' in run configuration",
+        ),
+        (
+            ["sweep"],
+            _sweep_entry_with(diagnostic={"zigzag": {}}),
+            2,
+            "error: unknown key 'diagnostic' in run configuration",
+        ),
+        (
+            ["sweep"],
+            _sweep_entry_with(diagnostics={"zig_zag": {}}),
+            2,
+            "error: unknown key 'zig_zag' in diagnostics",
+        ),
+        (
+            ["sweep"],
+            _sweep_entry_with(diagnostics={"zigzag": {"w": [5]}}),
+            2,
+            "error: unknown key 'w' in zigzag",
+        ),
+        (
+            ["sweep"],
+            _sweep_entry_with(diagnostics={"bound_compare": {"c": 2}}),
+            2,
+            "error: unknown key 'c' in bound_compare",
+        ),
     ],
     ids=[
         "c-below-1",
@@ -305,6 +357,7 @@ def _sweep_entry_with(**settings):
         "tableau-ragged",
         "overflow-mid-run",
         "unknown-method",
+        "delta-without-flow",
         "zigzag-delta-not-number",
         "zigzag-window-not-number",
         "sweep-max_iter-not-number",
@@ -329,6 +382,11 @@ def _sweep_entry_with(**settings):
         "sweep-zigzag-not-object",
         "sweep-zigzag-W-not-list",
         "sweep-anchors-not-list",
+        "sweep-unknown-key",
+        "sweep-unknown-key-diagnostic",
+        "sweep-unknown-diagnostic",
+        "sweep-zigzag-unknown-key",
+        "sweep-bound_compare-unknown-key",
     ],
 )
 def test_exit_code_contract(tmp_path, capsys, argv, doc, code, message):

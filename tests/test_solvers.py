@@ -3,8 +3,10 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fwflow.geometry import Box
+from fwflow.geometry import Box, VertexHull
 from fwflow.objectives import QuadraticDistance
 from fwflow.problems import scalar_box, sensing_least_squares, sensing_logistic, triangle
 from fwflow.solvers import (
@@ -19,7 +21,7 @@ from fwflow.solvers import (
     rk_step,
     run,
 )
-from fwflow.tableau import builtin
+from fwflow.tableau import builtin, builtin_names
 
 BOX = Box(-1.0, 1.0, dim=1)
 HALF_SQUARE = QuadraticDistance(target=[0.0])  # f(x) = x^2/2 in 1-D
@@ -175,6 +177,92 @@ class TestLineSearch:
         assert g == pytest.approx(0.25, abs=1e-12)
 
 
+def _reference_sublevel_max(obj, x, d, k: int, slack: float = 1e-14):
+    """Largest gamma in [0, 1] keeping f(x + gamma d) <= f(x) + slack.
+
+    Exponential probing doubles from 2/(2+k) up to 1, then 60 bisection steps
+    pin the sublevel boundary. Returns (gamma_bar, hit_upper_clip).
+    """
+    fx = obj.value(x)
+
+    def ok(g):
+        return obj.value(x + g * d) <= fx + slack
+
+    g = min(2.0 / (2.0 + k), 1.0)
+    if not ok(g):
+        lo, hi = 0.0, g
+    else:
+        lo = g
+        while lo < 1.0:
+            g = min(1.0, 2.0 * g)
+            if ok(g):
+                lo = g
+            else:
+                break
+        if lo >= 1.0:
+            return 1.0, True
+        hi = g
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        if ok(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo, False
+
+
+def _reference_descent_gamma(obj, x, d, k: int) -> float:
+    """The earlier two-function line search, kept verbatim with _reference_sublevel_max."""
+    gamma_bar, clipped = _reference_sublevel_max(obj, x, d, k)
+    return gamma_bar if clipped else 0.5 * gamma_bar
+
+
+class _RecordedValue:
+    """An objective's value function that records the bytes of every point it is called at."""
+
+    def __init__(self, f):
+        self.f, self.calls = f, []
+
+    def value(self, x):
+        self.calls.append(np.asarray(x, dtype=float).tobytes())
+        return self.f(x)
+
+
+def _logsumexp(z):
+    top = z.max()
+    return float(top + np.log(np.exp(z - top).sum()))
+
+
+_COORD = st.floats(-10.0, 10.0, allow_nan=False)
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(
+    kind=st.sampled_from(("quadratic", "logsumexp", "abs")),
+    dim=st.integers(1, 4),
+    zero_direction=st.booleans(),
+    k=st.integers(0, 2000),
+    data=st.data(),
+)
+def test_descent_gamma_matches_reference(kind, dim, zero_direction, k, data):
+    def vector(elements):
+        return np.array(data.draw(st.lists(elements, min_size=dim, max_size=dim)))
+
+    x, center = vector(_COORD), vector(_COORD)
+    d = np.zeros(dim) if zero_direction else vector(_COORD)
+    if kind == "quadratic":
+        w = vector(st.floats(0.01, 10.0))
+        f = lambda y: float(0.5 * (w * (y - center) ** 2).sum())  # noqa: E731
+    elif kind == "logsumexp":
+        f = lambda y: _logsumexp(y - center)  # noqa: E731
+    else:
+        f = lambda y: float(np.abs(y - center).sum())  # noqa: E731
+    new, ref = _RecordedValue(f), _RecordedValue(f)
+    got, want = _descent_gamma(new, x, d, k), _reference_descent_gamma(ref, x, d, k)
+    assert np.float64(got).tobytes() == np.float64(want).tobytes()
+    assert new.calls == ref.calls
+
+
 class TestMomentum:
     def test_first_step_matches_fw(self):
         sched = StepSchedule(c=2.0)
@@ -272,6 +360,43 @@ class TestTrajectoryCSV:
         traj.to_csv(path)
         got = np.loadtxt(path, delimiter=",", skiprows=1)
         np.testing.assert_array_equal(got[:, 2], traj.f)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(
+    c=st.floats(1.0, 5.0),
+    delta=st.floats(0.01, 1.0),
+    target=st.lists(st.floats(-2.0, 2.0), min_size=2, max_size=2),
+    weights=st.lists(st.floats(0.0, 1.0), min_size=3, max_size=3).filter(lambda w: sum(w) > 0),
+    steps=st.integers(1, 20),
+)
+def test_run_matches_public_steps(c, delta, target, weights, steps):
+    hull = VertexHull([[-1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    obj = QuadraticDistance(target=target)
+    x0 = np.array(weights) / sum(weights) @ hull.vertices
+
+    def same_path(method, step, sched, tableau=None):
+        xs, x = [x0], x0
+        for k in range(steps):
+            x = step(x, k, sched)
+            xs.append(x)
+        traj = run(obj, hull, x0, method, sched, steps, tableau=tableau)
+        return traj.x.tobytes() == np.array(xs).tobytes()
+
+    sched = StepSchedule(c=c)
+    assert same_path("fw", lambda x, k, s: fw_step(obj, hull, x, k, s), sched)
+    flow = StepSchedule(c=c, delta=delta)
+    assert same_path("flow", lambda x, k, s: flow_step(obj, hull, x, k * s.delta, s), flow)
+    for name in builtin_names():
+        t = builtin(name)
+        assert same_path("rk", lambda x, k, s: rk_step(obj, hull, x, k + 1, s, t), sched, t)
+    m = [np.zeros(2)]
+
+    def momentum(x, k, s):
+        x, m[0] = momentum_step(obj, hull, x, m[0], k, s)
+        return x
+
+    assert same_path("fw+momentum", momentum, sched)
 
 
 # SHA-256 of to_csv on triangle() with StepSchedule(c=2), 200 steps, delta 0.1
