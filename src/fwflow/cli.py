@@ -23,7 +23,6 @@ from . import diagnostics, problems, tableau as tableau_mod
 from .solvers import StepSchedule, run as run_solver
 from .tableau import ConfigError
 
-_ZIGZAG_HEADER = "method,delta,W,energy"
 _CONFIG_KEYS = ("problem", "method", "c", "delta", "tableau", "tableau_file", "max_iter",
                 "stop_gap", "seed", "output", "diagnostics")
 _DIAGNOSTIC_KEYS = {"zigzag": ("W", "T"), "slope": ("k_min",), "lower_bound": ("anchors",),
@@ -74,13 +73,7 @@ def _load_tableau(name: str | None, path: str | None):
         t = tableau_mod.Tableau.from_json(text, name=Path(path).stem)
         tableau_mod.validate(t)
         return t
-    if name is None:
-        return None
-    if name not in tableau_mod.builtin_names():
-        raise ConfigError(
-            f"unknown tableau {name!r}; choose from {sorted(tableau_mod.builtin_names())}"
-        )
-    return tableau_mod.builtin(name)
+    return None if name is None else tableau_mod.builtin(name)
 
 
 def _write_rows(path: Path, rows) -> Path:
@@ -89,9 +82,15 @@ def _write_rows(path: Path, rows) -> Path:
     return path
 
 
+_ZIGZAG_HEADER = "method,delta,W,energy"
+
+
 def _zigzag_rows(traj, label: str, windows, T: float) -> list:
-    """Zig-zag energy table rows of one trajectory, one per window W."""
-    return [diagnostics.zigzag_protocol(traj, W, T).to_csv_row(label) for W in windows]
+    """Rows of the _ZIGZAG_HEADER table for one trajectory, one per window W."""
+    return [
+        f"{label},{traj.delta:.17g},{W},{diagnostics.zigzag_protocol(traj, W, T).mean():.17g}"
+        for W in windows
+    ]
 
 
 def _run_config(cfg: dict, out_dir: Path) -> list:
@@ -207,16 +206,17 @@ def _cmd_bound(args) -> int:
 def _zigzag_table(path: Path, problem, runs, windows, T: float) -> Path:
     """Write the zig-zag energy of each run over each window W to one CSV.
 
-    runs holds (method, schedule, tableau) tuples; each run covers time T, in
-    round(T / delta) steps, and its rows are labelled with the tableau's name,
-    or fw without one.
+    runs holds (schedule, tableau) pairs: rk with a tableau, the flow without
+    one (fw at delta = 1). Each run covers time T, in round(T / delta) steps,
+    and its rows are labelled with the tableau's name, or fw without one.
     """
     for W in windows:
         diagnostics.check_zigzag_settings(W, T)
     rows = [_ZIGZAG_HEADER]
-    for method, sched, tab in runs:
-        traj = run_solver(problem.objective, problem.feasible_set, problem.x0, method, sched,
-                          int(round(T / sched.delta)), tableau=tab)
+    for sched, tab in runs:
+        traj = run_solver(problem.objective, problem.feasible_set, problem.x0,
+                          "rk" if tab else "flow", sched, int(round(T / sched.delta)),
+                          tableau=tab)
         rows += _zigzag_rows(traj, tab.name if tab else "fw", windows, T)
     return _write_rows(path, rows)
 
@@ -225,7 +225,7 @@ def _cmd_zigzag(args) -> int:
     out_dir = _out_dir(args.output_dir)
     deltas = [_number(float, d, "--deltas") for d in args.deltas.split(",")]
     windows = [_number(int, w, "--windows") for w in args.windows.split(",")]
-    runs = [("flow", StepSchedule(c=args.c, delta=d), None) for d in deltas]
+    runs = [(StepSchedule(c=args.c, delta=d), None) for d in deltas]
     problem = _build_problem(args.problem, args.seed)
     print(_zigzag_table(out_dir / (args.output or "zigzag.csv"), problem, runs, windows, args.T))
     return 0
@@ -255,7 +255,7 @@ _PRESETS = {
     "fig2-top": [
         (
             "fig2_top_zigzag.csv",
-            [("flow", StepSchedule(c=2.0, delta=d), None) for d in (1.0, 0.1, 0.01)],
+            [(StepSchedule(c=2.0, delta=d), None) for d in (1.0, 0.1, 0.01)],
             (5, 20),
         )
     ],
@@ -264,9 +264,9 @@ _PRESETS = {
         (
             "fig2_bottom_zigzag.csv",
             [
-                ("fw", StepSchedule(c=2.0), None),
-                ("rk", StepSchedule(c=2.0), tableau_mod.builtin("midpoint")),
-                ("rk", StepSchedule(c=2.0), tableau_mod.builtin("rk4")),
+                (StepSchedule(c=2.0), None),
+                (StepSchedule(c=2.0), tableau_mod.builtin("midpoint")),
+                (StepSchedule(c=2.0), tableau_mod.builtin("rk4")),
             ],
             (5,),
         )
@@ -335,16 +335,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--output-dir", default=".", help="directory for CSV outputs")
 
     p = sub.add_parser("run", help="run one solver configuration")
-    p.add_argument("--problem", default="triangle")
-    p.add_argument("--method", default="fw")
-    p.add_argument("--c", type=float, default=2.0)
-    p.add_argument("--delta", type=float, default=1.0)
-    p.add_argument("--max-iter", type=int, default=1000)
-    p.add_argument("--stop-gap", type=float, default=0.0)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tableau", default=None)
-    p.add_argument("--tableau-file", default=None)
-    p.add_argument("--output", default=None, help="output file stem")
+    for key in _CONFIG_KEYS:  # _run_config holds every default and parses every value
+        if key != "diagnostics":
+            p.add_argument("--" + key.replace("_", "-"), default=argparse.SUPPRESS)
     common(p)
     p.set_defaults(func=_cmd_run)
 

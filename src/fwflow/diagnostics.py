@@ -5,7 +5,6 @@ and the scalar lower-bound probe.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad
@@ -13,7 +12,6 @@ from scipy.integrate import quad
 from .tableau import ConfigError
 
 __all__ = [
-    "ZigzagReport",
     "zigzag_energy",
     "check_zigzag_settings",
     "zigzag_protocol",
@@ -22,20 +20,6 @@ __all__ = [
     "slope_fit",
     "lower_bound_probe",
 ]
-
-
-@dataclass(frozen=True)
-class ZigzagReport:
-    """Windowed zig-zag measurement over one trajectory."""
-
-    W: int
-    energy: float
-    per_window: np.ndarray
-    T: float
-    delta: float
-
-    def to_csv_row(self, method: str) -> str:
-        return f"{method},{self.delta:.17g},{self.W},{self.energy:.17g}"
 
 
 def zigzag_energy(points) -> float:
@@ -73,26 +57,19 @@ def check_zigzag_settings(W: int, T: float) -> None:
         raise ConfigError("time span T must be positive")
 
 
-def zigzag_protocol(traj, W: int, T: float) -> ZigzagReport:
-    """Windowed zig-zag measurement: mean of per-window energies.
+def zigzag_protocol(traj, W: int, T: float) -> np.ndarray:
+    """Windowed zig-zag measurement: the per-window energies, whose mean is the energy.
 
     The first T/delta steps are divided into consecutive non-overlapping
     windows of W steps each (anchored at k = 0); each window contributes one
-    zigzag_energy value and the report carries their uniform mean. A bad W
-    or T, or a trajectory shorter than one window, raises ConfigError.
+    zigzag_energy value. A bad W or T, or a trajectory shorter than one
+    window, raises ConfigError.
     """
     check_zigzag_settings(W, T)
-    delta = traj.delta
-    steps = min(int(round(T / delta)), len(traj) - 1)
-    n_windows = steps // W
+    n_windows = min(int(round(T / traj.delta)), len(traj) - 1) // W
     if n_windows < 1:
         raise ConfigError("trajectory is shorter than one window")
-    per_window = np.array(
-        [zigzag_energy(traj.x[w * W : w * W + W + 1]) for w in range(n_windows)]
-    )
-    return ZigzagReport(
-        W=W, energy=float(per_window.mean()), per_window=per_window, T=T, delta=delta
-    )
+    return np.array([zigzag_energy(traj.x[w * W : w * W + W + 1]) for w in range(n_windows)])
 
 
 def continuous_bound(c: float, t: float) -> float:

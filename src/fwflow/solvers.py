@@ -237,6 +237,8 @@ def run(
         if tableau is None:
             raise ConfigError(f"method {method!r} requires a tableau")
         validate(tableau)
+    elif tableau is not None:
+        raise ConfigError(f"method {method!r} takes no tableau; only rk and rk+linesearch do")
     x = np.asarray(x0, dtype=float).copy()
     if fset.violation(x) > FEASIBILITY_TOL:
         raise ConfigError("x0 is outside the feasible set")

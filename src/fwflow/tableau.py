@@ -150,7 +150,7 @@ def builtin(name: str) -> Tableau:
     try:
         return _BUILTINS[name]
     except KeyError:
-        raise ValueError(f"unknown tableau {name!r}; choose from {sorted(_BUILTINS)}") from None
+        raise ConfigError(f"unknown tableau {name!r}; choose from {sorted(_BUILTINS)}") from None
 
 
 @dataclass(frozen=True)

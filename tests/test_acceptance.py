@@ -83,11 +83,11 @@ def zigzag_energies():
             p.objective, p.feasible_set, p.x0, "flow", sched, int(round(100.0 / delta))
         )
         for W in (5, 20):
-            energies[("fw", delta, W)] = diagnostics.zigzag_protocol(traj, W, 100.0).energy
+            energies[("fw", delta, W)] = diagnostics.zigzag_protocol(traj, W, 100.0).mean()
     sched = StepSchedule(c=2.0, delta=1.0)
     for name in ("midpoint", "rk4"):
         traj = run(p.objective, p.feasible_set, p.x0, "rk", sched, 100, tableau=builtin(name))
-        energies[(name, 1.0, 5)] = diagnostics.zigzag_protocol(traj, 5, 100.0).energy
+        energies[(name, 1.0, 5)] = diagnostics.zigzag_protocol(traj, 5, 100.0).mean()
     return energies
 
 

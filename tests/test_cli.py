@@ -1,10 +1,11 @@
+import argparse
 import hashlib
 import json
 
 import numpy as np
 import pytest
 
-from fwflow.cli import _zigzag_table, main
+from fwflow.cli import _CONFIG_KEYS, _zigzag_table, build_parser, main
 from fwflow.problems import triangle
 from fwflow.solvers import StepSchedule
 from fwflow.tableau import builtin
@@ -174,13 +175,48 @@ def test_zigzag_table_shape(tmp_path):
 
 def test_zigzag_rows_labelled_by_tableau(tmp_path):
     runs = [
-        ("flow", StepSchedule(delta=0.5), None),
-        ("fw", StepSchedule(), None),
-        ("rk", StepSchedule(), builtin("midpoint")),
+        (StepSchedule(delta=0.5), None),
+        (StepSchedule(), None),
+        (StepSchedule(), builtin("midpoint")),
     ]
     path = _zigzag_table(tmp_path / "z.csv", triangle(), runs, (5,), 20.0)
     labels = [row.split(",")[0] for row in path.read_text().strip().split("\n")[1:]]
     assert labels == ["fw", "fw", "midpoint"]
+
+
+# SHA-256 of each zig-zag energy table the CLI writes
+@pytest.mark.parametrize(
+    "argv, name, digest",
+    [
+        (
+            ["preset", "fig2-top"],
+            "fig2_top_zigzag.csv",
+            "8f12f6a78b8caac98f677b43dac8fb7a964d10d02b6de970fd43963306b69e1b",
+        ),
+        (
+            ["preset", "fig2-bottom"],
+            "fig2_bottom_zigzag.csv",
+            "8efe19a4c115b736b0acdff7185a1d1c1cf2d8d64cb022a7a15596084a1939de",
+        ),
+        (
+            ["zigzag", "--problem", "logistic", "--T", "50"],
+            "zigzag.csv",
+            "5c142d96ab61dbf6155ec919f7a954302bb6ccfbbc050f2167e2294bb13aeb4e",
+        ),
+    ],
+    ids=["fig2-top", "fig2-bottom", "zigzag-logistic-T50"],
+)
+def test_zigzag_table_digest_pinned(tmp_path, capsys, argv, name, digest):
+    assert main([*argv, "--output-dir", str(tmp_path)]) == 0
+    assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
+
+
+def test_run_flags_are_the_config_keys():
+    # one flag per run setting, with no default or type of its own: _run_config owns both
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    flags = [a for a in sub.choices["run"]._actions if a.dest not in ("help", "output_dir")]
+    assert [a.dest for a in flags] == [key for key in _CONFIG_KEYS if key != "diagnostics"]
+    assert all(a.default is argparse.SUPPRESS and a.type is None for a in flags)
 
 
 def test_zigzag_has_no_method_option(tmp_path, capsys):
@@ -224,6 +260,9 @@ def _sweep_entry_with(**settings):
         ),
         (["run", "--method", "bogus"], None, 2, "error: unknown method 'bogus'"),
         (["run", "--delta", "0.1"], None, 2, "error: method 'fw' takes no step delta"),
+        (["run", "--tableau", "rk4"], None, 2, "error: method 'fw' takes no tableau"),
+        (["run", "--max-iter", "x"], None, 2, "error: max_iter must be a number, got 'x'"),
+        (["run", "--c", "x"], None, 2, "error: c must be a number, got 'x'"),
         (["zigzag", "--deltas", "a"], None, 2, "error: --deltas must be a number, got 'a'"),
         (["zigzag", "--windows", "5,a"], None, 2, "error: --windows must be a number, got 'a'"),
         *[
@@ -255,6 +294,12 @@ def _sweep_entry_with(**settings):
             "error: k_min must be a number, got 'x'",
         ),
         (["sweep"], [1], 2, "error: sweep config must be a JSON list of run configuration"),
+        (
+            ["sweep"],
+            _sweep_entry_with(method="fw+momentum", tableau="rk4"),
+            2,
+            "error: method 'fw+momentum' takes no tableau",
+        ),
         (
             ["sweep"],
             _sweep_entry_with(diagnostics=[1]),
@@ -358,6 +403,9 @@ def _sweep_entry_with(**settings):
         "overflow-mid-run",
         "unknown-method",
         "delta-without-flow",
+        "tableau-without-rk",
+        "run-max_iter-not-number",
+        "run-c-not-number",
         "zigzag-delta-not-number",
         "zigzag-window-not-number",
         "sweep-max_iter-not-number",
@@ -370,6 +418,7 @@ def _sweep_entry_with(**settings):
         "sweep-anchors-not-number",
         "sweep-k_min-not-number",
         "sweep-entry-not-object",
+        "sweep-tableau-without-rk",
         "sweep-diagnostics-not-object",
         "sweep-k_min-below-1",
         "sweep-anchor-past-max_iter",

@@ -47,14 +47,13 @@ class TestZigzagEnergy:
 class TestZigzagProtocol:
     def test_straight_line(self):
         xs = [(k, 0.0) for k in range(21)]
-        rep = zigzag_protocol(_synthetic_traj(xs), W=5, T=20.0)
-        assert rep.energy == 0.0
-        assert len(rep.per_window) == 4
+        per_window = zigzag_protocol(_synthetic_traj(xs), W=5, T=20.0)
+        assert per_window.mean() == 0.0
+        assert len(per_window) == 4
 
     def test_window_count(self):
         xs = [(float(k), 0.0) for k in range(101)]
-        rep = zigzag_protocol(_synthetic_traj(xs), W=20, T=100.0)
-        assert len(rep.per_window) == 5
+        assert len(zigzag_protocol(_synthetic_traj(xs), W=20, T=100.0)) == 5
 
     def test_too_short(self):
         xs = [(0.0,), (1.0,), (2.0,)]
