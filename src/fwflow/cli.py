@@ -34,11 +34,16 @@ def _out_dir(path_arg: str) -> Path:
 
 
 def _number(kind, value, key: str):
-    """kind(value); a value that is not a number is a ConfigError naming key."""
+    """kind(value) for a number or numeric string, integral if kind is int; else a ConfigError."""
     try:
-        return kind(value)
+        if isinstance(value, bool):
+            raise TypeError
+        number = kind(value) if isinstance(value, int) else float(value)
     except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"{key} must be a number, got {value!r}") from None
+    if kind is int and number % 1:  # a fractional part, or nan for nan and inf
+        raise ConfigError(f"{key} must be an integer, got {value!r}")
+    return kind(number)
 
 
 def _json(cfg: dict, key: str, kind: type, default=None):

@@ -89,6 +89,8 @@ class Box:
     dim: int = 1
 
     def __post_init__(self):
+        object.__setattr__(self, "lower", float(self.lower))
+        object.__setattr__(self, "upper", float(self.upper))
         if not self.lower < self.upper:
             raise ValueError("Box requires lower < upper")
         if self.dim < 1:
@@ -97,15 +99,14 @@ class Box:
     def lmo(self, gradient) -> np.ndarray:
         g = _check_gradient(self.dim, gradient)
         # sign(0) = +1 convention: zero coordinates pick the lower face
-        return np.where(g >= 0.0, self.lower, self.upper).astype(float)
+        return np.where(g >= 0.0, self.lower, self.upper)
 
     def violation(self, point) -> float:
         x = np.asarray(point, dtype=float).ravel()
         if x.shape[0] != self.dim:
             raise ValueError("point dimension does not match box dimension")
-        over = max(0.0, float((x - self.upper).max()))
-        under = max(0.0, float((self.lower - x).max()))
-        return max(over, under)
+        # rounding is monotone, so max(x) - upper is the largest x_i - upper, bit for bit
+        return max(0.0, float(x.max()) - self.upper, self.lower - float(x.min()))
 
     def diameter(self) -> float:
         return (self.upper - self.lower) * float(np.sqrt(self.dim))

@@ -107,18 +107,18 @@ def _stages(obj, fset, x, t: Tableau, coef):
     xi_i = coef(i, xbar_i, d_i) * d_i with d_i = s_i - xbar_i; the step is
     x + sum_i beta_i xi_i.
     """
-    xi = []
+    A, beta, xi = t.A.tolist(), t.beta.tolist(), []  # float * array rounds as np.float64 * array
     for i in range(t.q):
         xb = x.copy()
         for j in range(i):
-            if t.A[i, j] != 0.0:
-                xb = xb + t.A[i, j] * xi[j]
+            if A[i][j] != 0.0:
+                xb = xb + A[i][j] * xi[j]
         s = fset.lmo(obj.gradient(xb))
         d = s - xb
         xi.append(coef(i, xb, d) * d)
-    incr = t.beta[0] * xi[0]
+    incr = beta[0] * xi[0]
     for i in range(1, t.q):
-        incr = incr + t.beta[i] * xi[i]
+        incr = incr + beta[i] * xi[i]
     return x + incr
 
 
@@ -154,9 +154,9 @@ def rk_step(obj, fset, x, k: int, sched: StepSchedule, t: Tableau) -> np.ndarray
     if k < 1:
         raise ValueError("RK steps use schedule indices k >= 1")
     x = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise ValueError("iterate has non-finite entries")
-    gamma_tilde = _gammas(t, sched.c, k)
+    gamma_tilde = _gammas(t, sched.c, k).tolist()
     return _stages(obj, fset, x, t, lambda i, xb, d: gamma_tilde[i])
 
 
@@ -268,7 +268,7 @@ def run(
         elif method == "rk":
             x = rk_step(obj, fset, x, j + 1, sched, tableau)
         else:  # rk+linesearch: each stage takes the longer of gamma_tilde_i and a descent step
-            gammas = _gammas(tableau, sched.c, j + 1)
+            gammas = _gammas(tableau, sched.c, j + 1).tolist()
             rule = lambda i, xb, d: max(gammas[i], _descent_gamma(obj, xb, d, j))  # noqa: E731
             x = _stages(obj, fset, x, tableau, rule)
     n = j + 1  # rows recorded; fewer than max_iter + 1 when stop_gap ended the run

@@ -9,7 +9,9 @@ the feasible set whenever 0 <= z <= 1 componentwise for every k >= 1.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 from scipy.linalg import solve_triangular
@@ -81,17 +83,19 @@ def validate(t: Tableau) -> None:
     q = t.q
     if t.A.shape != (q, q) or t.omega.shape[0] != q:
         raise ConfigError("shape mismatch: A must be q x q and omega length q")
-    for name, entries in (("A", t.A), ("beta", t.beta), ("omega", t.omega)):
-        if not np.isfinite(entries).all():
-            at = tuple(int(i) for i in np.argwhere(~np.isfinite(entries))[0])
-            raise ConfigError(f"tableau entry {name}{list(at)} is {entries[at]}, must be finite")
-    if abs(float(t.beta.sum()) - 1.0) > 1e-12:
+    A, beta, omega = t.A.tolist(), t.beta.tolist(), t.omega.tolist()
+    if not all(map(math.isfinite, chain(*A, beta, omega))):
+        for name, values in (("A", t.A), ("beta", t.beta), ("omega", t.omega)):
+            if not np.isfinite(values).all():
+                at = tuple(int(i) for i in np.argwhere(~np.isfinite(values))[0])
+                raise ConfigError(f"tableau entry {name}{list(at)} is {values[at]}, must be finite")
+    if abs(float(t.beta.sum()) - 1.0) > 1e-12:  # numpy's pairwise order, not a Python sum
         raise ConfigError(f"beta sum is {t.beta.sum()!r}, must be 1")
-    if np.triu(t.A).any():
+    if any(any(row[i:]) for i, row in enumerate(A)):
         raise ConfigError("A is not strictly lower triangular")
-    if t.omega[0] != 0.0:
+    if omega[0] != 0.0:
         raise ConfigError("omega[0] must be 0")
-    if t.omega.min() < 0.0 or t.omega.max() > 1.0:
+    if min(omega) < 0.0 or max(omega) > 1.0:
         raise ConfigError("omega entries must lie in [0, 1]")
 
 

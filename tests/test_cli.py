@@ -390,6 +390,54 @@ def _sweep_entry_with(**settings):
             2,
             "error: unknown key 'c' in bound_compare",
         ),
+        (["run", "--max-iter", "5.7"], None, 2, "error: max_iter must be an integer, got '5.7'"),
+        (
+            ["zigzag", "--windows", "5,7.5"],
+            None,
+            2,
+            "error: --windows must be an integer, got '7.5'",
+        ),
+        (
+            ["sweep"],
+            _sweep_entry_with(max_iter=5.7),
+            2,
+            "error: max_iter must be an integer, got 5.7",
+        ),
+        (["sweep"], _sweep_entry_with(max_iter="5.7"), 2, "error: max_iter must be an integer"),
+        (["sweep"], _sweep_entry_with(seed=1.9), 2, "error: seed must be an integer, got 1.9"),
+        (
+            ["sweep"],
+            _sweep_entry_with(diagnostics={"zigzag": {"W": [5, 2.5]}}),
+            2,
+            "error: W must be an integer, got 2.5",
+        ),
+        (
+            ["sweep"],
+            _sweep_entry_with(diagnostics={"slope": {"k_min": 1.5}}),
+            2,
+            "error: k_min must be an integer, got 1.5",
+        ),
+        (
+            ["sweep"],
+            _sweep_entry_with(diagnostics={"lower_bound": {"anchors": [10, 10.5]}}),
+            2,
+            "error: anchors must be an integer, got 10.5",
+        ),
+        *[
+            (
+                ["sweep"],
+                _sweep_entry_with(**{key: True}),
+                2,
+                f"error: {key} must be a number, got True",
+            )
+            for key in ("max_iter", "c", "delta", "seed", "stop_gap")
+        ],
+        (
+            ["sweep"],
+            _sweep_entry_with(diagnostics={"zigzag": {"T": False}}),
+            2,
+            "error: T must be a number, got False",
+        ),
     ],
     ids=[
         "c-below-1",
@@ -436,6 +484,20 @@ def _sweep_entry_with(**settings):
         "sweep-unknown-diagnostic",
         "sweep-zigzag-unknown-key",
         "sweep-bound_compare-unknown-key",
+        "run-max_iter-fractional",
+        "zigzag-window-fractional",
+        "sweep-max_iter-fractional",
+        "sweep-max_iter-fractional-string",
+        "sweep-seed-fractional",
+        "sweep-zigzag-W-fractional",
+        "sweep-k_min-fractional",
+        "sweep-anchors-fractional",
+        "sweep-max_iter-bool",
+        "sweep-c-bool",
+        "sweep-delta-bool",
+        "sweep-seed-bool",
+        "sweep-stop_gap-bool",
+        "sweep-zigzag-T-bool",
     ],
 )
 def test_exit_code_contract(tmp_path, capsys, argv, doc, code, message):
@@ -449,6 +511,17 @@ def test_exit_code_contract(tmp_path, capsys, argv, doc, code, message):
     assert capsys.readouterr().err.startswith(message)
     if code == 2:
         assert not out.exists()
+
+
+@pytest.mark.parametrize("max_iter", [5, 5.0, "5", "5.0"])
+def test_integer_setting_takes_integral_spellings(tmp_path, max_iter):
+    config = tmp_path / "sweep.json"
+    config.write_text(json.dumps(_sweep_entry_with(max_iter=max_iter, output="a")))
+    assert main(["sweep", "--config", str(config), "--output-dir", str(tmp_path)]) == 0
+    assert main(["run", "--max-iter", str(max_iter), "--output", "b",
+                 "--output-dir", str(tmp_path)]) == 0
+    for stem in "ab":
+        assert len((tmp_path / f"{stem}.csv").read_text().splitlines()) == 1 + 6
 
 
 @pytest.mark.parametrize(

@@ -63,6 +63,37 @@ class TestLMO:
                 assert contains(fset, fset.lmo(g), tol=1e-9)
 
 
+def test_box_integer_bounds_give_float_atoms():
+    rng = np.random.default_rng(5)
+    for g in [np.zeros(3), [1.0, -2.0, -0.0], *rng.standard_normal((5, 3))]:
+        atom = Box(-1, 1, dim=3).lmo(g)
+        assert atom.dtype == np.float64
+        np.testing.assert_array_equal(atom, Box(-1.0, 1.0, dim=3).lmo(g))
+
+
+def _reference_box_violation(box, x):
+    """The box slack as two elementwise reductions, the independent side of the test."""
+    x = np.asarray(x, dtype=float).ravel()
+    over = max(0.0, float((x - box.upper).max()))
+    under = max(0.0, float((box.lower - x).max()))
+    return max(over, under)
+
+
+def test_box_violation_bit_identical_to_reference():
+    inf, nan = np.inf, np.nan
+    points = [
+        [-0.0, 0.0, 0.5], [1.0, -1.0, -0.0], [np.nextafter(1.0, 2.0), 0.0, -1.0],
+        [inf, 0.0, 0.0], [-inf, 0.0, 0.0], [inf, -inf, 0.3],
+        [nan, 0.0, 0.0], [nan, 2.0, -3.0], [-5.0, nan, inf],
+        [1e308, -1e308, 0.0], [5.0, -7.0, 0.3],
+        *np.random.default_rng(2).standard_normal((20, 3)) * 1e6,
+    ]
+    boxes = [Box(-1.0, 1.0, dim=3), Box(-1, 0, dim=3), Box(-0.0, 1e-3, dim=3), Box(0.25, 3, dim=3)]
+    for box in boxes:
+        for x in points:
+            assert box.violation(x).hex() == _reference_box_violation(box, x).hex()
+
+
 class TestContains:
     def test_triangle_interior(self):
         assert contains(TRIANGLE, [0.0, 0.5], tol=1e-9)

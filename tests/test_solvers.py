@@ -129,6 +129,18 @@ class TestSteps:
                     assert np.linalg.norm(xi_i) <= cap + 1e-9
 
 
+@pytest.mark.parametrize("builder", [scalar_box, triangle, sensing_logistic])
+@pytest.mark.parametrize("name", builtin_names())
+def test_rk_step_matches_reference(builder, name):
+    # the reference reads A, beta and gamma_tilde as numpy scalars; rk_step reads floats
+    p, t, sched = builder(), builtin(name), StepSchedule(c=2.0)
+    x = np.asarray(p.x0, dtype=float)
+    for k in range(1, 201):
+        args = (p.objective, p.feasible_set, x, k, sched, t)
+        x = rk_step(*args)
+        assert np.array_equal(x, _reference_rk_step(*args)[0])
+
+
 class TestGap:
     def test_zero_at_minimizer(self):
         assert fw_gap(HALF_SQUARE, BOX, [0.0]) == 0.0

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fwflow.tableau import (
+    ConfigError,
     Tableau,
     builtin,
     builtin_names,
@@ -33,6 +36,79 @@ class TestValidate:
         t = Tableau(A=[[0.0, 0.0], [0.5, 0.0]], beta=[0.0, 1.0], omega=[0.1, 0.5])
         with pytest.raises(ValueError, match="omega"):
             validate(t)
+
+
+def _reference_validate(t: Tableau) -> None:
+    """validate's checks as numpy reductions: the independent side of the property below."""
+    q = t.q
+    if t.A.shape != (q, q) or t.omega.shape[0] != q:
+        raise ConfigError("shape mismatch: A must be q x q and omega length q")
+    for name, entries in (("A", t.A), ("beta", t.beta), ("omega", t.omega)):
+        if not np.isfinite(entries).all():
+            at = tuple(int(i) for i in np.argwhere(~np.isfinite(entries))[0])
+            raise ConfigError(f"tableau entry {name}{list(at)} is {entries[at]}, must be finite")
+    if abs(float(t.beta.sum()) - 1.0) > 1e-12:
+        raise ConfigError(f"beta sum is {t.beta.sum()!r}, must be 1")
+    if np.triu(t.A).any():
+        raise ConfigError("A is not strictly lower triangular")
+    if t.omega[0] != 0.0:
+        raise ConfigError("omega[0] must be 0")
+    if t.omega.min() < 0.0 or t.omega.max() > 1.0:
+        raise ConfigError("omega entries must lie in [0, 1]")
+
+
+_FAULTS = ("none", "beta-sum", "non-finite", "upper-entry", "signed-zero-upper", "omega-first",
+           "omega-range", "shape")
+
+
+@st.composite
+def _tableaus(draw, fault):
+    """A valid tableau with q in 1..6, then the named fault injected."""
+    q = draw(st.integers(1, 6))
+    entry = st.floats(-2.0, 2.0) | st.sampled_from([0.0, -0.0])
+    A = np.zeros((q, q))
+    for i in range(q):
+        for j in range(i):
+            A[i, j] = draw(entry)
+    beta = draw(st.lists(st.floats(-1.0, 1.0), min_size=q - 1, max_size=q - 1))
+    beta.append(1.0 - float(np.sum(beta)))
+    omega = [0.0] + draw(st.lists(st.floats(0.0, 1.0), min_size=q - 1, max_size=q - 1))
+    arrays = {"A": A, "beta": np.array(beta), "omega": np.array(omega)}
+    if fault == "non-finite":
+        name = draw(st.sampled_from(["A", "beta", "omega"]))
+        at = tuple(draw(st.integers(0, n - 1)) for n in arrays[name].shape)
+        arrays[name][at] = draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+    elif fault in ("upper-entry", "signed-zero-upper"):
+        i = draw(st.integers(0, q - 1))
+        j = draw(st.integers(i, q - 1))
+        A[i, j] = -0.0 if fault == "signed-zero-upper" else draw(st.floats(-2.0, 2.0))
+    elif fault == "beta-sum":
+        arrays["beta"][-1] += draw(st.integers(8, 14)) * draw(st.sampled_from([1e-13, -1e-13]))
+    elif fault == "omega-first":
+        arrays["omega"][0] = draw(st.floats(-1.0, 2.0))
+    elif fault == "omega-range":
+        at = draw(st.integers(0, q - 1))
+        arrays["omega"][at] = draw(st.floats(-1.0, -1e-300) | st.floats(1.0, 3.0, exclude_min=True))
+    elif fault == "shape":  # A gains a column, or beta (so q) or omega an entry
+        name = draw(st.sampled_from(["A", "beta", "omega"]))
+        arrays[name] = np.hstack([arrays[name], np.zeros((q, 1)) if name == "A" else [0.0]])
+    return Tableau(**arrays)
+
+
+def _outcome(check, t: Tableau):
+    try:
+        check(t)
+    except ConfigError as e:
+        return str(e)
+    return None
+
+
+@pytest.mark.parametrize("fault", _FAULTS)
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(data=st.data())
+def test_validate_matches_reference(fault, data):
+    t = data.draw(_tableaus(fault))
+    assert _outcome(validate, t) == _outcome(_reference_validate, t)
 
 
 class TestBuiltins:
