@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import nnls
+from scipy.optimize._slsqplib import nnls as _nnls  # scipy.optimize.nnls minus its input checks
 
 __all__ = [
     "VertexHull",
@@ -32,7 +32,7 @@ def _check_gradient(set_dim: int, gradient: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"gradient dimension {g.shape[0]} does not match set dimension {set_dim}"
         )
-    if not np.isfinite(g).all():
+    if np.count_nonzero(np.isfinite(g)) != g.size:  # skips the Python wrapper of .all()
         raise ValueError("gradient has non-finite entries")
     return g
 
@@ -49,6 +49,8 @@ class VertexHull:
         v = np.atleast_2d(np.asarray(self.vertices, dtype=float))
         if v.shape[0] < 1:
             raise ValueError("VertexHull needs at least one vertex")
+        if not np.isfinite(v).all():
+            raise ValueError("VertexHull vertices must be finite")
         object.__setattr__(self, "vertices", v)
         object.__setattr__(self, "_nnls_system", np.vstack([v.T, np.ones(v.shape[0])]))
 
@@ -59,19 +61,24 @@ class VertexHull:
     def lmo(self, gradient) -> np.ndarray:
         g = _check_gradient(self.dim, gradient)
         # argmin returns the first (lowest-index) minimizer on ties
-        i = int(np.argmin(self.vertices @ g))
+        i = int((self.vertices @ g).argmin())
         return self.vertices[i].copy()
 
     def violation(self, point) -> float:
         x = np.asarray(point, dtype=float).ravel()
         if x.shape[0] != self.dim:
             raise ValueError("point dimension does not match hull dimension")
-        # Nonnegative least squares over vertex weights with a sum-to-one row;
-        # the residual is ~0 iff x is a convex combination of the vertices.
-        # nnls leaves its matrix unchanged, so the one built at construction
-        # serves every call.
-        target = np.concatenate([x, [1.0]])
-        _, resid = nnls(self._nnls_system, target)
+        if np.count_nonzero(np.isfinite(x)) != x.size:
+            raise ValueError("array must not contain infs or NaNs")
+        # Nonnegative least squares over vertex weights with a sum-to-one row, capped like
+        # scipy.optimize.nnls at 3 iterations per vertex; the residual is ~0 iff x is a convex
+        # combination of the vertices. nnls leaves the matrix built at construction unchanged.
+        target = np.empty(x.shape[0] + 1)
+        target[:-1] = x
+        target[-1] = 1.0
+        _, resid, info = _nnls(self._nnls_system, target, 3 * self.vertices.shape[0])
+        if info == 3:
+            raise RuntimeError("Maximum number of iterations reached.")
         return float(resid)
 
     def diameter(self) -> float:

@@ -39,8 +39,8 @@ class StepSchedule:
     delta: float = 1.0
 
     def __post_init__(self):
-        if self.c < 1:
-            raise ConfigError("schedule constant c must be >= 1")
+        if not 1 <= self.c < np.inf:  # false for nan too
+            raise ConfigError(f"schedule constant c must be >= 1 and finite, got {self.c}")
         if not 0.0 < self.delta <= 1.0:
             raise ConfigError("discretization unit delta must be in (0, 1]")
 
@@ -231,6 +231,8 @@ def run(
         raise ConfigError(f"unknown method {method!r}; choose from {METHODS}")
     if max_iter < 1:
         raise ConfigError("max_iter must be >= 1")
+    if np.isnan(stop_gap):
+        raise ConfigError("stop_gap must be a number, got nan")
     if sched.delta != 1.0 and method != "flow":
         raise ConfigError(f"method {method!r} takes no step delta; delta must be 1")
     if method.startswith("rk"):

@@ -438,6 +438,15 @@ def _sweep_entry_with(**settings):
             2,
             "error: T must be a number, got False",
         ),
+        (["run", "--c", "nan"], None, 2, "error: schedule constant c must be >= 1 and finite"),
+        (["run", "--c", "inf"], None, 2, "error: schedule constant c must be >= 1 and finite"),
+        (["run", "--stop-gap", "nan"], None, 2, "error: stop_gap must be a number, got nan"),
+        (  # json writes the float nan as the token NaN, which the sweep parser reads back
+            ["sweep"],
+            _sweep_entry_with(stop_gap=float("nan")),
+            2,
+            "error: stop_gap must be a number, got nan",
+        ),
     ],
     ids=[
         "c-below-1",
@@ -498,6 +507,10 @@ def _sweep_entry_with(**settings):
         "sweep-seed-bool",
         "sweep-stop_gap-bool",
         "sweep-zigzag-T-bool",
+        "run-c-nan",
+        "run-c-inf",
+        "run-stop-gap-nan",
+        "sweep-stop_gap-nan",
     ],
 )
 def test_exit_code_contract(tmp_path, capsys, argv, doc, code, message):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import nnls
 
 from fwflow.geometry import Box, L1Ball, NuclearBall, VertexHull, contains
@@ -143,6 +145,45 @@ class TestConstruction:
         with pytest.raises(ValueError):
             L1Ball(0.0, dim=2)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_hull_vertices_finite(self, bad):
+        # rejected when built, not on a later lmo or violation call
+        with pytest.raises(ValueError, match="VertexHull vertices must be finite"):
+            VertexHull([[0.0, 0.0], [1.0, bad]])
+
+
+_LMO_SETS = {
+    "hull": TRIANGLE,
+    "box": Box(-1.0, 1.0, dim=2),
+    "l1": L1Ball(3.0, dim=2),
+    "nuclear": NuclearBall(2.0, 1, 2),
+}
+
+
+@pytest.mark.parametrize("name", _LMO_SETS)
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_lmo_rejects_non_finite_gradient(name, bad):
+    for g in ([bad, 0.0], [1.0, bad], [bad, bad]):
+        with pytest.raises(ValueError, match="^gradient has non-finite entries$"):
+            _LMO_SETS[name].lmo(g)
+
+
+@pytest.mark.parametrize(
+    "g, atoms",
+    [
+        # the entries are finite even though their sum or sum of squares overflows
+        ([1e308, 1e308], {"hull": [-1.0, 0.0], "box": [-1.0, -1.0], "l1": [-3.0, 0.0]}),
+        ([1e308, -1e308], {"hull": [-1.0, 0.0], "box": [-1.0, 1.0], "l1": [-3.0, 0.0]}),
+        ([-1e308, -1e308], {"hull": [1.0, 0.0], "box": [1.0, 1.0], "l1": [3.0, 0.0]}),
+    ],
+)
+def test_lmo_accepts_finite_gradient_that_overflows(g, atoms):
+    for name, atom in atoms.items():
+        assert np.array_equal(_LMO_SETS[name].lmo(g), atom)
+    # the nuclear atom is -radius * g / |g| for a 1 x 2 gradient
+    expected = -2.0 * np.sign(g) / np.sqrt(2.0)
+    np.testing.assert_allclose(_LMO_SETS["nuclear"].lmo(g), expected, rtol=1e-15)
+
 
 def test_power_iteration_matches_svd():
     # force the power-iteration path with a 12x12 gradient
@@ -243,3 +284,58 @@ def test_hull_violation_bit_identical_to_reference():
         for _ in range(20):
             p = scale * rng.standard_normal(3)
             assert hull.violation(p) == _reference_hull_violation(hull.vertices, p)
+
+
+def _outcome(f, *args):
+    """f(*args) as a float's hex digits, or the type and message of what it raised."""
+    try:
+        return float(f(*args)).hex()
+    except (ValueError, RuntimeError) as exc:
+        return type(exc), str(exc)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(
+    n=st.integers(1, 6),
+    dim=st.integers(1, 4),
+    where=st.sampled_from(("inside", "vertex", "segment", "outside")),
+    data=st.data(),
+)
+def test_hull_violation_matches_public_nnls(n, dim, where, data):
+    # violation calls scipy's compiled NNLS core directly; a scipy whose core or
+    # its signature differs from the public nnls the reference goes through fails here
+    coord = st.floats(-10.0, 10.0, allow_nan=False)
+
+    def draw(elements, size):
+        return np.array(data.draw(st.lists(elements, min_size=size, max_size=size)))
+
+    vertices = np.array([draw(coord, dim) for _ in range(n)])
+    i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+    t = data.draw(st.floats(0.0, 1.0))
+    if where == "vertex":
+        point = vertices[i]
+    elif where == "segment":  # between two vertices, on the boundary when they span an edge
+        point = t * vertices[i] + (1.0 - t) * vertices[j]
+    else:
+        weights = draw(st.floats(0.01, 1.0), n)
+        point = weights @ vertices / weights.sum()
+        if where == "outside":
+            point = point + draw(coord, dim)
+    hull = VertexHull(vertices)
+    assert _outcome(hull.violation, point) == _outcome(_reference_hull_violation, vertices, point)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_hull_violation_rejects_non_finite_point(bad):
+    for point in ([bad, 0.0], [0.0, bad]):
+        with pytest.raises(ValueError, match="^array must not contain infs or NaNs$"):
+            TRIANGLE.violation(point)
+        # the message the public nnls gave before
+        with pytest.raises(ValueError, match="^array must not contain infs or NaNs$"):
+            _reference_hull_violation(TRIANGLE.vertices, np.array(point))
+
+
+def test_hull_violation_wrong_dimension():
+    for point in ([0.0], [0.0, 0.0, 0.0], [np.nan, 0.0, 0.0]):
+        with pytest.raises(ValueError, match="^point dimension does not match hull dimension$"):
+            TRIANGLE.violation(point)

@@ -21,7 +21,7 @@ from fwflow.solvers import (
     rk_step,
     run,
 )
-from fwflow.tableau import builtin, builtin_names
+from fwflow.tableau import ConfigError, builtin, builtin_names
 
 BOX = Box(-1.0, 1.0, dim=1)
 HALF_SQUARE = QuadraticDistance(target=[0.0])  # f(x) = x^2/2 in 1-D
@@ -64,6 +64,11 @@ class TestSchedule:
     def test_invalid_delta(self):
         with pytest.raises(ValueError):
             StepSchedule(delta=0.0)
+
+    @pytest.mark.parametrize("c", [np.nan, np.inf])
+    def test_non_finite_c(self, c):
+        with pytest.raises(ConfigError, match="must be >= 1 and finite"):
+            StepSchedule(c=c)
 
 
 class TestSteps:
@@ -320,6 +325,12 @@ class TestRun:
         p = triangle()
         with pytest.raises(ValueError):
             run(p.objective, p.feasible_set, p.x0, "rk", StepSchedule(), 5)
+
+    def test_nan_stop_gap_rejected(self):
+        # a nan stop_gap would silently turn the stop test off
+        p = triangle()
+        with pytest.raises(ConfigError, match="stop_gap must be a number, got nan"):
+            run(p.objective, p.feasible_set, p.x0, "fw", StepSchedule(), 5, stop_gap=np.nan)
 
     def test_stop_gap(self):
         p = triangle()
