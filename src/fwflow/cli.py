@@ -23,10 +23,28 @@ from . import diagnostics, problems, tableau as tableau_mod
 from .solvers import StepSchedule, run as run_solver
 from .tableau import ConfigError
 
-_CONFIG_KEYS = ("problem", "method", "c", "delta", "tableau", "tableau_file", "max_iter",
-                "stop_gap", "seed", "output", "diagnostics")
-_DIAGNOSTIC_KEYS = {"zigzag": ("W", "T"), "slope": ("k_min",), "lower_bound": ("anchors",),
-                    "bound_compare": ()}
+# Every setting, per subcommand (a sweep entry or preset job is a "run"): key ->
+# (kind, default) or (kind, default, least value). A kind [int] or [float] is a
+# list, comma-separated on the command line; a dict is a section, a JSON object
+# of its own keys. A range that a library ConfigError enforces is not restated.
+_SETTINGS = {
+    "run": {
+        "problem": (str, "triangle"), "method": (str, "fw"), "c": (float, 2.0),
+        "delta": (float, 1.0), "tableau": (str, None), "tableau_file": (str, None),
+        "max_iter": (int, 1000), "stop_gap": (float, 0.0), "seed": (int, 0, 0),
+        "output": (str, None),
+        "diagnostics": {"zigzag": {"W": ([int], [5]), "T": (float, 100.0)},
+                        "slope": {"k_min": (int, 100, 1)}, "bound_compare": {},
+                        "lower_bound": {"anchors": ([int], [10, 100, 1000])}},
+    },
+    "certify": {"tableau": (str, None), "tableau_file": (str, None), "c": (float, 2.0),
+                "k_max": (int, 10, 1)},
+    "bound": {"c": (float, 2.0), "t_max": (float, 50.0), "points": (int, 100, 1),
+              "output": (str, None)},
+    "zigzag": {"problem": (str, "logistic"), "c": (float, 2.0),
+               "deltas": ([float], [1.0, 0.1, 0.01]), "windows": ([int], [5, 20]),
+               "T": (float, 100.0), "seed": (int, 0, 0), "output": (str, None)},
+}
 
 
 def _out_dir(path_arg: str) -> Path:
@@ -46,21 +64,50 @@ def _number(kind, value, key: str):
     return kind(number)
 
 
-def _json(cfg: dict, key: str, kind: type, default=None):
-    """cfg.get(key, default), which must be a kind, or null if default is None."""
-    value = cfg.get(key, default)
-    if not isinstance(value, kind) and (value is not None or default is not None):
+def _of_kind(value, kind, key: str):
+    """value, which must be a kind: str, list or dict; else a ConfigError."""
+    if not isinstance(value, kind):
         names = {str: "a string", list: "a JSON list", dict: "a JSON object"}
         raise ConfigError(f"{key} must be {names[kind]}, got {value!r}")
     return value
 
 
-def _known_keys(cfg: dict, keys, where: str) -> dict:
-    """cfg, which must hold no key outside keys."""
+def _parse(table: dict, cfg: dict, where: str, flags: bool = False) -> dict:
+    """cfg's settings checked by table, a _SETTINGS entry; a message names a key, or its flag.
+
+    A setting left out takes its default, a section left out stays out, and a
+    str setting whose default is None may be null.
+    """
     for key in cfg:
-        if key not in keys:
-            raise ConfigError(f"unknown key {key!r} in {where}; choose from {sorted(keys)}")
-    return cfg
+        if key not in table:
+            raise ConfigError(f"unknown key {key!r} in {where}; choose from {sorted(table)}")
+    settings = {}
+    for key, entry in table.items():
+        name = "--" + key.replace("_", "-") if flags else key
+        if isinstance(entry, dict):
+            if key in cfg:
+                settings[key] = _parse(entry, _of_kind(cfg[key], dict, name), key)
+            continue
+        kind, default, *least = entry
+        value = cfg.get(key, default)
+        if isinstance(kind, list):
+            value = [_number(kind[0], v, name) for v in _of_kind(value, list, name)]
+        elif kind is not str:
+            value = _number(kind, value, name)
+        elif value is not None or default is not None:
+            _of_kind(value, str, name)
+        if least and value < least[0]:
+            raise ConfigError(f"{name} must be >= {least[0]}")
+        settings[key] = value
+    return settings
+
+
+def _flag_settings(args) -> dict:
+    """The settings of args.command from its flags; messages name the flag, but run's the key."""
+    table = _SETTINGS[args.command]
+    given = {key: value.split(",") if isinstance(table[key][0], list) else value
+             for key, value in vars(args).items() if key in table}
+    return _parse(table, given, args.command, flags=args.command != "run")
 
 
 def _build_problem(name: str, seed: int):
@@ -98,31 +145,17 @@ def _zigzag_rows(traj, label: str, windows, T: float) -> list:
     ]
 
 
-def _run_config(cfg: dict, out_dir: Path) -> list:
-    """Check every setting of one run configuration, run it, return the written paths."""
-    _known_keys(cfg, _CONFIG_KEYS, "run configuration")
-    seed = _number(int, cfg.get("seed", 0), "seed")
-    problem = _build_problem(_json(cfg, "problem", str, "triangle"), seed)
-    method = _json(cfg, "method", str, "fw")
-    c = _number(float, cfg.get("c", 2.0), "c")
-    sched = StepSchedule(c=c, delta=_number(float, cfg.get("delta", 1.0), "delta"))
-    tab = _load_tableau(_json(cfg, "tableau", str), _json(cfg, "tableau_file", str))
-    max_iter = _number(int, cfg.get("max_iter", 1000), "max_iter")
-    stop_gap = _number(float, cfg.get("stop_gap", 0.0), "stop_gap")
-    stem = _json(cfg, "output", str) or f"{problem.name}_{method.replace('+', '_')}"
-    diag = _known_keys(_json(cfg, "diagnostics", dict, {}), _DIAGNOSTIC_KEYS, "diagnostics")
-    zigzag, slope, lower, _ = (
-        _known_keys(_json(diag, name, dict, {}), keys, name)
-        for name, keys in _DIAGNOSTIC_KEYS.items()
-    )
-    windows = [_number(int, W, "W") for W in _json(zigzag, "W", list, [5])]
-    T = _number(float, zigzag.get("T", 100.0), "T")
-    for W in windows:
-        diagnostics.check_zigzag_settings(W, T)
-    k_min = _number(int, slope.get("k_min", 100), "k_min")
-    if k_min < 1:
-        raise ConfigError("k_min must be >= 1")
-    anchors = [_number(int, a, "anchors") for a in _json(lower, "anchors", list, [10, 100, 1000])]
+def _run_config(s: dict, out_dir: Path) -> list:
+    """Check what _parse cannot in one run's settings s, run it, return the written paths."""
+    problem = _build_problem(s["problem"], s["seed"])
+    method, max_iter = s["method"], s["max_iter"]
+    sched = StepSchedule(c=s["c"], delta=s["delta"])
+    tab = _load_tableau(s["tableau"], s["tableau_file"])
+    stem = s["output"] or f"{problem.name}_{method.replace('+', '_')}"
+    diag = s.get("diagnostics", {})
+    anchors = diag.get("lower_bound", {}).get("anchors", ())
+    for W in diag.get("zigzag", {}).get("W", ()):
+        diagnostics.check_zigzag_settings(W, diag["zigzag"]["T"])
     if "lower_bound" in diag and np.shape(problem.x0) != (1,):
         raise ConfigError("lower_bound diagnostic needs a problem with a scalar x0")
     if "lower_bound" in diag and not all(0 <= a <= max_iter for a in anchors):
@@ -131,17 +164,18 @@ def _run_config(cfg: dict, out_dir: Path) -> list:
         if name in diag and problem.f_star is None:
             raise ConfigError(f"{name} diagnostic needs a problem with known optimum")
     traj = run_solver(problem.objective, problem.feasible_set, problem.x0, method, sched,
-                      max_iter, stop_gap=stop_gap, tableau=tab)
+                      max_iter, stop_gap=s["stop_gap"], tableau=tab)
     out_dir.mkdir(parents=True, exist_ok=True)
     written = [out_dir / f"{stem}.csv"]
     traj.to_csv(written[0])
 
     if "zigzag" in diag:
-        rows = _zigzag_rows(traj, method, windows, T)
+        rows = _zigzag_rows(traj, method, diag["zigzag"]["W"], diag["zigzag"]["T"])
         written.append(_write_rows(out_dir / f"{stem}_zigzag.csv", [_ZIGZAG_HEADER] + rows))
     if "slope" in diag:
-        s = diagnostics.slope_fit(traj, problem.f_star, k_min)
-        rows = ["k_min,slope", f"{k_min},{s:.17g}"]
+        k_min = diag["slope"]["k_min"]
+        slope = diagnostics.slope_fit(traj, problem.f_star, k_min)
+        rows = ["k_min,slope", f"{k_min},{slope:.17g}"]
         written.append(_write_rows(out_dir / f"{stem}_slope.csv", rows))
     if "lower_bound" in diag:
         vals = diagnostics.lower_bound_probe(traj, anchors)
@@ -152,16 +186,14 @@ def _run_config(cfg: dict, out_dir: Path) -> list:
         rows = ["t,normalized_error,bound"]
         for t, f in zip(traj.t.tolist(), traj.f.tolist()):
             norm_err = (f - problem.f_star) / h0
-            rows.append(
-                f"{t:.17g},{norm_err:.17g},{diagnostics.continuous_bound(sched.c, t):.17g}"
-            )
+            cb = diagnostics.continuous_bound(sched.c, t)
+            rows.append(f"{t:.17g},{norm_err:.17g},{cb:.17g}")
         written.append(_write_rows(out_dir / f"{stem}_bound.csv", rows))
     return written
 
 
 def _cmd_run(args) -> int:
-    cfg = {key: value for key, value in vars(args).items() if key in _CONFIG_KEYS}
-    for p in _run_config(cfg, _out_dir(args.output_dir)):
+    for p in _run_config(_flag_settings(args), _out_dir(args.output_dir)):
         print(p)
     return 0
 
@@ -172,37 +204,36 @@ def _cmd_sweep(args) -> int:
         raise ConfigError("sweep config must be a JSON list of run configuration objects")
     out_dir = _out_dir(args.output_dir)
     for cfg in doc:
-        for p in _run_config(cfg, out_dir):
+        for p in _run_config(_parse(_SETTINGS["run"], cfg, "run configuration"), out_dir):
             print(p)
     return 0
 
 
 def _cmd_certify(args) -> int:
-    t = _load_tableau(args.tableau, args.tableau_file)
+    s = _flag_settings(args)
+    t = _load_tableau(s["tableau"], s["tableau_file"])
     if t is None:
         raise ConfigError("certify needs a tableau name or --tableau-file")
-    if args.k_max < 1:
-        raise ConfigError("--k-max must be >= 1")
+    # every certificate before the header, so a bad c prints nothing
+    certs = [tableau_mod.certificate(t, s["c"], k) for k in range(1, s["k_max"] + 1)]
     print("k," + ",".join(f"z{i + 1}" for i in range(t.q)) + ",z_inf")
-    for k in range(1, args.k_max + 1):
-        cert = tableau_mod.certificate(t, args.c, k)
+    for cert in certs:
         zs = ",".join(f"{v:.4f}" for v in cert.z)
-        print(f"{k},{zs},{np.max(np.abs(cert.z)):.4f}")
+        print(f"{cert.k},{zs},{np.max(np.abs(cert.z)):.4f}")
     return 0
 
 
 def _cmd_bound(args) -> int:
-    if args.points < 1:
-        raise ConfigError("--points must be >= 1")
-    sched = StepSchedule(c=args.c)
+    s = _flag_settings(args)
+    sched = StepSchedule(c=s["c"])
     lines = ["t,continuous_bound,schedule_bound"]
-    for i in range(args.points + 1):
-        t = args.t_max * i / args.points
+    for i in range(s["points"] + 1):
+        t = s["t_max"] * i / s["points"]
         cb = diagnostics.continuous_bound(sched.c, t)
         sb = diagnostics.schedule_bound(sched.gamma, t)
         lines.append(f"{t:.17g},{cb:.17g},{sb:.17g}")
-    if args.output:
-        print(_write_rows(_out_dir(args.output_dir) / args.output, lines))
+    if s["output"]:
+        print(_write_rows(_out_dir(args.output_dir) / s["output"], lines))
     else:
         sys.stdout.write("\n".join(lines) + "\n")
     return 0
@@ -227,25 +258,23 @@ def _zigzag_table(path: Path, problem, runs, windows, T: float) -> Path:
 
 
 def _cmd_zigzag(args) -> int:
-    out_dir = _out_dir(args.output_dir)
-    deltas = [_number(float, d, "--deltas") for d in args.deltas.split(",")]
-    windows = [_number(int, w, "--windows") for w in args.windows.split(",")]
-    runs = [(StepSchedule(c=args.c, delta=d), None) for d in deltas]
-    problem = _build_problem(args.problem, args.seed)
-    print(_zigzag_table(out_dir / (args.output or "zigzag.csv"), problem, runs, windows, args.T))
+    s = _flag_settings(args)
+    runs = [(StepSchedule(c=s["c"], delta=d), None) for d in s["deltas"]]
+    problem = _build_problem(s["problem"], s["seed"])
+    path = _out_dir(args.output_dir) / (s["output"] or "zigzag.csv")
+    print(_zigzag_table(path, problem, runs, s["windows"], s["T"]))
     return 0
 
 
 # ---------------------------------------------------------------------------
-# presets: each is a list of jobs. A dict is a _run_config configuration; a
-# tuple (output, runs, windows) is a _zigzag_table on the seed-0 logistic
-# problem over T = 100.
+# presets: each is a list of jobs. A dict is a run configuration, whose left-out
+# settings take their _SETTINGS defaults; a tuple (output, runs, windows) is a
+# _zigzag_table on the seed-0 logistic problem over T = 100.
 
 _PRESETS = {
     # continuous flow vs discrete FW on the triangle, several c and delta
     "fig1": [
         {
-            "problem": "triangle",
             "method": "fw" if delta is None else "flow",
             "c": c,
             "delta": delta or 1.0,
@@ -279,10 +308,7 @@ _PRESETS = {
     # triangle problem: plain, line-search, and momentum variants
     "fig3": [
         {
-            "problem": "triangle",
             "method": method,
-            "c": 2.0,
-            "max_iter": 1000,
             "tableau": "rk4" if method.startswith("rk") else None,
             "output": f"fig3_{method.replace('+', '_')}",
         }
@@ -293,11 +319,10 @@ _PRESETS = {
         {
             "problem": "scalar_box",
             "method": "fw" if tab is None else "rk",
-            "c": 2.0,
             "max_iter": 10000,
             "tableau": tab,
             "output": f"lower_bound_{tab or 'fw'}",
-            "diagnostics": {"lower_bound": {"anchors": [10, 100, 1000]}},
+            "diagnostics": {"lower_bound": {}},
         }
         for tab in [None] + [n for n in tableau_mod.builtin_names() if n != "euler"]
     ],
@@ -306,16 +331,13 @@ _PRESETS = {
         {
             "problem": "sensing",
             "method": "fw" if tab is None else "rk",
-            "c": 2.0,
             "max_iter": 500,
-            "seed": 0,
             "tableau": tab,
             "output": f"sensing_{tab or 'fw'}",
         }
         for tab in (None, "midpoint", "rk4")
     ],
 }
-PRESET_NAMES = tuple(_PRESETS)
 
 
 def _cmd_preset(args) -> int:
@@ -324,7 +346,7 @@ def _cmd_preset(args) -> int:
     out_dir = _out_dir(args.output_dir)
     for job in _PRESETS[args.name]:
         if isinstance(job, dict):
-            _run_config(job, out_dir)
+            _run_config(_parse(_SETTINGS["run"], job, "run configuration"), out_dir)
         else:
             output, runs, windows = job
             _zigzag_table(out_dir / output, _build_problem("logistic", 0), runs, windows, 100.0)
@@ -336,52 +358,27 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="fwflow", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--output-dir", default=".", help="directory for CSV outputs")
+    def add(command, func, summary, positional=None, output_dir=True):
+        p = sub.add_parser(command, help=summary)
+        for key, entry in _SETTINGS.get(command, {}).items():
+            if isinstance(entry, tuple):  # _parse holds every default and kind
+                flag = key if key == positional else "--" + key.replace("_", "-")
+                p.add_argument(flag, nargs="?" if key == positional else None,
+                               default=argparse.SUPPRESS)
+        if output_dir:
+            p.add_argument("--output-dir", default=".", help="directory for CSV outputs")
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("run", help="run one solver configuration")
-    for key in _CONFIG_KEYS:  # _run_config holds every default and parses every value
-        if key != "diagnostics":
-            p.add_argument("--" + key.replace("_", "-"), default=argparse.SUPPRESS)
-    common(p)
-    p.set_defaults(func=_cmd_run)
-
-    p = sub.add_parser("sweep", help="run a JSON list of configurations")
-    p.add_argument("--config", required=True)
-    common(p)
-    p.set_defaults(func=_cmd_sweep)
-
-    p = sub.add_parser("certify", help="print feasibility certificates z^(k)")
-    p.add_argument("tableau", nargs="?", default=None)
-    p.add_argument("--tableau-file", default=None)
-    p.add_argument("--c", type=float, default=2.0)
-    p.add_argument("--k-max", type=int, default=10)
-    p.set_defaults(func=_cmd_certify)
-
-    p = sub.add_parser("bound", help="tabulate the continuous-rate bound")
-    p.add_argument("--c", type=float, default=2.0)
-    p.add_argument("--t-max", type=float, default=50.0)
-    p.add_argument("--points", type=int, default=100)
-    p.add_argument("--output", default=None)
-    common(p)
-    p.set_defaults(func=_cmd_bound)
-
-    p = sub.add_parser("zigzag", help="zig-zag energy of the flow over deltas, rows labelled fw")
-    p.add_argument("--problem", default="logistic")
-    p.add_argument("--c", type=float, default=2.0)
-    p.add_argument("--deltas", default="1,0.1,0.01")
-    p.add_argument("--windows", default="5,20")
-    p.add_argument("--T", type=float, default=100.0)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--output", default=None)
-    common(p)
-    p.set_defaults(func=_cmd_zigzag)
-
-    p = sub.add_parser("preset", help=f"run a named preset: {', '.join(PRESET_NAMES)}")
-    p.add_argument("name")
-    common(p)
-    p.set_defaults(func=_cmd_preset)
-
+    add("run", _cmd_run, "run one solver configuration")
+    add("sweep", _cmd_sweep, "run a JSON list of configurations").add_argument(
+        "--config", required=True)
+    add("certify", _cmd_certify, "print feasibility certificates z^(k)", positional="tableau",
+        output_dir=False)
+    add("bound", _cmd_bound, "tabulate the continuous-rate bound")
+    add("zigzag", _cmd_zigzag, "zig-zag energy of the flow over deltas, rows labelled fw")
+    add("preset", _cmd_preset, f"run a named preset: {', '.join(_PRESETS)}").add_argument(
+        "name")
     return parser
 
 

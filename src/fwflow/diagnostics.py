@@ -9,7 +9,7 @@ import math
 import numpy as np
 from scipy.integrate import quad
 
-from .tableau import ConfigError
+from .tableau import ConfigError, _check_c
 
 __all__ = [
     "zigzag_energy",
@@ -50,11 +50,11 @@ def zigzag_energy(points) -> float:
 
 
 def check_zigzag_settings(W: int, T: float) -> None:
-    """Raise ConfigError unless the window size W >= 2 and the time span T > 0."""
+    """Raise ConfigError unless the window size W >= 2 and the time span T > 0 is finite."""
     if W < 2:
         raise ConfigError("window size W must be >= 2")
-    if not T > 0:
-        raise ConfigError("time span T must be positive")
+    if not 0 < T < math.inf:  # false for nan too
+        raise ConfigError(f"time span T must be positive and finite, got {T}")
 
 
 def zigzag_protocol(traj, W: int, T: float) -> np.ndarray:
@@ -75,12 +75,11 @@ def zigzag_protocol(traj, W: int, T: float) -> np.ndarray:
 def continuous_bound(c: float, t: float) -> float:
     """Normalized error bound (c/(c+t))^c of the continuous flow.
 
-    Raises ConfigError for c < 1 or t < 0.
+    Raises ConfigError unless c >= 1 and t >= 0, both finite.
     """
-    if c < 1:
-        raise ConfigError("schedule constant c must be >= 1")
-    if t < 0:
-        raise ConfigError("time must be >= 0")
+    _check_c(c)
+    if not 0 <= t < math.inf:  # false for nan too
+        raise ConfigError(f"time must be >= 0 and finite, got {t}")
     return (c / (c + t)) ** c
 
 

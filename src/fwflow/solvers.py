@@ -15,7 +15,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .tableau import ConfigError, Tableau, _gammas, validate
+from .tableau import ConfigError, Tableau, _check_c, _gammas, validate
 
 __all__ = [
     "StepSchedule",
@@ -39,8 +39,7 @@ class StepSchedule:
     delta: float = 1.0
 
     def __post_init__(self):
-        if not 1 <= self.c < np.inf:  # false for nan too
-            raise ConfigError(f"schedule constant c must be >= 1 and finite, got {self.c}")
+        _check_c(self.c)
         if not 0.0 < self.delta <= 1.0:
             raise ConfigError("discretization unit delta must be in (0, 1]")
 

@@ -167,6 +167,11 @@ class Certificate:
     in_unit_interval: bool
 
 
+def _check_c(c: float) -> None:  # the one check of every schedule constant c
+    if not 1 <= c < math.inf:  # false for nan too
+        raise ConfigError(f"schedule constant c must be >= 1 and finite, got {c}")
+
+
 def _gammas(t: Tableau, c: float, k: int) -> np.ndarray:
     return c / (c + k + t.omega)
 
@@ -180,8 +185,7 @@ def _solve_mixing(t: Tableau, gammas: np.ndarray, rhs: np.ndarray) -> np.ndarray
 def certificate(t: Tableau, c: float, k: int) -> Certificate:
     """Compute z = q Gamma (I + A^T Gamma)^(-1) beta for one iteration index."""
     validate(t)
-    if c < 1:
-        raise ConfigError("schedule constant c must be >= 1")
+    _check_c(c)
     if k < 1:
         raise ValueError("certificate is defined for k >= 1")
     gammas = _gammas(t, c, k)

@@ -1,11 +1,17 @@
 import argparse
+import contextlib
 import hashlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fwflow.cli import _CONFIG_KEYS, _zigzag_table, build_parser, main
+from fwflow.cli import _SETTINGS, _zigzag_table, build_parser, main
 from fwflow.problems import triangle
 from fwflow.solvers import StepSchedule
 from fwflow.tableau import builtin
@@ -212,11 +218,13 @@ def test_zigzag_table_digest_pinned(tmp_path, capsys, argv, name, digest):
 
 
 def test_run_flags_are_the_config_keys():
-    # one flag per run setting, with no default or type of its own: _run_config owns both
+    # one flag per setting in _SETTINGS, with no default or type of its own: _parse owns both
     sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
-    flags = [a for a in sub.choices["run"]._actions if a.dest not in ("help", "output_dir")]
-    assert [a.dest for a in flags] == [key for key in _CONFIG_KEYS if key != "diagnostics"]
-    assert all(a.default is argparse.SUPPRESS and a.type is None for a in flags)
+    for command in ("run", "certify", "bound", "zigzag"):
+        flags = [a for a in sub.choices[command]._actions if a.dest not in ("help", "output_dir")]
+        table = _SETTINGS[command]
+        assert [a.dest for a in flags] == [k for k, v in table.items() if isinstance(v, tuple)]
+        assert all(a.default is argparse.SUPPRESS and a.type is None for a in flags)
 
 
 def test_zigzag_has_no_method_option(tmp_path, capsys):
@@ -447,6 +455,19 @@ def _sweep_entry_with(**settings):
             2,
             "error: stop_gap must be a number, got nan",
         ),
+        (["zigzag", "--T", "inf"], None, 2, "error: time span T must be positive and finite"),
+        (
+            ["sweep"],
+            _sweep_entry_with(problem="logistic", diagnostics={"zigzag": {"T": float("inf")}}),
+            2,
+            "error: time span T must be positive and finite",
+        ),
+        (["bound", "--t-max", "nan"], None, 2, "error: time must be >= 0 and finite, got nan"),
+        (["bound", "--t-max", "inf"], None, 2, "error: time must be >= 0 and finite, got nan"),
+        (["run", "--problem", "sensing", "--seed", "-1"], None, 2, "error: seed must be >= 0"),
+        (["sweep"], _sweep_entry_with(seed=-3), 2, "error: seed must be >= 0"),
+        (["zigzag", "--seed", "-1"], None, 2, "error: --seed must be >= 0"),
+        (["zigzag", "--T", "x"], None, 2, "error: --T must be a number, got 'x'"),
     ],
     ids=[
         "c-below-1",
@@ -511,6 +532,14 @@ def _sweep_entry_with(**settings):
         "run-c-inf",
         "run-stop-gap-nan",
         "sweep-stop_gap-nan",
+        "zigzag-T-inf",
+        "sweep-zigzag-T-inf",
+        "bound-t_max-nan",
+        "bound-t_max-inf",
+        "run-seed-negative",
+        "sweep-seed-negative",
+        "zigzag-seed-negative",
+        "zigzag-T-not-number",
     ],
 )
 def test_exit_code_contract(tmp_path, capsys, argv, doc, code, message):
@@ -537,6 +566,52 @@ def test_integer_setting_takes_integral_spellings(tmp_path, max_iter):
         assert len((tmp_path / f"{stem}.csv").read_text().splitlines()) == 1 + 6
 
 
+def _table_settings(table, section=()):
+    """(section path, key, entry) for every setting and section of a _SETTINGS table."""
+    for key, entry in table.items():
+        yield section, key, entry
+        if isinstance(entry, dict):
+            yield from _table_settings(entry, section + (key,))
+
+
+def _rejected_values(entry):
+    """JSON values of the wrong kind, fractional, boolean or below the least value."""
+    if isinstance(entry, dict):
+        return [5, [1], "x", None]
+    kind, default, *least = entry
+    if kind is str:
+        return [5, ["a"], True]
+    if isinstance(kind, list):
+        return [5, "5", ["x"], [True]] + ([[2.5]] if kind[0] is int else [])
+    fractional = [2.5, "2.5"] if kind is int else []
+    return ["x", [1], None, True, False] + fractional + [bound - 1 for bound in least]
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(
+    setting=st.sampled_from(list(_table_settings(_SETTINGS["run"]))),
+    pick=st.integers(min_value=0),
+    max_iter=st.sampled_from([5, 5.0, "5", "5.0"]),
+)
+def test_sweep_entry_rejects_each_bad_setting(setting, pick, max_iter):
+    # one bad value anywhere in a valid entry: exit 2 naming its key, before any output
+    section, key, entry = setting
+    values = _rejected_values(entry)
+    change = {key: values[pick % len(values)]}
+    for name in reversed(section):
+        change = {name: change}
+    valid = {"problem": "triangle", "max_iter": max_iter}
+    with tempfile.TemporaryDirectory() as tmp:
+        config, out, err = Path(tmp) / "sweep.json", Path(tmp) / "out", io.StringIO()
+        for cfg, code in (({**valid, **change}, 2), (valid, 0)):
+            config.write_text(json.dumps([cfg]))
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                assert main(["sweep", "--config", str(config), "--output-dir", str(out)]) == code
+            assert out.exists() == (code == 0)
+        assert err.getvalue().startswith(f"error: {key} must be ")
+        assert len((out / "triangle_fw.csv").read_text().splitlines()) == 1 + 6
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
@@ -559,8 +634,19 @@ def test_diagnostic_settings_exit_2(tmp_path, capsys, argv, message):
         (["bound", "--points", "0"], "error: --points must be >= 1"),
         (["bound", "--points", "-1"], "error: --points must be >= 1"),
         (["certify", "rk4", "--k-max", "0"], "error: --k-max must be >= 1"),
+        *[
+            (["certify", "rk4", "--c", c], "error: schedule constant c must be >= 1 and finite")
+            for c in ("0.5", "nan", "inf")
+        ],
     ],
-    ids=["bound-points-0", "bound-points-negative", "certify-k-max-0"],
+    ids=[
+        "bound-points-0",
+        "bound-points-negative",
+        "certify-k-max-0",
+        "certify-c-below-1",
+        "certify-c-nan",
+        "certify-c-inf",
+    ],
 )
 def test_count_below_1_exits_2(capsys, argv, message):
     assert main(argv) == 2
