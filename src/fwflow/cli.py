@@ -203,8 +203,9 @@ def _cmd_sweep(args) -> int:
     if not isinstance(doc, list) or not all(isinstance(cfg, dict) for cfg in doc):
         raise ConfigError("sweep config must be a JSON list of run configuration objects")
     out_dir = _out_dir(args.output_dir)
-    for cfg in doc:
-        for p in _run_config(_parse(_SETTINGS["run"], cfg, "run configuration"), out_dir):
+    entries = [_parse(_SETTINGS["run"], cfg, "run configuration") for cfg in doc]
+    for s in entries:  # every entry parsed before the first runs
+        for p in _run_config(s, out_dir):
             print(p)
     return 0
 
@@ -225,6 +226,8 @@ def _cmd_certify(args) -> int:
 
 def _cmd_bound(args) -> int:
     s = _flag_settings(args)
+    if not 0 <= s["t_max"] < np.inf:  # before sampling, whose first time would be 0 * inf
+        raise ConfigError(f"--t-max must be >= 0 and finite, got {s['t_max']}")
     sched = StepSchedule(c=s["c"])
     lines = ["t,continuous_bound,schedule_bound"]
     for i in range(s["points"] + 1):

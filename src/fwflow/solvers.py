@@ -2,9 +2,11 @@
 line-search and momentum variants, plus the driver loop.
 
 Every update is the mix x + coefficient * (target - x), written once in
-``_mix``, and every Runge-Kutta step runs the one stage loop ``_stages``, so
-the Euler tableau, the plain FW step and the unit-step flow step produce
-bit-identical iterates.
+``_mix``. FW, the flow and the Runge-Kutta methods are one ``step``: a
+tableau's stage loop ``_stages`` run from time t with the one schedule rule
+``tableau._gammas``. The flow is the Euler tableau from t = 0, FW is the flow
+at delta = 1, and ``run`` takes their one-stage step as a single ``_mix``,
+bit for bit.
 """
 
 from __future__ import annotations
@@ -20,9 +22,7 @@ from .tableau import ConfigError, Tableau, _check_c, _gammas, validate
 __all__ = [
     "StepSchedule",
     "Trajectory",
-    "fw_step",
-    "flow_step",
-    "rk_step",
+    "step",
     "fw_gap",
     "momentum_step",
     "run",
@@ -121,42 +121,22 @@ def _stages(obj, fset, x, t: Tableau, coef):
     return x + incr
 
 
-def _checked_fw_mix(obj, fset, x, coef) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    if fset.violation(x) > FEASIBILITY_TOL:
-        raise ValueError("iterate is outside the feasible set")
-    return _mix(x, fset.lmo(obj.gradient(x)), coef)
+def step(obj, fset, x, t: float, sched: StepSchedule, tableau: Tableau) -> np.ndarray:
+    """One step of tableau from x at time t >= 0, of length sched.delta; returns x_next.
 
-
-def fw_step(obj, fset, x, k: int, sched: StepSchedule) -> np.ndarray:
-    """One vanilla Frank-Wolfe step: mix the LMO vertex in with weight gamma(k)."""
-    return _checked_fw_mix(obj, fset, x, sched.gamma(k))
-
-
-def flow_step(obj, fset, x, t: float, sched: StepSchedule) -> np.ndarray:
-    """Euler step of the continuous flow: x + delta * gamma(t) * (s - x).
-
-    gamma is evaluated at the left endpoint of the time step. With delta = 1
-    and t = k this is exactly ``fw_step``.
+    Stage i of ``_stages`` scales its direction by delta c/(c + t + omega_i delta).
+    The Euler tableau at t = k * delta is the flow's step, and at delta = 1 FW's;
+    ``run`` starts rk at t = 1. Feasibility is not checked, since an RK step may
+    start outside the set.
     """
-    return _checked_fw_mix(obj, fset, x, sched.delta * sched.gamma(t))
-
-
-def rk_step(obj, fset, x, k: int, sched: StepSchedule, t: Tableau) -> np.ndarray:
-    """One generalized Runge-Kutta multistep update.
-
-    Stages run in order; stage i evaluates the LMO at
-    xbar_i = x + sum_j A_ij xi_j and scales the direction by
-    gamma_tilde_i = c/(c+k+omega_i). Returns x_next.
-    """
-    validate(t)
-    if k < 1:
-        raise ValueError("RK steps use schedule indices k >= 1")
+    validate(tableau)
+    if not 0 <= t < np.inf:  # false for nan too
+        raise ValueError(f"step time t must be >= 0 and finite, got {t}")
     x = np.asarray(x, dtype=float)
     if not np.isfinite(x).all():
         raise ValueError("iterate has non-finite entries")
-    gamma_tilde = _gammas(t, sched.c, k).tolist()
-    return _stages(obj, fset, x, t, lambda i, xb, d: gamma_tilde[i])
+    gammas = _gammas(tableau, sched.c, t, sched.delta)
+    return _stages(obj, fset, x, tableau, lambda i, xb, d: gammas[i])
 
 
 def fw_gap(obj, fset, x) -> float:
@@ -220,11 +200,11 @@ def run(
 ) -> Trajectory:
     """Drive one solver over max_iter steps, recording every iterate.
 
-    RK schedule indices start at k = 1; everything else starts at k = 0.
+    rk steps from time t = 1; everything else starts at t = 0 (index k = 0).
     Stops early once fw_gap <= stop_gap (stop_gap = 0 disables the check).
     Feasibility is monitored (recorded per step), never enforced. Settings
     are checked before the first step; a bad one raises ConfigError. Only
-    the flow takes a step delta other than 1.
+    the flow and rk take a step delta other than 1.
     """
     if method not in METHODS:
         raise ConfigError(f"unknown method {method!r}; choose from {METHODS}")
@@ -232,7 +212,7 @@ def run(
         raise ConfigError("max_iter must be >= 1")
     if np.isnan(stop_gap):
         raise ConfigError("stop_gap must be a number, got nan")
-    if sched.delta != 1.0 and method != "flow":
+    if sched.delta != 1.0 and method not in ("flow", "rk"):
         raise ConfigError(f"method {method!r} takes no step delta; delta must be 1")
     if method.startswith("rk"):
         if tableau is None:
@@ -267,9 +247,9 @@ def run(
             m = _momentum(m, g, j)
             x = _mix(x, fset.lmo(m), sched.gamma(j))
         elif method == "rk":
-            x = rk_step(obj, fset, x, j + 1, sched, tableau)
+            x = step(obj, fset, x, 1 + j * sched.delta, sched, tableau)
         else:  # rk+linesearch: each stage takes the longer of gamma_tilde_i and a descent step
-            gammas = _gammas(tableau, sched.c, j + 1).tolist()
+            gammas = _gammas(tableau, sched.c, j + 1)
             rule = lambda i, xb, d: max(gammas[i], _descent_gamma(obj, xb, d, j))  # noqa: E731
             x = _stages(obj, fset, x, tableau, rule)
     n = j + 1  # rows recorded; fewer than max_iter + 1 when stop_gap ended the run

@@ -172,8 +172,14 @@ def _check_c(c: float) -> None:  # the one check of every schedule constant c
         raise ConfigError(f"schedule constant c must be >= 1 and finite, got {c}")
 
 
-def _gammas(t: Tableau, c: float, k: int) -> np.ndarray:
-    return c / (c + k + t.omega)
+def _gammas(t: Tableau, c: float, time: float, delta: float = 1.0) -> list:
+    """The one schedule rule: a step at time scales stage i by delta c/(c + time + omega_i delta).
+
+    At delta = 1 and time = k this is c/(c + k + omega_i); for euler it is the
+    flow's delta * gamma(time). The grouping is part of the rule, since
+    (delta c)/(c + time) is not bit-equal to delta (c/(c + time)).
+    """
+    return [delta * (c / (c + time + w * delta)) for w in t.omega.tolist()]
 
 
 def _solve_mixing(t: Tableau, gammas: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -188,7 +194,7 @@ def certificate(t: Tableau, c: float, k: int) -> Certificate:
     _check_c(c)
     if k < 1:
         raise ValueError("certificate is defined for k >= 1")
-    gammas = _gammas(t, c, k)
+    gammas = np.array(_gammas(t, c, k))
     y = _solve_mixing(t, gammas, t.beta)
     z = t.q * gammas * y
     inside = bool(np.all(z >= 0.0) and np.all(z <= 1.0))
@@ -237,7 +243,7 @@ def rate_constants(t: Tableau, c: float, L: float, diam: float, h_x0: float = 0.
         raise ValueError("rate constants require c > 1")
     if L <= 0 or diam < 0:
         raise ValueError("L must be positive and diam nonnegative")
-    gammas = _gammas(t, c, 1)
+    gammas = np.array(_gammas(t, c, 1))
     Minv = _solve_mixing(t, gammas, np.eye(t.q))
     P = gammas[:, None] * Minv
     p_max = float(np.max(np.linalg.norm(P, axis=0)))

@@ -21,7 +21,7 @@ from fwflow.objectives import (
     ScalarHuber,
     check_gradient,
 )
-from fwflow.solvers import StepSchedule, flow_step, fw_step, rk_step, run
+from fwflow.solvers import StepSchedule, run, step
 from fwflow.tableau import builtin, builtin_names, certificate, certificate_decay, rate_constants
 
 RK_NAMES = ("midpoint", "rk4", "rk38", "rk5")
@@ -34,6 +34,22 @@ PRINTED_Z = {
     ("rk5", 1): [0.1821, 0.0068, 0.8416, 0.3657, 0.9956, 0.2333],
     ("midpoint", 2): [-0.2222, 0.8889],
 }
+
+
+def _fw_step(obj, fset, x, k, sched):
+    """One vanilla Frank-Wolfe step, x + gamma(k) (s - x), from a feasible x."""
+    x = np.asarray(x, dtype=float)
+    if fset.violation(x) > 1e-9:
+        raise ValueError("iterate is outside the feasible set")
+    return x + sched.gamma(k) * (fset.lmo(obj.gradient(x)) - x)
+
+
+def _flow_step(obj, fset, x, t, sched):
+    """Euler step of the flow, x + delta gamma(t) (s - x), from a feasible x."""
+    x = np.asarray(x, dtype=float)
+    if fset.violation(x) > 1e-9:
+        raise ValueError("iterate is outside the feasible set")
+    return x + sched.delta * sched.gamma(t) * (fset.lmo(obj.gradient(x)) - x)
 
 
 def _report(num, name, ok, detail=""):
@@ -123,20 +139,20 @@ def test_criterion_03_consistency():
         x_fl = p.x0.copy()
         x_rk = p.x0.copy()
         for k in range(1000):
-            x_fw = fw_step(p.objective, p.feasible_set, x_fw, k, sched)
-            x_fl = flow_step(p.objective, p.feasible_set, x_fl, float(k), sched)
-            x_rk = rk_step(p.objective, p.feasible_set, x_rk, k + 1, sched, euler)
-            if not (np.array_equal(x_fw, x_fl)):
+            x_fw = _fw_step(p.objective, p.feasible_set, x_fw, k, sched)
+            x_fl = _flow_step(p.objective, p.feasible_set, x_fl, float(k), sched)
+            x_rk = step(p.objective, p.feasible_set, x_rk, float(k), sched, euler)
+            if not (np.array_equal(x_fw, x_fl) and np.array_equal(x_fw, x_rk)):
                 ok = False
                 break
-        # rk uses schedule index k+1 by construction, so compare it against a
+        # run() steps rk from time k+1 by construction, so compare it against a
         # fw run driven at the same indices
         x_fw2 = p.x0.copy()
         x_rk2 = p.x0.copy()
         fw_iterates = [x_fw2]
         for k in range(1, 1001):
-            x_fw2 = fw_step(p.objective, p.feasible_set, x_fw2, k, sched)
-            x_rk2 = rk_step(p.objective, p.feasible_set, x_rk2, k, sched, euler)
+            x_fw2 = _fw_step(p.objective, p.feasible_set, x_fw2, k, sched)
+            x_rk2 = step(p.objective, p.feasible_set, x_rk2, k, sched, euler)
             fw_iterates.append(x_fw2)
             if not np.array_equal(x_fw2, x_rk2):
                 ok = False

@@ -462,12 +462,26 @@ def _sweep_entry_with(**settings):
             2,
             "error: time span T must be positive and finite",
         ),
-        (["bound", "--t-max", "nan"], None, 2, "error: time must be >= 0 and finite, got nan"),
-        (["bound", "--t-max", "inf"], None, 2, "error: time must be >= 0 and finite, got nan"),
+        (["bound", "--t-max", "nan"], None, 2, "error: --t-max must be >= 0 and finite, got nan"),
+        (["bound", "--t-max", "inf"], None, 2, "error: --t-max must be >= 0 and finite, got inf"),
+        (["bound", "--t-max", "-1"], None, 2, "error: --t-max must be >= 0 and finite, got -1.0"),
         (["run", "--problem", "sensing", "--seed", "-1"], None, 2, "error: seed must be >= 0"),
         (["sweep"], _sweep_entry_with(seed=-3), 2, "error: seed must be >= 0"),
         (["zigzag", "--seed", "-1"], None, 2, "error: --seed must be >= 0"),
         (["zigzag", "--T", "x"], None, 2, "error: --T must be a number, got 'x'"),
+        (  # every entry is parsed before the first runs
+            ["sweep"],
+            [{"problem": "triangle", "max_iter": 3, "output": "a"},
+             {"problem": "triangle", "seed": -3}],
+            2,
+            "error: seed must be >= 0",
+        ),
+        (
+            ["run", "--method", "rk+linesearch", "--tableau", "rk4", "--delta", "0.5"],
+            None,
+            2,
+            "error: method 'rk+linesearch' takes no step delta",
+        ),
     ],
     ids=[
         "c-below-1",
@@ -536,23 +550,36 @@ def _sweep_entry_with(**settings):
         "sweep-zigzag-T-inf",
         "bound-t_max-nan",
         "bound-t_max-inf",
+        "bound-t_max-negative",
         "run-seed-negative",
         "sweep-seed-negative",
         "zigzag-seed-negative",
         "zigzag-T-not-number",
+        "sweep-later-entry-bad",
+        "rk_linesearch-delta",
     ],
 )
 def test_exit_code_contract(tmp_path, capsys, argv, doc, code, message):
-    # 2: rejected before the first step, leaving no output directory; 1: failed while iterating
+    # 2: rejected before the first step, printing nothing and leaving no output directory;
+    # 1: failed while iterating
     if doc is not None:  # a tableau file for run, the configuration list for sweep
         path = tmp_path / "doc.json"
         path.write_text(json.dumps(doc))
         argv = argv + [{"run": "--tableau-file", "sweep": "--config"}[argv[0]], str(path)]
     out = tmp_path / "out"
     assert main([*argv, "--output-dir", str(out)]) == code
-    assert capsys.readouterr().err.startswith(message)
+    captured = capsys.readouterr()
+    assert captured.err.startswith(message)
     if code == 2:
-        assert not out.exists()
+        assert captured.out == "" and not out.exists()
+
+
+def test_rk_takes_delta(tmp_path, capsys):
+    # rk steps from t = 1 by delta; the t column is k * delta, as for every method
+    argv = ["run", "--method", "rk", "--tableau", "rk4", "--delta", "0.5", "--max-iter", "4"]
+    assert main([*argv, "--output-dir", str(tmp_path)]) == 0
+    rows = (tmp_path / "triangle_rk.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[1] for row in rows] == ["0", "0.5", "1", "1.5", "2"]
 
 
 @pytest.mark.parametrize("max_iter", [5, 5.0, "5", "5.0"])

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fwflow.geometry import Box, VertexHull
+from fwflow import solvers
+from fwflow.geometry import Box, NuclearBall, VertexHull
 from fwflow.objectives import QuadraticDistance
 from fwflow.problems import scalar_box, sensing_least_squares, sensing_logistic, triangle
 from fwflow.solvers import (
@@ -14,26 +15,43 @@ from fwflow.solvers import (
     StepSchedule,
     Trajectory,
     _descent_gamma,
-    flow_step,
     fw_gap,
-    fw_step,
     momentum_step,
-    rk_step,
     run,
+    step,
 )
-from fwflow.tableau import ConfigError, builtin, builtin_names
+from fwflow.tableau import ConfigError, builtin, builtin_names, validate
 
 BOX = Box(-1.0, 1.0, dim=1)
 HALF_SQUARE = QuadraticDistance(target=[0.0])  # f(x) = x^2/2 in 1-D
+EULER = builtin("euler")
 
 
-def _reference_rk_step(obj, fset, x, k, sched, t):
+def _reference_fw_step(obj, fset, x, k, sched):
+    """One vanilla Frank-Wolfe step, x + gamma(k) (s - x), from a feasible x."""
+    x = np.asarray(x, dtype=float)
+    if fset.violation(x) > 1e-9:
+        raise ValueError("iterate is outside the feasible set")
+    return x + sched.gamma(k) * (fset.lmo(obj.gradient(x)) - x)
+
+
+def _reference_flow_step(obj, fset, x, t, sched):
+    """Euler step of the flow, x + delta gamma(t) (s - x), from a feasible x."""
+    x = np.asarray(x, dtype=float)
+    if fset.violation(x) > 1e-9:
+        raise ValueError("iterate is outside the feasible set")
+    return x + sched.delta * sched.gamma(t) * (fset.lmo(obj.gradient(x)) - x)
+
+
+def _reference_rk_step(obj, fset, x, time, sched, t):
     """The RK stage loop written out; returns (x_next, xi, xbar) so tests can see the stages.
 
     Stage i evaluates the LMO at xbar_i = x + sum_j A_ij xi_j and sets
-    xi_i = gamma_tilde_i (s_i - xbar_i) with gamma_tilde_i = c/(c+k+omega_i).
+    xi_i = gamma_tilde_i (s_i - xbar_i) with the one schedule rule
+    gamma_tilde_i = delta (c/(c + time + omega_i delta)); at delta = 1 and
+    time = k this is c/(c+k+omega_i).
     """
-    gamma_tilde = sched.c / (sched.c + k + t.omega)
+    gamma_tilde = sched.delta * (sched.c / (sched.c + time + t.omega * sched.delta))
     x = np.asarray(x, dtype=float)
     xi, xbar = [], []
     for i in range(t.q):
@@ -74,47 +92,48 @@ class TestSchedule:
 class TestSteps:
     def test_fw_step_hand_value(self):
         # s = -sign(0.3) = -1, gamma = 2/3 at k=1
-        x1 = fw_step(HALF_SQUARE, BOX, [0.3], 1, StepSchedule(c=2.0))
+        x1 = step(HALF_SQUARE, BOX, [0.3], 1, StepSchedule(c=2.0), EULER)
         assert x1[0] == pytest.approx(-0.5667, abs=1e-4)
 
     def test_fw_fixed_point(self):
         # target outside the box: at x=1 the LMO returns 1 = x, step is a no-op
         obj = QuadraticDistance(target=[2.0])
-        x1 = fw_step(obj, BOX, [1.0], 3, StepSchedule(c=2.0))
+        x1 = step(obj, BOX, [1.0], 3, StepSchedule(c=2.0), EULER)
         assert x1[0] == 1.0
 
-    def test_fw_infeasible_input(self):
-        with pytest.raises(ValueError):
-            fw_step(HALF_SQUARE, BOX, [2.0], 0, StepSchedule())
-
     def test_flow_step_hand_value(self):
-        x1 = flow_step(HALF_SQUARE, BOX, [0.3], 1.0, StepSchedule(c=2.0, delta=0.1))
+        x1 = step(HALF_SQUARE, BOX, [0.3], 1.0, StepSchedule(c=2.0, delta=0.1), EULER)
         assert x1[0] == pytest.approx(0.3 + 0.1 * (2 / 3) * (-1.3))
 
     def test_flow_unit_delta_matches_fw(self):
         sched = StepSchedule(c=2.0, delta=1.0)
         for k in range(5):
-            a = fw_step(HALF_SQUARE, BOX, [0.3], k, sched)
-            b = flow_step(HALF_SQUARE, BOX, [0.3], float(k), sched)
+            a = _reference_fw_step(HALF_SQUARE, BOX, [0.3], k, sched)
+            b = step(HALF_SQUARE, BOX, [0.3], float(k), sched, EULER)
             assert a[0] == b[0]
 
     def test_rk_euler_matches_fw(self):
         sched = StepSchedule(c=2.0)
-        x_fw = fw_step(HALF_SQUARE, BOX, [0.3], 1, sched)
-        x_rk = rk_step(HALF_SQUARE, BOX, [0.3], 1, sched, builtin("euler"))
+        x_fw = _reference_fw_step(HALF_SQUARE, BOX, [0.3], 1, sched)
+        x_rk = step(HALF_SQUARE, BOX, [0.3], 1, sched, EULER)
         assert x_fw[0] == x_rk[0]
 
     def test_rk_midpoint_hand_value(self):
         args = (HALF_SQUARE, BOX, [0.3], 1, StepSchedule(c=2.0), builtin("midpoint"))
         x1, xi, xbar = _reference_rk_step(*args)
-        assert np.array_equal(x1, rk_step(*args))
+        assert np.array_equal(x1, step(*args))
         assert xi[0][0] == pytest.approx(-0.8667, abs=1e-4)
         assert xbar[1][0] == pytest.approx(-0.1333, abs=1e-4)
         assert x1[0] == pytest.approx(0.9476, abs=1e-4)
 
-    def test_rk_requires_k_positive(self):
-        with pytest.raises(ValueError):
-            rk_step(HALF_SQUARE, BOX, [0.3], 0, StepSchedule(), builtin("rk4"))
+    def test_step_requires_finite_time_at_least_0(self):
+        for t in (-1.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match="step time t must be >= 0 and finite"):
+                step(HALF_SQUARE, BOX, [0.3], t, StepSchedule(), builtin("rk4"))
+
+    def test_step_rejects_non_finite_iterate(self):
+        with pytest.raises(ValueError, match="iterate has non-finite entries"):
+            step(HALF_SQUARE, BOX, [np.nan], 1, StepSchedule(), EULER)
 
     def test_rk_stage_boundedness(self):
         from fwflow.tableau import rate_constants
@@ -129,7 +148,7 @@ class TestSteps:
                 cap = sched.gamma(1) * t.q * rc.p_max * p.feasible_set.diameter()
                 args = (p.objective, p.feasible_set, x, k, sched, t)
                 x, xi, _ = _reference_rk_step(*args)
-                assert np.array_equal(x, rk_step(*args))
+                assert np.array_equal(x, step(*args))
                 for xi_i in xi:
                     assert np.linalg.norm(xi_i) <= cap + 1e-9
 
@@ -137,12 +156,12 @@ class TestSteps:
 @pytest.mark.parametrize("builder", [scalar_box, triangle, sensing_logistic])
 @pytest.mark.parametrize("name", builtin_names())
 def test_rk_step_matches_reference(builder, name):
-    # the reference reads A, beta and gamma_tilde as numpy scalars; rk_step reads floats
+    # the reference reads A, beta and gamma_tilde as numpy scalars; step reads floats
     p, t, sched = builder(), builtin(name), StepSchedule(c=2.0)
     x = np.asarray(p.x0, dtype=float)
     for k in range(1, 201):
         args = (p.objective, p.feasible_set, x, k, sched, t)
-        x = rk_step(*args)
+        x = step(*args)
         assert np.array_equal(x, _reference_rk_step(*args)[0])
 
 
@@ -283,7 +302,7 @@ def test_descent_gamma_matches_reference(kind, dim, zero_direction, k, data):
 class TestMomentum:
     def test_first_step_matches_fw(self):
         sched = StepSchedule(c=2.0)
-        x_fw = fw_step(HALF_SQUARE, BOX, [0.3], 0, sched)
+        x_fw = step(HALF_SQUARE, BOX, [0.3], 0, sched, EULER)
         x_m, m = momentum_step(HALF_SQUARE, BOX, [0.3], [0.0], 0, sched)
         assert x_m[0] == x_fw[0]
         assert m[0] == pytest.approx(0.3)
@@ -394,6 +413,7 @@ class TestTrajectoryCSV:
     steps=st.integers(1, 20),
 )
 def test_run_matches_public_steps(c, delta, target, weights, steps):
+    # the references write each rule out; rk runs from t = 1 with the drawn delta
     hull = VertexHull([[-1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     obj = QuadraticDistance(target=target)
     x0 = np.array(weights) / sum(weights) @ hull.vertices
@@ -407,12 +427,18 @@ def test_run_matches_public_steps(c, delta, target, weights, steps):
         return traj.x.tobytes() == np.array(xs).tobytes()
 
     sched = StepSchedule(c=c)
-    assert same_path("fw", lambda x, k, s: fw_step(obj, hull, x, k, s), sched)
+    assert same_path("fw", lambda x, k, s: _reference_fw_step(obj, hull, x, k, s), sched)
     flow = StepSchedule(c=c, delta=delta)
-    assert same_path("flow", lambda x, k, s: flow_step(obj, hull, x, k * s.delta, s), flow)
+    assert same_path(
+        "flow", lambda x, k, s: _reference_flow_step(obj, hull, x, k * s.delta, s), flow
+    )
     for name in builtin_names():
         t = builtin(name)
-        assert same_path("rk", lambda x, k, s: rk_step(obj, hull, x, k + 1, s, t), sched, t)
+
+        def rk(x, k, s):
+            return _reference_rk_step(obj, hull, x, 1 + k * s.delta, s, t)[0]
+
+        assert same_path("rk", rk, flow, t)
     m = [np.zeros(2)]
 
     def momentum(x, k, s):
@@ -420,6 +446,70 @@ def test_run_matches_public_steps(c, delta, target, weights, steps):
         return x
 
     assert same_path("fw+momentum", momentum, sched)
+
+
+class _Counting:
+    """Forwards every attribute of an objective or set, counting calls of the named methods."""
+
+    def __init__(self, wrapped, *names):
+        self._wrapped, self.calls = wrapped, dict.fromkeys(names, 0)
+
+    def __getattr__(self, name):
+        attr = getattr(self._wrapped, name)
+        if name not in self.calls:
+            return attr
+
+        def counted(*args):
+            self.calls[name] += 1
+            return attr(*args)
+
+        return counted
+
+
+@pytest.mark.parametrize("method, name", [("fw", None), ("flow", None)]
+                         + [("rk", name) for name in builtin_names()])
+def test_run_oracle_counts(monkeypatch, method, name):
+    # run() over n steps: one gradient and LMO call per record, plus q per rk step;
+    # one value per record, x0's violation check plus one per record; one tableau
+    # validation per run plus one per rk step
+    p, n = triangle(), 12
+    obj = _Counting(p.objective, "gradient", "value")
+    fset = _Counting(p.feasible_set, "lmo", "violation")
+    validated = []
+    monkeypatch.setattr(solvers, "validate", lambda t: validated.append(t) or validate(t))
+    t = builtin(name) if name else None
+    sched = StepSchedule(c=2.0, delta=0.1 if method == "flow" else 1.0)
+    run(obj, fset, p.x0, method, sched, n, tableau=t)
+    calls = (t.q + 1) * n + 1 if t else n + 1
+    assert obj.calls == {"gradient": calls, "value": n + 1}
+    assert fset.calls == {"lmo": calls, "violation": n + 2}
+    assert len(validated) == (n + 1 if t else 0)
+
+
+def _order_problem():
+    """QuadraticDistance to an 8 x 6 rank-3 target plus noise, over the radius-5 nuclear ball.
+
+    At this size the LMO is a dense SVD, and the gradient's top two singular
+    values stay apart along the path, so the LMO is smooth where the flow runs.
+    """
+    rng = np.random.default_rng(0)
+    U = np.linalg.qr(rng.standard_normal((8, 3)))[0]
+    V = np.linalg.qr(rng.standard_normal((6, 3)))[0]
+    target = U @ np.diag([20.0, 8.0, 3.0]) @ V.T + 0.05 * rng.standard_normal((8, 6))
+    return QuadraticDistance(target), NuclearBall(5.0, 8, 6)
+
+
+@pytest.mark.parametrize("name, order", [("euler", 1), ("midpoint", 2), ("rk4", 4),
+                                         ("rk38", 4), ("rk5", 5)])
+def test_rk_truncation_error_order(name, order):
+    # the paper's O(delta^p) claim: self-convergence orders log2(e_i / e_(i+1)) with
+    # e_i = |x_T(delta_i) - x_T(delta_(i+1))| at T = 2 over delta = 1/4 ... 1/32
+    obj, ball = _order_problem()
+    ends = [run(obj, ball, np.zeros(48), "rk", StepSchedule(c=2.0, delta=2.0 / n), n,
+                tableau=builtin(name)).x[-1] for n in (8, 16, 32, 64)]
+    errs = [np.linalg.norm(a - b) for a, b in zip(ends, ends[1:])]
+    orders = [np.log2(errs[i] / errs[i + 1]) for i in range(2)]
+    assert all(abs(p - order) <= 0.3 for p in orders), orders
 
 
 # SHA-256 of to_csv on triangle() with StepSchedule(c=2), 200 steps, delta 0.1
