@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import diagnostics, problems, tableau as tableau_mod
-from .solvers import StepSchedule, run as run_solver
+from .solvers import StepSchedule, check_settings, run as run_solver
 from .tableau import ConfigError
 
 # Every setting, per subcommand (a sweep entry or preset job is a "run"): key ->
@@ -145,17 +145,18 @@ def _zigzag_rows(traj, label: str, windows, T: float) -> list:
     ]
 
 
-def _run_config(s: dict, out_dir: Path) -> list:
-    """Check what _parse cannot in one run's settings s, run it, return the written paths."""
+def _plan(s: dict) -> tuple:
+    """Check what _parse cannot in one run's settings s; return (problem, sched, tableau, stem)."""
     problem = _build_problem(s["problem"], s["seed"])
     method, max_iter = s["method"], s["max_iter"]
     sched = StepSchedule(c=s["c"], delta=s["delta"])
     tab = _load_tableau(s["tableau"], s["tableau_file"])
-    stem = s["output"] or f"{problem.name}_{method.replace('+', '_')}"
+    check_settings(method, sched, max_iter, s["stop_gap"], tab)
     diag = s.get("diagnostics", {})
     anchors = diag.get("lower_bound", {}).get("anchors", ())
     for W in diag.get("zigzag", {}).get("W", ()):
-        diagnostics.check_zigzag_settings(W, diag["zigzag"]["T"])
+        T = diag["zigzag"]["T"]
+        diagnostics.check_zigzag_settings(W, T, min(T / sched.delta, max_iter))
     if "lower_bound" in diag and np.shape(problem.x0) != (1,):
         raise ConfigError("lower_bound diagnostic needs a problem with a scalar x0")
     if "lower_bound" in diag and not all(0 <= a <= max_iter for a in anchors):
@@ -163,50 +164,53 @@ def _run_config(s: dict, out_dir: Path) -> list:
     for name in ("slope", "bound_compare"):
         if name in diag and problem.f_star is None:
             raise ConfigError(f"{name} diagnostic needs a problem with known optimum")
-    traj = run_solver(problem.objective, problem.feasible_set, problem.x0, method, sched,
-                      max_iter, stop_gap=s["stop_gap"], tableau=tab)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    written = [out_dir / f"{stem}.csv"]
-    traj.to_csv(written[0])
+    return problem, sched, tab, s["output"] or f"{problem.name}_{method.replace('+', '_')}"
 
-    if "zigzag" in diag:
-        rows = _zigzag_rows(traj, method, diag["zigzag"]["W"], diag["zigzag"]["T"])
-        written.append(_write_rows(out_dir / f"{stem}_zigzag.csv", [_ZIGZAG_HEADER] + rows))
-    if "slope" in diag:
-        k_min = diag["slope"]["k_min"]
-        slope = diagnostics.slope_fit(traj, problem.f_star, k_min)
-        rows = ["k_min,slope", f"{k_min},{slope:.17g}"]
-        written.append(_write_rows(out_dir / f"{stem}_slope.csv", rows))
-    if "lower_bound" in diag:
-        vals = diagnostics.lower_bound_probe(traj, anchors)
-        rows = ["anchor,probe"] + [f"{a},{v:.17g}" for a, v in zip(anchors, vals)]
-        written.append(_write_rows(out_dir / f"{stem}_lower_bound.csv", rows))
-    if "bound_compare" in diag:
-        h0 = problem.objective.value(problem.x0) - problem.f_star
-        rows = ["t,normalized_error,bound"]
-        for t, f in zip(traj.t.tolist(), traj.f.tolist()):
-            norm_err = (f - problem.f_star) / h0
-            cb = diagnostics.continuous_bound(sched.c, t)
-            rows.append(f"{t:.17g},{norm_err:.17g},{cb:.17g}")
-        written.append(_write_rows(out_dir / f"{stem}_bound.csv", rows))
-    return written
+
+def _runs(settings: list, out_dir: Path):
+    """Plan every run's settings, then run each in turn, yielding each path it writes."""
+    plans = [(s, *_plan(s)) for s in settings]
+    for s, problem, sched, tab, stem in plans:
+        traj = run_solver(problem.objective, problem.feasible_set, problem.x0, s["method"],
+                          sched, s["max_iter"], stop_gap=s["stop_gap"], tableau=tab)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        traj.to_csv(out_dir / f"{stem}.csv")
+        yield out_dir / f"{stem}.csv"
+        diag = s.get("diagnostics", {})
+        if "zigzag" in diag:
+            rows = _zigzag_rows(traj, s["method"], diag["zigzag"]["W"], diag["zigzag"]["T"])
+            yield _write_rows(out_dir / f"{stem}_zigzag.csv", [_ZIGZAG_HEADER] + rows)
+        if "slope" in diag:
+            k_min = diag["slope"]["k_min"]
+            slope = diagnostics.slope_fit(traj, problem.f_star, k_min)
+            rows = ["k_min,slope", f"{k_min},{slope:.17g}"]
+            yield _write_rows(out_dir / f"{stem}_slope.csv", rows)
+        if "lower_bound" in diag:
+            anchors = diag["lower_bound"]["anchors"]
+            vals = diagnostics.lower_bound_probe(traj, anchors)
+            rows = ["anchor,probe"] + [f"{a},{v:.17g}" for a, v in zip(anchors, vals)]
+            yield _write_rows(out_dir / f"{stem}_lower_bound.csv", rows)
+        if "bound_compare" in diag:
+            h0 = problem.objective.value(problem.x0) - problem.f_star
+            rows = ["t,normalized_error,bound"]
+            for t, f in zip(traj.t.tolist(), traj.f.tolist()):
+                norm_err = (f - problem.f_star) / h0
+                cb = diagnostics.continuous_bound(sched.c, t)
+                rows.append(f"{t:.17g},{norm_err:.17g},{cb:.17g}")
+            yield _write_rows(out_dir / f"{stem}_bound.csv", rows)
 
 
 def _cmd_run(args) -> int:
-    for p in _run_config(_flag_settings(args), _out_dir(args.output_dir)):
+    """fwflow run, one entry set by its flags, and fwflow sweep, a JSON list of entries."""
+    if args.command == "run":
+        entries = [_flag_settings(args)]
+    else:
+        doc = json.loads(Path(args.config).read_text())
+        if not isinstance(doc, list) or not all(isinstance(cfg, dict) for cfg in doc):
+            raise ConfigError("sweep config must be a JSON list of run configuration objects")
+        entries = [_parse(_SETTINGS["run"], cfg, "run configuration") for cfg in doc]
+    for p in _runs(entries, _out_dir(args.output_dir)):
         print(p)
-    return 0
-
-
-def _cmd_sweep(args) -> int:
-    doc = json.loads(Path(args.config).read_text())
-    if not isinstance(doc, list) or not all(isinstance(cfg, dict) for cfg in doc):
-        raise ConfigError("sweep config must be a JSON list of run configuration objects")
-    out_dir = _out_dir(args.output_dir)
-    entries = [_parse(_SETTINGS["run"], cfg, "run configuration") for cfg in doc]
-    for s in entries:  # every entry parsed before the first runs
-        for p in _run_config(s, out_dir):
-            print(p)
     return 0
 
 
@@ -249,8 +253,8 @@ def _zigzag_table(path: Path, problem, runs, windows, T: float) -> Path:
     one (fw at delta = 1). Each run covers time T, in round(T / delta) steps,
     and its rows are labelled with the tableau's name, or fw without one.
     """
-    for W in windows:
-        diagnostics.check_zigzag_settings(W, T)
+    for W in windows:  # the run with the longest step makes the fewest steps
+        diagnostics.check_zigzag_settings(W, T, T / max(sched.delta for sched, _ in runs))
     rows = [_ZIGZAG_HEADER]
     for sched, tab in runs:
         traj = run_solver(problem.objective, problem.feasible_set, problem.x0,
@@ -346,13 +350,11 @@ _PRESETS = {
 def _cmd_preset(args) -> int:
     if args.name not in _PRESETS:
         raise ConfigError(f"unknown preset {args.name!r}; choose from {sorted(_PRESETS)}")
-    out_dir = _out_dir(args.output_dir)
-    for job in _PRESETS[args.name]:
-        if isinstance(job, dict):
-            _run_config(_parse(_SETTINGS["run"], job, "run configuration"), out_dir)
-        else:
-            output, runs, windows = job
-            _zigzag_table(out_dir / output, _build_problem("logistic", 0), runs, windows, 100.0)
+    out_dir, jobs = _out_dir(args.output_dir), _PRESETS[args.name]
+    list(_runs([_parse(_SETTINGS["run"], job, "run configuration")
+                for job in jobs if isinstance(job, dict)], out_dir))
+    for output, runs, windows in (job for job in jobs if isinstance(job, tuple)):
+        _zigzag_table(out_dir / output, _build_problem("logistic", 0), runs, windows, 100.0)
     print(out_dir)
     return 0
 
@@ -374,7 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
         return p
 
     add("run", _cmd_run, "run one solver configuration")
-    add("sweep", _cmd_sweep, "run a JSON list of configurations").add_argument(
+    add("sweep", _cmd_run, "run a JSON list of configurations").add_argument(
         "--config", required=True)
     add("certify", _cmd_certify, "print feasibility certificates z^(k)", positional="tableau",
         output_dir=False)

@@ -49,12 +49,19 @@ def zigzag_energy(points) -> float:
     return total / (W - 1)
 
 
-def check_zigzag_settings(W: int, T: float) -> None:
-    """Raise ConfigError unless the window size W >= 2 and the time span T > 0 is finite."""
+def check_zigzag_settings(W: int, T: float, steps: float) -> int:
+    """The number of W-step windows in round(steps) steps, T/delta or fewer if the run stops first.
+
+    Raises ConfigError unless W >= 2, the time span T > 0 is finite and one window fits.
+    """
     if W < 2:
         raise ConfigError("window size W must be >= 2")
     if not 0 < T < math.inf:  # false for nan too
         raise ConfigError(f"time span T must be positive and finite, got {T}")
+    n = round(steps)
+    if n < W:
+        raise ConfigError(f"a run of {n} steps over T = {T:g} is shorter than one window W = {W}")
+    return n // W
 
 
 def zigzag_protocol(traj, W: int, T: float) -> np.ndarray:
@@ -65,10 +72,7 @@ def zigzag_protocol(traj, W: int, T: float) -> np.ndarray:
     zigzag_energy value. A bad W or T, or a trajectory shorter than one
     window, raises ConfigError.
     """
-    check_zigzag_settings(W, T)
-    n_windows = min(int(round(T / traj.delta)), len(traj) - 1) // W
-    if n_windows < 1:
-        raise ConfigError("trajectory is shorter than one window")
+    n_windows = check_zigzag_settings(W, T, min(T / traj.delta, len(traj) - 1))
     return np.array([zigzag_energy(traj.x[w * W : w * W + W + 1]) for w in range(n_windows)])
 
 

@@ -1,7 +1,7 @@
 """Feasible sets (compact convex domains) with linear minimization oracles.
 
 Each set supports three operations: ``lmo`` (minimize a linear function over
-the set), ``violation`` (constraint slack of a point, 0 inside), and
+the set), ``violation`` (constraint slack of a finite point, 0 inside), and
 ``diameter`` (sup of pairwise Euclidean distances). Module-level
 ``contains`` tests membership up to a slack.
 
@@ -26,15 +26,14 @@ __all__ = [
 ]
 
 
-def _check_gradient(set_dim: int, gradient: np.ndarray) -> np.ndarray:
-    g = np.asarray(gradient, dtype=float).ravel()
-    if g.shape[0] != set_dim:
-        raise ValueError(
-            f"gradient dimension {g.shape[0]} does not match set dimension {set_dim}"
-        )
-    if np.count_nonzero(np.isfinite(g)) != g.size:  # skips the Python wrapper of .all()
-        raise ValueError("gradient has non-finite entries")
-    return g
+def _check_vector(dim: int, v, what: str) -> np.ndarray:
+    """v as a flat float array; a ValueError naming it what unless it has dim finite entries."""
+    x = np.asarray(v, dtype=float).ravel()
+    if x.shape[0] != dim:
+        raise ValueError(f"{what} dimension {x.shape[0]} does not match set dimension {dim}")
+    if np.count_nonzero(np.isfinite(x)) != x.size:  # skips the Python wrapper of .all()
+        raise ValueError(f"{what} has non-finite entries")
+    return x
 
 
 @dataclass(frozen=True)
@@ -59,17 +58,13 @@ class VertexHull:
         return self.vertices.shape[1]
 
     def lmo(self, gradient) -> np.ndarray:
-        g = _check_gradient(self.dim, gradient)
+        g = _check_vector(self.dim, gradient, "gradient")
         # argmin returns the first (lowest-index) minimizer on ties
         i = int((self.vertices @ g).argmin())
         return self.vertices[i].copy()
 
     def violation(self, point) -> float:
-        x = np.asarray(point, dtype=float).ravel()
-        if x.shape[0] != self.dim:
-            raise ValueError("point dimension does not match hull dimension")
-        if np.count_nonzero(np.isfinite(x)) != x.size:
-            raise ValueError("array must not contain infs or NaNs")
+        x = _check_vector(self.dim, point, "point")
         # Nonnegative least squares over vertex weights with a sum-to-one row, capped like
         # scipy.optimize.nnls at 3 iterations per vertex; the residual is ~0 iff x is a convex
         # combination of the vertices. nnls leaves the matrix built at construction unchanged.
@@ -104,14 +99,12 @@ class Box:
             raise ValueError("Box dimension must be >= 1")
 
     def lmo(self, gradient) -> np.ndarray:
-        g = _check_gradient(self.dim, gradient)
+        g = _check_vector(self.dim, gradient, "gradient")
         # sign(0) = +1 convention: zero coordinates pick the lower face
         return np.where(g >= 0.0, self.lower, self.upper)
 
     def violation(self, point) -> float:
-        x = np.asarray(point, dtype=float).ravel()
-        if x.shape[0] != self.dim:
-            raise ValueError("point dimension does not match box dimension")
+        x = _check_vector(self.dim, point, "point")
         # rounding is monotone, so max(x) - upper is the largest x_i - upper, bit for bit
         return max(0.0, float(x.max()) - self.upper, self.lower - float(x.min()))
 
@@ -133,16 +126,14 @@ class L1Ball:
             raise ValueError("L1Ball dimension must be >= 1")
 
     def lmo(self, gradient) -> np.ndarray:
-        g = _check_gradient(self.dim, gradient)
+        g = _check_vector(self.dim, gradient, "gradient")
         j = int(np.argmax(np.abs(g)))  # lowest index on ties
         s = np.zeros(self.dim)
         s[j] = -self.radius if g[j] >= 0.0 else self.radius
         return s
 
     def violation(self, point) -> float:
-        x = np.asarray(point, dtype=float).ravel()
-        if x.shape[0] != self.dim:
-            raise ValueError("point dimension does not match ball dimension")
+        x = _check_vector(self.dim, point, "point")
         return max(0.0, float(np.abs(x).sum() - self.radius))
 
     def diameter(self) -> float:
@@ -176,7 +167,7 @@ class NuclearBall:
         return self.rows * self.cols
 
     def lmo(self, gradient) -> np.ndarray:
-        g = _check_gradient(self.dim, gradient)
+        g = _check_vector(self.dim, gradient, "gradient")
         G = g.reshape(self.rows, self.cols)
         if np.all(G == 0.0):
             u = np.zeros(self.rows)
@@ -214,9 +205,7 @@ class NuclearBall:
         return u, v
 
     def violation(self, point) -> float:
-        x = np.asarray(point, dtype=float).ravel()
-        if x.shape[0] != self.dim:
-            raise ValueError("point dimension does not match matrix size")
+        x = _check_vector(self.dim, point, "point")
         nuc = float(np.linalg.svd(x.reshape(self.rows, self.cols), compute_uv=False).sum())
         return max(0.0, nuc - self.radius)
 

@@ -17,6 +17,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
+from .geometry import _check_vector
 from .tableau import ConfigError, Tableau, _check_c, _gammas, validate
 
 __all__ = [
@@ -25,6 +26,7 @@ __all__ = [
     "step",
     "fw_gap",
     "momentum_step",
+    "check_settings",
     "run",
 ]
 
@@ -132,9 +134,7 @@ def step(obj, fset, x, t: float, sched: StepSchedule, tableau: Tableau) -> np.nd
     validate(tableau)
     if not 0 <= t < np.inf:  # false for nan too
         raise ValueError(f"step time t must be >= 0 and finite, got {t}")
-    x = np.asarray(x, dtype=float)
-    if not np.isfinite(x).all():
-        raise ValueError("iterate has non-finite entries")
+    x = _check_vector(fset.dim, x, "iterate")
     gammas = _gammas(tableau, sched.c, t, sched.delta)
     return _stages(obj, fset, x, tableau, lambda i, xb, d: gammas[i])
 
@@ -177,15 +177,30 @@ def momentum_step(obj, fset, x, m_prev, k: int, sched: StepSchedule):
     m = (1 - d_k) m_prev + d_k grad(x) with d_k = 2/(k+2); then the usual
     mixing update with s = lmo(m). Returns (x_next, m).
     """
-    x = np.asarray(x, dtype=float)
-    m_prev = np.asarray(m_prev, dtype=float)
-    if m_prev.shape != x.shape:
-        raise ValueError("momentum buffer dimension does not match x")
+    x = _check_vector(fset.dim, x, "iterate")
+    m_prev = _check_vector(fset.dim, m_prev, "momentum buffer")
     m = _momentum(m_prev, obj.gradient(x), k)
     return _mix(x, fset.lmo(m), sched.gamma(k)), m
 
 
 METHODS = ("fw", "flow", "rk", "rk+linesearch", "fw+linesearch", "fw+momentum")
+
+
+def check_settings(method: str, sched: StepSchedule, max_iter: int, stop_gap: float = 0.0,
+                   tableau: Tableau | None = None) -> None:
+    """Raise ConfigError unless run() takes these settings; a tableau is not validated here."""
+    if method not in METHODS:
+        raise ConfigError(f"unknown method {method!r}; choose from {METHODS}")
+    if max_iter < 1:
+        raise ConfigError("max_iter must be >= 1")
+    if np.isnan(stop_gap):
+        raise ConfigError("stop_gap must be a number, got nan")
+    if sched.delta != 1.0 and method not in ("flow", "rk"):
+        raise ConfigError(f"method {method!r} takes no step delta; delta must be 1")
+    if method.startswith("rk") and tableau is None:
+        raise ConfigError(f"method {method!r} requires a tableau")
+    if not method.startswith("rk") and tableau is not None:
+        raise ConfigError(f"method {method!r} takes no tableau; only rk and rk+linesearch do")
 
 
 def run(
@@ -202,24 +217,13 @@ def run(
 
     rk steps from time t = 1; everything else starts at t = 0 (index k = 0).
     Stops early once fw_gap <= stop_gap (stop_gap = 0 disables the check).
-    Feasibility is monitored (recorded per step), never enforced. Settings
-    are checked before the first step; a bad one raises ConfigError. Only
-    the flow and rk take a step delta other than 1.
+    Feasibility is monitored (recorded per step), never enforced. Before the
+    first step, bad settings (check_settings), a bad tableau and an
+    infeasible x0 raise ConfigError.
     """
-    if method not in METHODS:
-        raise ConfigError(f"unknown method {method!r}; choose from {METHODS}")
-    if max_iter < 1:
-        raise ConfigError("max_iter must be >= 1")
-    if np.isnan(stop_gap):
-        raise ConfigError("stop_gap must be a number, got nan")
-    if sched.delta != 1.0 and method not in ("flow", "rk"):
-        raise ConfigError(f"method {method!r} takes no step delta; delta must be 1")
-    if method.startswith("rk"):
-        if tableau is None:
-            raise ConfigError(f"method {method!r} requires a tableau")
+    check_settings(method, sched, max_iter, stop_gap, tableau)
+    if tableau is not None:
         validate(tableau)
-    elif tableau is not None:
-        raise ConfigError(f"method {method!r} takes no tableau; only rk and rk+linesearch do")
     x = np.asarray(x0, dtype=float).copy()
     if fset.violation(x) > FEASIBILITY_TOL:
         raise ConfigError("x0 is outside the feasible set")

@@ -239,10 +239,11 @@ def rate_constants(t: Tableau, c: float, L: float, diam: float, h_x0: float = 0.
     h0 = max(h_x0, D4 c^2 / (c - 1)), which needs c > 1.
     """
     validate(t)
-    if c <= 1:
+    _check_c(c)
+    if c == 1:
         raise ValueError("rate constants require c > 1")
-    if L <= 0 or diam < 0:
-        raise ValueError("L must be positive and diam nonnegative")
+    if not (0 < L < math.inf and 0 <= diam < math.inf and math.isfinite(h_x0)):  # false for nan
+        raise ValueError(f"L > 0, diam >= 0 and h_x0 must all be finite, got {L}, {diam}, {h_x0}")
     gammas = np.array(_gammas(t, c, 1))
     Minv = _solve_mixing(t, gammas, np.eye(t.q))
     P = gammas[:, None] * Minv

@@ -247,6 +247,27 @@ def _sweep_entry_with(**settings):
     return [{"problem": "triangle", "max_iter": 5, **settings}]
 
 
+def _after_valid_entry(entry):
+    """A sweep whose first entry is valid and would write a.csv, and whose second is entry."""
+    return [{"problem": "triangle", "max_iter": 3, "output": "a"}, {"max_iter": 5, **entry}]
+
+
+# second sweep entries, by test id, that only the library rejects, not the settings table
+_LIBRARY_REJECTED_ENTRIES = {
+    "c-below-1": ({"c": 0.5}, "error: schedule constant c must be >= 1"),
+    "unknown-method": ({"method": "bogus"}, "error: unknown method 'bogus'"),
+    "unknown-problem": ({"problem": "bogus"}, "error: unknown problem 'bogus'"),
+    "unknown-tableau": ({"method": "rk", "tableau": "bogus"}, "error: unknown tableau"),
+    "fw-with-delta": ({"delta": 0.5}, "error: method 'fw' takes no step delta"),
+    "rk-without-tableau": ({"method": "rk"}, "error: method 'rk' requires a tableau"),
+    "max_iter-0": ({"max_iter": 0}, "error: max_iter must be >= 1"),
+    "zigzag-window-past-max_iter": (
+        {"problem": "logistic", "diagnostics": {"zigzag": {"W": [20]}}},
+        "error: a run of 5 steps over T = 100 is shorter than one window W = 20",
+    ),
+}
+
+
 @pytest.mark.parametrize(
     "argv, doc, code, message",
     [
@@ -482,6 +503,23 @@ def _sweep_entry_with(**settings):
             2,
             "error: method 'rk+linesearch' takes no step delta",
         ),
+        # every entry is checked against every library rule before the first runs
+        *[
+            (["sweep"], _after_valid_entry(entry), 2, message)
+            for entry, message in _LIBRARY_REJECTED_ENTRIES.values()
+        ],
+        (
+            ["zigzag", "--T", "0.4"],
+            None,
+            2,
+            "error: a run of 0 steps over T = 0.4 is shorter than one window W = 5",
+        ),
+        (
+            ["zigzag", "--T", "3", "--deltas", "1", "--windows", "5"],
+            None,
+            2,
+            "error: a run of 3 steps over T = 3 is shorter than one window W = 5",
+        ),
     ],
     ids=[
         "c-below-1",
@@ -557,6 +595,9 @@ def _sweep_entry_with(**settings):
         "zigzag-T-not-number",
         "sweep-later-entry-bad",
         "rk_linesearch-delta",
+        *[f"sweep-later-entry-{name}" for name in _LIBRARY_REJECTED_ENTRIES],
+        "zigzag-T-below-one-step",
+        "zigzag-T-shorter-than-window",
     ],
 )
 def test_exit_code_contract(tmp_path, capsys, argv, doc, code, message):

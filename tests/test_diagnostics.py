@@ -11,6 +11,7 @@ from fwflow.diagnostics import (
 )
 from fwflow.problems import scalar_box, triangle
 from fwflow.solvers import StepSchedule, Trajectory, run
+from fwflow.tableau import ConfigError
 
 
 def _synthetic_traj(xs, delta=1.0):
@@ -57,7 +58,8 @@ class TestZigzagProtocol:
 
     def test_too_short(self):
         xs = [(0.0,), (1.0,), (2.0,)]
-        with pytest.raises(ValueError):
+        message = "a run of 2 steps over T = 3 is shorter than one window W = 5"
+        with pytest.raises(ConfigError, match=message):
             zigzag_protocol(_synthetic_traj(xs), W=5, T=3.0)
 
     def test_bad_window(self):

@@ -85,15 +85,18 @@ def test_box_violation_bit_identical_to_reference():
     inf, nan = np.inf, np.nan
     points = [
         [-0.0, 0.0, 0.5], [1.0, -1.0, -0.0], [np.nextafter(1.0, 2.0), 0.0, -1.0],
-        [inf, 0.0, 0.0], [-inf, 0.0, 0.0], [inf, -inf, 0.3],
-        [nan, 0.0, 0.0], [nan, 2.0, -3.0], [-5.0, nan, inf],
         [1e308, -1e308, 0.0], [5.0, -7.0, 0.3],
         *np.random.default_rng(2).standard_normal((20, 3)) * 1e6,
     ]
+    non_finite = [[inf, 0.0, 0.0], [-inf, 0.0, 0.0], [inf, -inf, 0.3],
+                  [nan, 0.0, 0.0], [nan, 2.0, -3.0], [-5.0, nan, inf]]
     boxes = [Box(-1.0, 1.0, dim=3), Box(-1, 0, dim=3), Box(-0.0, 1e-3, dim=3), Box(0.25, 3, dim=3)]
     for box in boxes:
         for x in points:
             assert box.violation(x).hex() == _reference_box_violation(box, x).hex()
+        for x in non_finite:
+            with pytest.raises(ValueError, match="^point has non-finite entries$"):
+                box.violation(x)
 
 
 class TestContains:
@@ -166,6 +169,26 @@ def test_lmo_rejects_non_finite_gradient(name, bad):
     for g in ([bad, 0.0], [1.0, bad], [bad, bad]):
         with pytest.raises(ValueError, match="^gradient has non-finite entries$"):
             _LMO_SETS[name].lmo(g)
+
+
+@pytest.mark.parametrize("name", _LMO_SETS)
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_violation_rejects_non_finite_point(name, bad):
+    # a non-finite point has no slack to report, so contains must not call it feasible
+    fset = _LMO_SETS[name]
+    for point in ([bad, 0.0], [0.0, bad], [bad, bad]):
+        with pytest.raises(ValueError, match="^point has non-finite entries$"):
+            fset.violation(point)
+        with pytest.raises(ValueError, match="^point has non-finite entries$"):
+            contains(fset, point)
+
+
+@pytest.mark.parametrize("name", _LMO_SETS)
+def test_violation_rejects_wrong_dimension(name):
+    for point in ([0.0], [0.0, 0.0, 0.0]):
+        message = f"^point dimension {len(point)} does not match set dimension 2$"
+        with pytest.raises(ValueError, match=message):
+            _LMO_SETS[name].violation(point)
 
 
 @pytest.mark.parametrize(
@@ -328,14 +351,15 @@ def test_hull_violation_matches_public_nnls(n, dim, where, data):
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_hull_violation_rejects_non_finite_point(bad):
     for point in ([bad, 0.0], [0.0, bad]):
-        with pytest.raises(ValueError, match="^array must not contain infs or NaNs$"):
+        with pytest.raises(ValueError, match="^point has non-finite entries$"):
             TRIANGLE.violation(point)
-        # the message the public nnls gave before
+        # the public nnls rejects it too, with its own message
         with pytest.raises(ValueError, match="^array must not contain infs or NaNs$"):
             _reference_hull_violation(TRIANGLE.vertices, np.array(point))
 
 
 def test_hull_violation_wrong_dimension():
     for point in ([0.0], [0.0, 0.0, 0.0], [np.nan, 0.0, 0.0]):
-        with pytest.raises(ValueError, match="^point dimension does not match hull dimension$"):
+        message = f"^point dimension {len(point)} does not match set dimension 2$"
+        with pytest.raises(ValueError, match=message):
             TRIANGLE.violation(point)

@@ -207,6 +207,22 @@ class TestRateConstants:
         with pytest.raises(ValueError):
             rate_constants(builtin("euler"), c=1.0, L=1.0, diam=2.0)
 
+    @pytest.mark.parametrize("c", [np.nan, np.inf, 0.5])
+    def test_rejects_c_outside_schedule_range(self, c):
+        with pytest.raises(ConfigError, match="schedule constant c must be >= 1 and finite"):
+            rate_constants(builtin("euler"), c=c, L=1.0, diam=2.0)
+
+    @pytest.mark.parametrize(
+        "L, diam, h_x0",
+        [(np.nan, 2.0, 0.0), (1.0, np.inf, 0.0), (1.0, 2.0, np.nan), (np.inf, 2.0, 0.0),
+         (1.0, np.nan, 0.0), (1.0, 2.0, np.inf), (0.0, 2.0, 0.0), (1.0, -1.0, 0.0)],
+    )
+    def test_rejects_non_finite_constants(self, L, diam, h_x0):
+        # L = nan would drop the D4 term from h0, and h_x0 = nan would make h0 nan, a bound
+        # that no h0/(k+1) check can fail
+        with pytest.raises(ValueError, match="L > 0, diam >= 0 and h_x0 must all be finite"):
+            rate_constants(builtin("rk4"), c=2.0, L=L, diam=diam, h_x0=h_x0)
+
     def test_bound_curve(self):
         rc = rate_constants(builtin("euler"), c=2.0, L=1.0, diam=2.0, h_x0=10.0)
         assert rc.h0 == 10.0
