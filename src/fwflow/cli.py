@@ -120,6 +120,8 @@ def _build_problem(name: str, seed: int):
 
 
 def _load_tableau(name: str | None, path: str | None):
+    if name is not None and path is not None:
+        raise ConfigError("give a tableau name or a tableau file, not both")
     if path is not None:
         text = Path(path).read_text()
         t = tableau_mod.Tableau.from_json(text, name=Path(path).stem)
@@ -164,6 +166,9 @@ def _plan(s: dict) -> tuple:
     for name in ("slope", "bound_compare"):
         if name in diag and problem.f_star is None:
             raise ConfigError(f"{name} diagnostic needs a problem with known optimum")
+    if "slope" in diag and max_iter - diag["slope"]["k_min"] + 1 < 10:  # slope_fit needs 10 points
+        raise ConfigError(f"slope k_min = {diag['slope']['k_min']} leaves fewer than 10 of "
+                          f"max_iter = {max_iter} steps to fit")
     return problem, sched, tab, s["output"] or f"{problem.name}_{method.replace('+', '_')}"
 
 
@@ -222,9 +227,9 @@ def _cmd_certify(args) -> int:
     # every certificate before the header, so a bad c prints nothing
     certs = [tableau_mod.certificate(t, s["c"], k) for k in range(1, s["k_max"] + 1)]
     print("k," + ",".join(f"z{i + 1}" for i in range(t.q)) + ",z_inf")
-    for cert in certs:
+    for k, cert in enumerate(certs, 1):
         zs = ",".join(f"{v:.4f}" for v in cert.z)
-        print(f"{cert.k},{zs},{np.max(np.abs(cert.z)):.4f}")
+        print(f"{k},{zs},{np.max(np.abs(cert.z)):.4f}")
     return 0
 
 

@@ -24,8 +24,6 @@ __all__ = [
     "StepSchedule",
     "Trajectory",
     "step",
-    "fw_gap",
-    "momentum_step",
     "check_settings",
     "run",
 ]
@@ -95,12 +93,6 @@ def _mix(x, s, coef):
     return x + coef * (s - x)
 
 
-def _momentum(m, g, k: int):
-    """Gradient average (1 - d_k) m + d_k g with d_k = 2/(k+2)."""
-    d_k = 2.0 / (k + 2.0)
-    return (1.0 - d_k) * m + d_k * g
-
-
 def _stages(obj, fset, x, t: Tableau, coef):
     """Run the stages of tableau t from x; return x_next.
 
@@ -139,14 +131,6 @@ def step(obj, fset, x, t: float, sched: StepSchedule, tableau: Tableau) -> np.nd
     return _stages(obj, fset, x, tableau, lambda i, xb, d: gammas[i])
 
 
-def fw_gap(obj, fset, x) -> float:
-    """Frank-Wolfe gap grad(x) . (x - s); upper-bounds f(x) - f* for convex f."""
-    x = np.asarray(x, dtype=float)
-    g = obj.gradient(x)
-    s = fset.lmo(g)
-    return float(g @ (x - s))
-
-
 def _descent_gamma(obj, x, d, k: int) -> float:
     """Monotone step length used by the +linesearch solver variants.
 
@@ -169,18 +153,6 @@ def _descent_gamma(obj, x, d, k: int) -> float:
         else:
             hi = mid
     return 0.5 * lo
-
-
-def momentum_step(obj, fset, x, m_prev, k: int, sched: StepSchedule):
-    """Momentum Frank-Wolfe step: the LMO sees an averaged gradient.
-
-    m = (1 - d_k) m_prev + d_k grad(x) with d_k = 2/(k+2); then the usual
-    mixing update with s = lmo(m). Returns (x_next, m).
-    """
-    x = _check_vector(fset.dim, x, "iterate")
-    m_prev = _check_vector(fset.dim, m_prev, "momentum buffer")
-    m = _momentum(m_prev, obj.gradient(x), k)
-    return _mix(x, fset.lmo(m), sched.gamma(k)), m
 
 
 METHODS = ("fw", "flow", "rk", "rk+linesearch", "fw+linesearch", "fw+momentum")
@@ -216,7 +188,7 @@ def run(
     """Drive one solver over max_iter steps, recording every iterate.
 
     rk steps from time t = 1; everything else starts at t = 0 (index k = 0).
-    Stops early once fw_gap <= stop_gap (stop_gap = 0 disables the check).
+    Stops early once the gap g . (x - s) <= stop_gap (stop_gap = 0 disables the check).
     Feasibility is monitored (recorded per step), never enforced. Before the
     first step, bad settings (check_settings), a bad tableau and an
     infeasible x0 raise ConfigError.
@@ -247,8 +219,9 @@ def run(
             x = _mix(x, s, sched.delta * sched.gamma(j * sched.delta))
         elif method == "fw+linesearch":
             x = _mix(x, s, _descent_gamma(obj, x, s - x, j))
-        elif method == "fw+momentum":
-            m = _momentum(m, g, j)
+        elif method == "fw+momentum":  # the LMO sees the gradient average, d = 2/(j+2)
+            d = 2.0 / (j + 2.0)
+            m = (1.0 - d) * m + d * g
             x = _mix(x, fset.lmo(m), sched.gamma(j))
         elif method == "rk":
             x = step(obj, fset, x, 1 + j * sched.delta, sched, tableau)

@@ -72,11 +72,6 @@ class Tableau:
                 raise ConfigError(f"tableau JSON key {key!r} must hold numbers: {e}") from None
         return cls(**entries, name=name)
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {"A": self.A.tolist(), "beta": self.beta.tolist(), "omega": self.omega.tolist()}
-        )
-
 
 def validate(t: Tableau) -> None:
     """Raise ConfigError naming the first violated tableau invariant."""
@@ -159,11 +154,9 @@ def builtin(name: str) -> Tableau:
 
 @dataclass(frozen=True)
 class Certificate:
-    """Feasibility certificate z at iteration k for schedule constant c."""
+    """Feasibility certificate z at one iteration k and constant c, and whether 0 <= z <= 1."""
 
     z: np.ndarray
-    k: int
-    c: float
     in_unit_interval: bool
 
 
@@ -198,7 +191,7 @@ def certificate(t: Tableau, c: float, k: int) -> Certificate:
     y = _solve_mixing(t, gammas, t.beta)
     z = t.q * gammas * y
     inside = bool(np.all(z >= 0.0) and np.all(z <= 1.0))
-    return Certificate(z=z, k=k, c=c, in_unit_interval=inside)
+    return Certificate(z=z, in_unit_interval=inside)
 
 
 def certificate_decay(t: Tableau, c: float, k_max: int) -> np.ndarray:
@@ -212,22 +205,13 @@ def certificate_decay(t: Tableau, c: float, k_max: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class RateConstants:
-    """Constants of the one-step decrease bound and the O(1/k) rate curve."""
+    """Constants of the one-step decrease bound and of the O(1/k) rate curve h0 / (k + 1)."""
 
     p_max: float
     D2: float
     D3: float
     D4: float
     h0: float
-    q: int
-    c: float
-    L: float
-    diam: float
-    max_abs_A: float
-
-    def bound(self, k: int) -> float:
-        """Guaranteed objective-error bound h0 / (k + 1)."""
-        return self.h0 / (k + 1)
 
 
 def rate_constants(t: Tableau, c: float, L: float, diam: float, h_x0: float = 0.0) -> RateConstants:
@@ -261,9 +245,4 @@ def rate_constants(t: Tableau, c: float, L: float, diam: float, h_x0: float = 0.
         D3=D3,
         D4=D4,
         h0=h0,
-        q=t.q,
-        c=c,
-        L=L,
-        diam=diam,
-        max_abs_A=max_abs_A,
     )

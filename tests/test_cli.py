@@ -240,6 +240,8 @@ OVERFLOWS = {"A": [[0.0, 0.0], [1e308, 0.0]], "beta": [0.0, 1.0], "omega": [0.0,
 NO_OMEGA = {"A": [[0]], "beta": [1]}
 NON_NUMERIC = {"A": "x", "beta": [1], "omega": [0]}
 RAGGED_A = {"A": [[0.0], [0.5, 0.0]], "beta": [0.0, 1.0], "omega": [0.0, 0.5]}
+EULER_DOC = {"A": [[0]], "beta": [1], "omega": [0]}
+BOTH_TABLEAUS = "error: give a tableau name or a tableau file, not both"
 NOT_NUMBERS = "error: tableau JSON key 'A' must hold numbers"
 
 
@@ -520,6 +522,20 @@ _LIBRARY_REJECTED_ENTRIES = {
             2,
             "error: a run of 3 steps over T = 3 is shorter than one window W = 5",
         ),
+        (["run", "--method", "rk", "--tableau", "rk4"], EULER_DOC, 2, BOTH_TABLEAUS),
+        (  # the conflict is found before the file is read
+            ["sweep"],
+            _after_valid_entry({"method": "rk", "tableau": "rk4", "tableau_file": "e.json"}),
+            2,
+            BOTH_TABLEAUS,
+        ),
+        (["certify", "rk4"], EULER_DOC, 2, BOTH_TABLEAUS),
+        (  # slope_fit needs 10 points k >= k_min, and the default k_min is 100
+            ["sweep"],
+            [{"problem": "triangle", "max_iter": 50, "output": "a", "diagnostics": {"slope": {}}}],
+            2,
+            "error: slope k_min = 100 leaves fewer than 10 of max_iter = 50 steps to fit",
+        ),
     ],
     ids=[
         "c-below-1",
@@ -598,17 +614,23 @@ _LIBRARY_REJECTED_ENTRIES = {
         *[f"sweep-later-entry-{name}" for name in _LIBRARY_REJECTED_ENTRIES],
         "zigzag-T-below-one-step",
         "zigzag-T-shorter-than-window",
+        "run-tableau-and-file",
+        "sweep-later-entry-tableau-and-file",
+        "certify-tableau-and-file",
+        "sweep-slope-too-few-steps",
     ],
 )
 def test_exit_code_contract(tmp_path, capsys, argv, doc, code, message):
     # 2: rejected before the first step, printing nothing and leaving no output directory;
     # 1: failed while iterating
-    if doc is not None:  # a tableau file for run, the configuration list for sweep
+    if doc is not None:  # a tableau file for run and certify, the configuration list for sweep
         path = tmp_path / "doc.json"
         path.write_text(json.dumps(doc))
-        argv = argv + [{"run": "--tableau-file", "sweep": "--config"}[argv[0]], str(path)]
+        argv = argv + ["--config" if argv[0] == "sweep" else "--tableau-file", str(path)]
     out = tmp_path / "out"
-    assert main([*argv, "--output-dir", str(out)]) == code
+    if argv[0] != "certify":  # certify prints to stdout and takes no output directory
+        argv = [*argv, "--output-dir", str(out)]
+    assert main(argv) == code
     captured = capsys.readouterr()
     assert captured.err.startswith(message)
     if code == 2:

@@ -15,8 +15,6 @@ from fwflow.solvers import (
     StepSchedule,
     Trajectory,
     _descent_gamma,
-    fw_gap,
-    momentum_step,
     run,
     step,
 )
@@ -65,6 +63,17 @@ def _reference_rk_step(obj, fset, x, time, sched, t):
     for i in range(1, t.q):
         incr = incr + t.beta[i] * xi[i]
     return x + incr, xi, xbar
+
+
+def _reference_momentum_step(obj, fset, x, m, k, sched):
+    """One momentum FW step: the LMO sees m = (1 - d) m + d grad(x) with d = 2/(k+2).
+
+    Returns (x + gamma(k) (lmo(m) - x), m).
+    """
+    x = np.asarray(x, dtype=float)
+    d = 2.0 / (k + 2.0)
+    m = (1.0 - d) * m + d * obj.gradient(x)
+    return x + sched.gamma(k) * (fset.lmo(m) - x), m
 
 
 class TestSchedule:
@@ -166,11 +175,17 @@ def test_rk_step_matches_reference(builder, name):
 
 
 class TestGap:
+    """The gap grad(x) . (x - s) that run() records in row 0 and writes to the CSV."""
+
+    @staticmethod
+    def gap(obj, fset, x):
+        return run(obj, fset, x, "fw", StepSchedule(), 1).gap[0]
+
     def test_zero_at_minimizer(self):
-        assert fw_gap(HALF_SQUARE, BOX, [0.0]) == 0.0
+        assert self.gap(HALF_SQUARE, BOX, [0.0]) == 0.0
 
     def test_hand_value(self):
-        assert fw_gap(HALF_SQUARE, BOX, [0.3]) == pytest.approx(0.39)
+        assert self.gap(HALF_SQUARE, BOX, [0.3]) == pytest.approx(0.39)
 
     def test_upper_bounds_suboptimality(self):
         p = triangle()
@@ -178,7 +193,7 @@ class TestGap:
         for _ in range(20):
             w = rng.dirichlet(np.ones(3))
             x = w @ p.feasible_set.vertices
-            gap = fw_gap(p.objective, p.feasible_set, x)
+            gap = self.gap(p.objective, p.feasible_set, x)
             assert gap >= p.objective.value(x) - p.f_star - 1e-12
 
 
@@ -301,20 +316,10 @@ def test_descent_gamma_matches_reference(kind, dim, zero_direction, k, data):
 
 class TestMomentum:
     def test_first_step_matches_fw(self):
-        sched = StepSchedule(c=2.0)
-        x_fw = step(HALF_SQUARE, BOX, [0.3], 0, sched, EULER)
-        x_m, m = momentum_step(HALF_SQUARE, BOX, [0.3], [0.0], 0, sched)
-        assert x_m[0] == x_fw[0]
-        assert m[0] == pytest.approx(0.3)
-
-    def test_stationary_average(self):
-        g = HALF_SQUARE.gradient([0.3])
-        _, m = momentum_step(HALF_SQUARE, BOX, [0.3], g, 5, StepSchedule())
-        assert m[0] == pytest.approx(g[0])
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            momentum_step(HALF_SQUARE, BOX, [0.3], [0.0, 0.0], 0, StepSchedule())
+        # at k = 0 the average weighs the gradient by d = 1, so the LMO sees what fw's sees
+        fw, mom = (run(HALF_SQUARE, BOX, [0.3], method, StepSchedule(c=2.0), 1)
+                   for method in ("fw", "fw+momentum"))
+        assert mom.x[1][0] == fw.x[1][0]
 
 
 class TestRun:
@@ -442,7 +447,7 @@ def test_run_matches_public_steps(c, delta, target, weights, steps):
     m = [np.zeros(2)]
 
     def momentum(x, k, s):
-        x, m[0] = momentum_step(obj, hull, x, m[0], k, s)
+        x, m[0] = _reference_momentum_step(obj, hull, x, m[0], k, s)
         return x
 
     assert same_path("fw+momentum", momentum, sched)
@@ -466,12 +471,15 @@ class _Counting:
         return counted
 
 
-@pytest.mark.parametrize("method, name", [("fw", None), ("flow", None)]
-                         + [("rk", name) for name in builtin_names()])
+@pytest.mark.parametrize("method, name", [("fw", None), ("flow", None), ("fw+momentum", None),
+                                          ("fw+linesearch", None)]
+                         + [(method, name) for method in ("rk", "rk+linesearch")
+                            for name in builtin_names()])
 def test_run_oracle_counts(monkeypatch, method, name):
-    # run() over n steps: one gradient and LMO call per record, plus q per rk step;
-    # one value per record, x0's violation check plus one per record; one tableau
-    # validation per run plus one per rk step
+    # run() over n steps: one gradient and LMO call per record, plus q per rk step and
+    # one more LMO per momentum step; one value per record, and as many more as a line
+    # search needs; x0's violation check plus one per record; one tableau validation
+    # per run plus one per rk step
     p, n = triangle(), 12
     obj = _Counting(p.objective, "gradient", "value")
     fset = _Counting(p.feasible_set, "lmo", "violation")
@@ -481,9 +489,11 @@ def test_run_oracle_counts(monkeypatch, method, name):
     sched = StepSchedule(c=2.0, delta=0.1 if method == "flow" else 1.0)
     run(obj, fset, p.x0, method, sched, n, tableau=t)
     calls = (t.q + 1) * n + 1 if t else n + 1
-    assert obj.calls == {"gradient": calls, "value": n + 1}
-    assert fset.calls == {"lmo": calls, "violation": n + 2}
-    assert len(validated) == (n + 1 if t else 0)
+    values = obj.calls["value"] if method.endswith("linesearch") else n + 1
+    assert obj.calls == {"gradient": calls, "value": values}
+    lmos = calls + n if method == "fw+momentum" else calls
+    assert fset.calls == {"lmo": lmos, "violation": n + 2}
+    assert len(validated) == {"rk": n + 1, "rk+linesearch": 1}.get(method, 0)
 
 
 def _order_problem():
