@@ -173,28 +173,29 @@ def _plan(s: dict) -> tuple:
 
 
 def _runs(settings: list, out_dir: Path):
-    """Plan every run's settings, then run each in turn, yielding each path it writes."""
+    """Plan every run's settings, then run each in turn, yielding each path it writes.
+
+    A run's diagnostics are all computed before any of its files is written, so a
+    diagnostic that fails leaves none of that run's files behind.
+    """
     plans = [(s, *_plan(s)) for s in settings]
     for s, problem, sched, tab, stem in plans:
         traj = run_solver(problem.objective, problem.feasible_set, problem.x0, s["method"],
                           sched, s["max_iter"], stop_gap=s["stop_gap"], tableau=tab)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        traj.to_csv(out_dir / f"{stem}.csv")
-        yield out_dir / f"{stem}.csv"
-        diag = s.get("diagnostics", {})
+        diag, tables = s.get("diagnostics", {}), []  # (file suffix, rows), in writing order
         if "zigzag" in diag:
             rows = _zigzag_rows(traj, s["method"], diag["zigzag"]["W"], diag["zigzag"]["T"])
-            yield _write_rows(out_dir / f"{stem}_zigzag.csv", [_ZIGZAG_HEADER] + rows)
+            tables.append(("zigzag", [_ZIGZAG_HEADER] + rows))
         if "slope" in diag:
             k_min = diag["slope"]["k_min"]
             slope = diagnostics.slope_fit(traj, problem.f_star, k_min)
             rows = ["k_min,slope", f"{k_min},{slope:.17g}"]
-            yield _write_rows(out_dir / f"{stem}_slope.csv", rows)
+            tables.append(("slope", rows))
         if "lower_bound" in diag:
             anchors = diag["lower_bound"]["anchors"]
             vals = diagnostics.lower_bound_probe(traj, anchors)
             rows = ["anchor,probe"] + [f"{a},{v:.17g}" for a, v in zip(anchors, vals)]
-            yield _write_rows(out_dir / f"{stem}_lower_bound.csv", rows)
+            tables.append(("lower_bound", rows))
         if "bound_compare" in diag:
             h0 = problem.objective.value(problem.x0) - problem.f_star
             rows = ["t,normalized_error,bound"]
@@ -202,7 +203,12 @@ def _runs(settings: list, out_dir: Path):
                 norm_err = (f - problem.f_star) / h0
                 cb = diagnostics.continuous_bound(sched.c, t)
                 rows.append(f"{t:.17g},{norm_err:.17g},{cb:.17g}")
-            yield _write_rows(out_dir / f"{stem}_bound.csv", rows)
+            tables.append(("bound", rows))
+        out_dir.mkdir(parents=True, exist_ok=True)
+        traj.to_csv(out_dir / f"{stem}.csv")
+        yield out_dir / f"{stem}.csv"
+        for suffix, rows in tables:
+            yield _write_rows(out_dir / f"{stem}_{suffix}.csv", rows)
 
 
 def _cmd_run(args) -> int:

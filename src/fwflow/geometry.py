@@ -84,7 +84,11 @@ class VertexHull:
 
 @dataclass(frozen=True)
 class Box:
-    """Axis-aligned box [lower, upper]^dim."""
+    """Axis-aligned box [lower, upper]^dim.
+
+    The shipped problems (scalar_box, scalar_huber) build it only at dim 1, so
+    ``violation`` reads the point as a Python list rather than with numpy reductions.
+    """
 
     lower: float
     upper: float
@@ -104,9 +108,9 @@ class Box:
         return np.where(g >= 0.0, self.lower, self.upper)
 
     def violation(self, point) -> float:
-        x = _check_vector(self.dim, point, "point")
+        xs = _check_vector(self.dim, point, "point").tolist()
         # rounding is monotone, so max(x) - upper is the largest x_i - upper, bit for bit
-        return max(0.0, float(x.max()) - self.upper, self.lower - float(x.min()))
+        return max(0.0, max(xs) - self.upper, self.lower - min(xs))
 
     def diameter(self) -> float:
         return (self.upper - self.lower) * float(np.sqrt(self.dim))

@@ -100,15 +100,15 @@ def _stages(obj, fset, x, t: Tableau, coef):
     xi_i = coef(i, xbar_i, d_i) * d_i with d_i = s_i - xbar_i; the step is
     x + sum_i beta_i xi_i.
     """
-    A, beta, xi = t.A.tolist(), t.beta.tolist(), []  # float * array rounds as np.float64 * array
-    for i in range(t.q):
-        xb = x.copy()
-        for j in range(i):
-            if A[i][j] != 0.0:
-                xb = xb + A[i][j] * xi[j]
+    xi = []
+    for i, terms in enumerate(t._stage_terms):
+        xb = x  # never written in place: each update below makes a new array
+        for j, a in terms:
+            xb = xb + a * xi[j]
         s = fset.lmo(obj.gradient(xb))
         d = s - xb
         xi.append(coef(i, xb, d) * d)
+    beta = t._beta
     incr = beta[0] * xi[0]
     for i in range(1, t.q):
         incr = incr + beta[i] * xi[i]

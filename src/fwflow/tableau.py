@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import chain
 
 import numpy as np
@@ -36,17 +36,41 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class Tableau:
-    """Explicit Runge-Kutta tableau: stage matrix A, weights beta, offsets omega."""
+    """Explicit Runge-Kutta tableau: stage matrix A, weights beta, offsets omega.
+
+    The arrays are read-only copies, so a tableau is checked once, when it is
+    built: ``validate`` reports that verdict.
+    """
 
     A: np.ndarray
     beta: np.ndarray
     omega: np.ndarray
     name: str = ""
+    # set by __post_init__: the first invariant fault, or None
+    _fault: str | None = field(init=False, repr=False, compare=False)
+    # set for a valid tableau: per stage, the nonzero (j, A_ij) pairs; beta and omega;
+    # all as Python floats, since float * array rounds as np.float64 * array
+    _stage_terms: tuple = field(init=False, repr=False, compare=False)
+    _beta: list = field(init=False, repr=False, compare=False)
+    _omega: list = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "A", np.atleast_2d(np.asarray(self.A, dtype=float)))
-        object.__setattr__(self, "beta", np.asarray(self.beta, dtype=float).ravel())
-        object.__setattr__(self, "omega", np.asarray(self.omega, dtype=float).ravel())
+        for key, shape in (("A", np.atleast_2d), ("beta", np.ravel), ("omega", np.ravel)):
+            entries = shape(np.asarray(getattr(self, key), dtype=float)).copy()
+            entries.setflags(write=False)
+            object.__setattr__(self, key, entries)
+        try:
+            _check_invariants(self)
+            fault = None
+        except ConfigError as e:
+            fault = str(e)
+        object.__setattr__(self, "_fault", fault)
+        if fault is None:
+            terms = tuple(tuple((j, a) for j, a in enumerate(row[:i]) if a != 0.0)
+                          for i, row in enumerate(self.A.tolist()))
+            object.__setattr__(self, "_stage_terms", terms)
+            object.__setattr__(self, "_beta", self.beta.tolist())
+            object.__setattr__(self, "_omega", self.omega.tolist())
 
     @property
     def q(self) -> int:
@@ -74,6 +98,12 @@ class Tableau:
 
 
 def validate(t: Tableau) -> None:
+    """Raise ConfigError naming the first violated tableau invariant, found when t was built."""
+    if t._fault is not None:
+        raise ConfigError(t._fault)
+
+
+def _check_invariants(t: Tableau) -> None:
     """Raise ConfigError naming the first violated tableau invariant."""
     q = t.q
     if t.A.shape != (q, q) or t.omega.shape[0] != q:
@@ -172,7 +202,7 @@ def _gammas(t: Tableau, c: float, time: float, delta: float = 1.0) -> list:
     flow's delta * gamma(time). The grouping is part of the rule, since
     (delta c)/(c + time) is not bit-equal to delta (c/(c + time)).
     """
-    return [delta * (c / (c + time + w * delta)) for w in t.omega.tolist()]
+    return [delta * (c / (c + time + w * delta)) for w in t._omega]
 
 
 def _solve_mixing(t: Tableau, gammas: np.ndarray, rhs: np.ndarray) -> np.ndarray:

@@ -637,6 +637,33 @@ def test_exit_code_contract(tmp_path, capsys, argv, doc, code, message):
         assert captured.out == "" and not out.exists()
 
 
+@pytest.mark.parametrize(
+    "entry, message",
+    [
+        (  # stop_gap ends the run after 7 rows, too few for the fit
+            {"problem": "triangle", "max_iter": 500, "stop_gap": 1e-3,
+             "diagnostics": {"slope": {}}},
+            "runtime error: fewer than 10 usable points for the slope fit",
+        ),
+        (  # stop_gap ends the run after the first row, before anchor 5
+            {"problem": "scalar_box", "max_iter": 5, "stop_gap": 10.0,
+             "diagnostics": {"lower_bound": {"anchors": [5]}}},
+            "runtime error: anchor 5 is outside the trajectory range",
+        ),
+    ],
+    ids=["slope", "lower_bound"],
+)
+def test_failed_diagnostic_writes_none_of_its_runs_files(tmp_path, capsys, entry, message):
+    doc = [{**entry, "output": "a"}, {"problem": "triangle", "max_iter": 5, "output": "b"}]
+    path = tmp_path / "sweep.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", str(path), "--output-dir", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(message)
+    assert captured.out == "" and not out.exists()
+
+
 def test_rk_takes_delta(tmp_path, capsys):
     # rk steps from t = 1 by delta; the t column is k * delta, as for every method
     argv = ["run", "--method", "rk", "--tableau", "rk4", "--delta", "0.5", "--max-iter", "4"]

@@ -99,6 +99,21 @@ def test_box_violation_bit_identical_to_reference():
                 box.violation(x)
 
 
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(dim=st.integers(1, 4), data=st.data())
+def test_box_violation_matches_numpy_reductions(dim, data):
+    # violation reads the point as a Python list; the numpy max/min reductions it replaced
+    # must give the same float, bit for bit, signed zeros and points on a face included
+    lower = data.draw(st.sampled_from([-1.0, -0.0, 0.0, 0.25, -1e3]))
+    upper = lower + data.draw(st.sampled_from([1e-3, 1.0, 2.0]))
+    box = Box(lower, upper, dim=dim)
+    entry = (st.floats(-1e4, 1e4) | st.sampled_from([0.0, -0.0, box.lower, box.upper])
+             | st.sampled_from([np.nextafter(box.lower, -np.inf), np.nextafter(box.upper, np.inf)]))
+    x = np.array(data.draw(st.lists(entry, min_size=dim, max_size=dim)))
+    old = max(0.0, float(x.max()) - box.upper, box.lower - float(x.min()))
+    assert box.violation(x).hex() == old.hex()
+
+
 class TestContains:
     def test_triangle_interior(self):
         assert contains(TRIANGLE, [0.0, 0.5], tol=1e-9)

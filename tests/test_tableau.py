@@ -110,7 +110,28 @@ def _outcome(check, t: Tableau):
 @given(data=st.data())
 def test_validate_matches_reference(fault, data):
     t = data.draw(_tableaus(fault))
-    assert _outcome(validate, t) == _outcome(_reference_validate, t)
+    # the verdict is found once, when t is built; every call reports the same one
+    assert _outcome(validate, t) == _outcome(validate, t) == _outcome(_reference_validate, t)
+
+
+class TestReadOnly:
+    @pytest.mark.parametrize("key, at", [("A", (1, 0)), ("beta", (0,)), ("omega", (1,))])
+    def test_builtin_arrays_reject_writes(self, key, at):
+        entries = getattr(builtin("rk4"), key)
+        before = entries[at]
+        with pytest.raises(ValueError, match="read-only"):
+            entries[at] = 0.7
+        assert getattr(builtin("rk4"), key)[at] == before
+
+    def test_caller_arrays_stay_writable_and_unchanged(self):
+        A, beta, omega = np.array([[0.0, 0.0], [0.5, 0.0]]), np.array([0.0, 1.0]), np.zeros(2)
+        t = Tableau(A=A, beta=beta, omega=omega)
+        for given, kept in ((A, t.A), (beta, t.beta), (omega, t.omega)):
+            assert given.flags.writeable and not kept.flags.writeable
+            np.testing.assert_array_equal(given, kept)
+        A[1, 0] = 0.7  # a later write to the caller's array leaves the tableau as built
+        assert t.A[1, 0] == 0.5
+        np.testing.assert_array_equal(A, [[0.0, 0.0], [0.7, 0.0]])
 
 
 class TestBuiltins:
