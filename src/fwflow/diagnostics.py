@@ -7,7 +7,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.integrate import quad
 
 from .tableau import ConfigError, _check_c
 
@@ -92,6 +91,8 @@ def schedule_bound(gamma, t: float) -> float:
 
     For gamma(t) = c/(c+t) this equals continuous_bound(c, t).
     """
+    from scipy.integrate import quad  # only fwflow bound needs it, and it loads slowly
+
     if t < 0:
         raise ValueError("time must be >= 0")
     integral, _ = quad(gamma, 0.0, t, epsabs=1e-10, epsrel=1e-10, limit=200)

@@ -15,7 +15,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize._slsqplib import nnls as _nnls  # scipy.optimize.nnls minus its input checks
+
+# scipy.optimize.nnls minus its input checks, bound when the first VertexHull is built, so
+# that only the hull loads scipy.optimize
+_nnls = None
 
 __all__ = [
     "VertexHull",
@@ -45,6 +48,9 @@ class VertexHull:
     _nnls_system: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        global _nnls
+        if _nnls is None:
+            from scipy.optimize._slsqplib import nnls as _nnls
         v = np.atleast_2d(np.asarray(self.vertices, dtype=float))
         if v.shape[0] < 1:
             raise ValueError("VertexHull needs at least one vertex")
@@ -218,7 +224,7 @@ class NuclearBall:
 
 
 def contains(feasible_set, point, tol: float = 1e-9) -> bool:
-    """True iff the point is within constraint slack ``tol`` of the set."""
-    if tol < 0:
-        raise ValueError("tol must be nonnegative")
+    """True iff the point is within constraint slack ``tol`` of the set; ``tol`` may be inf."""
+    if not tol >= 0:  # true for nan too
+        raise ValueError(f"tol must be nonnegative, got {tol}")
     return feasible_set.violation(point) <= tol

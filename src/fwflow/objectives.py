@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.special import expit
 
 __all__ = [
     "QuadraticDistance",
@@ -128,6 +127,14 @@ class LeastSquares(_DenseObjective):
     def value(self, x) -> float:
         r = self._at(x)
         return 0.5 * float(r @ r)
+
+
+def expit(z):
+    """scipy.special.expit, which this module name is rebound to on the first call, so that
+    only the logistic loss loads scipy.special; _gradient_from looks the name up per call."""
+    global expit
+    from scipy.special import expit
+    return expit(z)
 
 
 class LogisticLoss(_DenseObjective):

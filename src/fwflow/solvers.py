@@ -11,6 +11,7 @@ bit for bit.
 
 from __future__ import annotations
 
+import math
 from contextlib import nullcontext
 from dataclasses import dataclass
 from types import SimpleNamespace
@@ -44,8 +45,8 @@ class StepSchedule:
             raise ConfigError("discretization unit delta must be in (0, 1]")
 
     def gamma(self, k: float) -> float:
-        if k < 0:
-            raise ValueError("iteration index must be >= 0")
+        if not 0 <= k < math.inf:  # false for nan too
+            raise ValueError(f"iteration index must be >= 0 and finite, got {k}")
         return self.c / (self.c + k)
 
 

@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from itertools import chain
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 __all__ = [
     "ConfigError",
@@ -34,12 +33,13 @@ class ConfigError(ValueError):
     """Invalid configuration: a bad schedule, tableau or solver setting."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Tableau:
     """Explicit Runge-Kutta tableau: stage matrix A, weights beta, offsets omega.
 
     The arrays are read-only copies, so a tableau is checked once, when it is
-    built: ``validate`` reports that verdict.
+    built: ``validate`` reports that verdict. Tableaus compare and hash by
+    identity, as array fields have no single truth value.
     """
 
     A: np.ndarray
@@ -47,12 +47,12 @@ class Tableau:
     omega: np.ndarray
     name: str = ""
     # set by __post_init__: the first invariant fault, or None
-    _fault: str | None = field(init=False, repr=False, compare=False)
+    _fault: str | None = field(init=False, repr=False)
     # set for a valid tableau: per stage, the nonzero (j, A_ij) pairs; beta and omega;
     # all as Python floats, since float * array rounds as np.float64 * array
-    _stage_terms: tuple = field(init=False, repr=False, compare=False)
-    _beta: list = field(init=False, repr=False, compare=False)
-    _omega: list = field(init=False, repr=False, compare=False)
+    _stage_terms: tuple = field(init=False, repr=False)
+    _beta: list = field(init=False, repr=False)
+    _omega: list = field(init=False, repr=False)
 
     def __post_init__(self):
         for key, shape in (("A", np.atleast_2d), ("beta", np.ravel), ("omega", np.ravel)):
@@ -207,6 +207,8 @@ def _gammas(t: Tableau, c: float, time: float, delta: float = 1.0) -> list:
 
 def _solve_mixing(t: Tableau, gammas: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve (I + A^T Gamma) y = rhs; the system is unit upper triangular."""
+    from scipy.linalg import solve_triangular  # only certificates and rate constants need it
+
     M = np.eye(t.q) + t.A.T * gammas[None, :]
     return solve_triangular(M, rhs, lower=False, unit_diagonal=True)
 

@@ -128,6 +128,14 @@ class TestContains:
         with pytest.raises(ValueError):
             contains(TRIANGLE, [0.0, 0.0], tol=-1.0)
 
+    def test_nan_tol_rejected(self):
+        with pytest.raises(ValueError, match="tol must be nonnegative, got nan"):
+            contains(Box(-1.0, 1.0), [0.0], tol=float("nan"))
+
+    def test_infinite_tol_accepts_any_finite_point(self):
+        assert contains(Box(-1.0, 1.0), [0.0], tol=float("inf"))
+        assert contains(TRIANGLE, [2.0, 0.0], tol=float("inf"))
+
     def test_nuclear_violation(self):
         fset = NuclearBall(1.0, 2, 2)
         x = np.eye(2).ravel()  # nuclear norm 2

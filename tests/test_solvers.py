@@ -97,6 +97,15 @@ class TestSchedule:
         with pytest.raises(ConfigError, match="must be >= 1 and finite"):
             StepSchedule(c=c)
 
+    @pytest.mark.parametrize("k", [-1, -0.5, np.nan, np.inf, -np.inf])
+    def test_gamma_rejects_negative_or_non_finite_index(self, k):
+        with pytest.raises(ValueError, match=f"iteration index must be >= 0 and finite, got {k}"):
+            StepSchedule(c=2.0).gamma(k)
+
+    def test_gamma_at_zero_and_large_index(self):
+        assert StepSchedule(c=2.0).gamma(0.0) == 1.0
+        assert StepSchedule(c=2.0).gamma(1e300) == 2.0 / (2.0 + 1e300)
+
 
 class TestSteps:
     def test_fw_step_hand_value(self):

@@ -134,6 +134,21 @@ class TestReadOnly:
         np.testing.assert_array_equal(A, [[0.0, 0.0], [0.7, 0.0]])
 
 
+class TestIdentity:
+    def test_equal_to_itself_and_not_to_a_copy(self):
+        t = builtin("rk4")
+        copy = Tableau(A=t.A, beta=t.beta, omega=t.omega, name="rk4")
+        assert t == t and builtin("rk4") == t
+        assert t != copy and not t == copy
+
+    def test_works_as_dict_key(self):
+        t = builtin("rk4")
+        copy = Tableau(A=t.A, beta=t.beta, omega=t.omega, name="rk4")
+        table = {t: "builtin", copy: "copy"}
+        assert table[builtin("rk4")] == "builtin" and table[copy] == "copy"
+        assert len({builtin(name) for name in builtin_names() * 2}) == len(builtin_names())
+
+
 class TestBuiltins:
     def test_midpoint_values(self):
         t = builtin("midpoint")
