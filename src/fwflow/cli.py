@@ -147,9 +147,13 @@ def _zigzag_rows(traj, label: str, windows, T: float) -> list:
     ]
 
 
-def _plan(s: dict) -> tuple:
-    """Check what _parse cannot in one run's settings s; return (problem, sched, tableau, stem)."""
-    problem = _build_problem(s["problem"], s["seed"])
+def _plan(s: dict, built: dict) -> tuple:
+    """Check what _parse cannot in one run's settings s; return (problem, sched, tableau, stem).
+
+    built maps each (problem, seed) that the command has built to its problem.
+    """
+    key = (s["problem"], s["seed"])
+    problem = built[key] = built[key] if key in built else _build_problem(*key)
     method, max_iter = s["method"], s["max_iter"]
     sched = StepSchedule(c=s["c"], delta=s["delta"])
     tab = _load_tableau(s["tableau"], s["tableau_file"])
@@ -172,16 +176,23 @@ def _plan(s: dict) -> tuple:
     return problem, sched, tab, s["output"] or f"{problem.name}_{method.replace('+', '_')}"
 
 
+def _trajectories(settings: list):
+    """Plan every run's settings, then run each in turn: yield (s, problem, sched, stem, traj)."""
+    built = {}  # one problem per (problem, seed), made for this call only
+    plans = [(s, *_plan(s, built)) for s in settings]
+    for s, problem, sched, tab, stem in plans:
+        yield s, problem, sched, stem, run_solver(
+            problem.objective, problem.feasible_set, problem.x0, s["method"], sched,
+            s["max_iter"], stop_gap=s["stop_gap"], tableau=tab)
+
+
 def _runs(settings: list, out_dir: Path):
-    """Plan every run's settings, then run each in turn, yielding each path it writes.
+    """Run every run's settings in turn, yielding each path it writes.
 
     A run's diagnostics are all computed before any of its files is written, so a
     diagnostic that fails leaves none of that run's files behind.
     """
-    plans = [(s, *_plan(s)) for s in settings]
-    for s, problem, sched, tab, stem in plans:
-        traj = run_solver(problem.objective, problem.feasible_set, problem.x0, s["method"],
-                          sched, s["max_iter"], stop_gap=s["stop_gap"], tableau=tab)
+    for s, problem, sched, stem, traj in _trajectories(settings):
         diag, tables = s.get("diagnostics", {}), []  # (file suffix, rows), in writing order
         if "zigzag" in diag:
             rows = _zigzag_rows(traj, s["method"], diag["zigzag"]["W"], diag["zigzag"]["T"])
@@ -257,37 +268,41 @@ def _cmd_bound(args) -> int:
     return 0
 
 
-def _zigzag_table(path: Path, problem, runs, windows, T: float) -> Path:
-    """Write the zig-zag energy of each run over each window W to one CSV.
+def _zigzag_table(path: Path, s: dict, runs) -> Path:
+    """Write to one CSV the zig-zag energy of each run over each window W of s, zigzag settings.
 
-    runs holds (schedule, tableau) pairs: rk with a tableau, the flow without
-    one (fw at delta = 1). Each run covers time T, in round(T / delta) steps,
-    and its rows are labelled with the tableau's name, or fw without one.
+    runs holds (delta, tableau name or None) pairs: rk with a tableau, the flow
+    without one (fw at delta = 1). Each run covers time T in round(T / delta)
+    steps, and its rows are labelled with the tableau's name, or fw without one.
     """
-    for W in windows:  # the run with the longest step makes the fewest steps
-        diagnostics.check_zigzag_settings(W, T, T / max(sched.delta for sched, _ in runs))
+    for delta, _ in runs:  # c and each delta, before a step count is derived from them
+        StepSchedule(c=s["c"], delta=delta)
+    for W in s["windows"]:  # the run with the longest step makes the fewest steps
+        diagnostics.check_zigzag_settings(W, s["T"], s["T"] / max(d for d, _ in runs))
+    entries = [
+        _parse(_SETTINGS["run"], {"problem": s["problem"], "seed": s["seed"], "c": s["c"],
+                                  "method": "rk" if tab else "flow", "delta": delta,
+                                  "tableau": tab, "max_iter": round(s["T"] / delta)},
+               "run configuration")
+        for delta, tab in runs
+    ]
     rows = [_ZIGZAG_HEADER]
-    for sched, tab in runs:
-        traj = run_solver(problem.objective, problem.feasible_set, problem.x0,
-                          "rk" if tab else "flow", sched, int(round(T / sched.delta)),
-                          tableau=tab)
-        rows += _zigzag_rows(traj, tab.name if tab else "fw", windows, T)
+    for e, *_, traj in _trajectories(entries):
+        rows += _zigzag_rows(traj, e["tableau"] or "fw", s["windows"], s["T"])
     return _write_rows(path, rows)
 
 
 def _cmd_zigzag(args) -> int:
     s = _flag_settings(args)
-    runs = [(StepSchedule(c=s["c"], delta=d), None) for d in s["deltas"]]
-    problem = _build_problem(s["problem"], s["seed"])
     path = _out_dir(args.output_dir) / (s["output"] or "zigzag.csv")
-    print(_zigzag_table(path, problem, runs, s["windows"], s["T"]))
+    print(_zigzag_table(path, s, [(delta, None) for delta in s["deltas"]]))
     return 0
 
 
 # ---------------------------------------------------------------------------
-# presets: each is a list of jobs. A dict is a run configuration, whose left-out
-# settings take their _SETTINGS defaults; a tuple (output, runs, windows) is a
-# _zigzag_table on the seed-0 logistic problem over T = 100.
+# presets: each is a list of jobs, all plain data. A dict is a run configuration,
+# whose left-out settings take their _SETTINGS defaults; a list [output, runs,
+# windows] is a _zigzag_table with the zigzag command's other defaults.
 
 _PRESETS = {
     # continuous flow vs discrete FW on the triangle, several c and delta
@@ -304,24 +319,10 @@ _PRESETS = {
         for delta in (None, 0.1, 0.01, 0.001)
     ],
     # zig-zag energy of the flow at delta in {1, 0.1, 0.01}, W in {5, 20}
-    "fig2-top": [
-        (
-            "fig2_top_zigzag.csv",
-            [(StepSchedule(c=2.0, delta=d), None) for d in (1.0, 0.1, 0.01)],
-            (5, 20),
-        )
-    ],
+    "fig2-top": [["fig2_top_zigzag.csv", [[1.0, None], [0.1, None], [0.01, None]], [5, 20]]],
     # zig-zag energy of fw vs midpoint vs rk4 at delta = 1, W = 5
     "fig2-bottom": [
-        (
-            "fig2_bottom_zigzag.csv",
-            [
-                (StepSchedule(c=2.0), None),
-                (StepSchedule(c=2.0), tableau_mod.builtin("midpoint")),
-                (StepSchedule(c=2.0), tableau_mod.builtin("rk4")),
-            ],
-            (5,),
-        )
+        ["fig2_bottom_zigzag.csv", [[1.0, None], [1.0, "midpoint"], [1.0, "rk4"]], [5]]
     ],
     # triangle problem: plain, line-search, and momentum variants
     "fig3": [
@@ -364,8 +365,9 @@ def _cmd_preset(args) -> int:
     out_dir, jobs = _out_dir(args.output_dir), _PRESETS[args.name]
     list(_runs([_parse(_SETTINGS["run"], job, "run configuration")
                 for job in jobs if isinstance(job, dict)], out_dir))
-    for output, runs, windows in (job for job in jobs if isinstance(job, tuple)):
-        _zigzag_table(out_dir / output, _build_problem("logistic", 0), runs, windows, 100.0)
+    for output, runs, windows in (job for job in jobs if isinstance(job, list)):
+        s = _parse(_SETTINGS["zigzag"], {"windows": windows}, "zigzag")
+        _zigzag_table(out_dir / output, s, runs)
     print(out_dir)
     return 0
 

@@ -89,12 +89,12 @@ def continuous_bound(c: float, t: float) -> float:
 def schedule_bound(gamma, t: float) -> float:
     """Normalized error bound exp(-integral of gamma over [0, t]).
 
-    For gamma(t) = c/(c+t) this equals continuous_bound(c, t).
+    For gamma(t) = c/(c+t) this equals continuous_bound(c, t). Raises
+    ValueError unless t >= 0 is finite.
     """
+    if not 0 <= t < math.inf:  # false for nan too
+        raise ValueError(f"time t must be >= 0 and finite, got {t}")
     from scipy.integrate import quad  # only fwflow bound needs it, and it loads slowly
-
-    if t < 0:
-        raise ValueError("time must be >= 0")
     integral, _ = quad(gamma, 0.0, t, epsabs=1e-10, epsrel=1e-10, limit=200)
     if not np.isfinite(integral):
         raise ValueError("schedule integral is non-finite")

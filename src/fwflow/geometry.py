@@ -39,13 +39,13 @@ def _check_vector(dim: int, v, what: str) -> np.ndarray:
     return x
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class VertexHull:
     """Convex hull of a finite vertex list (one point per row)."""
 
     vertices: np.ndarray
     # violation's NNLS matrix: the vertices as columns over a sum-to-one row
-    _nnls_system: np.ndarray = field(init=False, repr=False, compare=False)
+    _nnls_system: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         global _nnls

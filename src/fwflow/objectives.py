@@ -30,7 +30,7 @@ def _check_x(dim: int, x) -> np.ndarray:
     return x
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QuadraticDistance:
     """f(x) = 0.5 ||x - target||^2."""
 

@@ -21,7 +21,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Problem:
     """An objective, a feasible set, a start point, and the optimal value if known."""
 

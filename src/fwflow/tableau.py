@@ -11,7 +11,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from itertools import chain
 
 import numpy as np
 
@@ -108,19 +107,17 @@ def _check_invariants(t: Tableau) -> None:
     q = t.q
     if t.A.shape != (q, q) or t.omega.shape[0] != q:
         raise ConfigError("shape mismatch: A must be q x q and omega length q")
-    A, beta, omega = t.A.tolist(), t.beta.tolist(), t.omega.tolist()
-    if not all(map(math.isfinite, chain(*A, beta, omega))):
-        for name, values in (("A", t.A), ("beta", t.beta), ("omega", t.omega)):
-            if not np.isfinite(values).all():
-                at = tuple(int(i) for i in np.argwhere(~np.isfinite(values))[0])
-                raise ConfigError(f"tableau entry {name}{list(at)} is {values[at]}, must be finite")
+    for name, values in (("A", t.A), ("beta", t.beta), ("omega", t.omega)):
+        if not np.isfinite(values).all():
+            at = tuple(int(i) for i in np.argwhere(~np.isfinite(values))[0])
+            raise ConfigError(f"tableau entry {name}{list(at)} is {values[at]}, must be finite")
     if abs(float(t.beta.sum()) - 1.0) > 1e-12:  # numpy's pairwise order, not a Python sum
         raise ConfigError(f"beta sum is {t.beta.sum()!r}, must be 1")
-    if any(any(row[i:]) for i, row in enumerate(A)):
+    if np.triu(t.A).any():
         raise ConfigError("A is not strictly lower triangular")
-    if omega[0] != 0.0:
+    if t.omega[0] != 0.0:
         raise ConfigError("omega[0] must be 0")
-    if min(omega) < 0.0 or max(omega) > 1.0:
+    if t.omega.min() < 0.0 or t.omega.max() > 1.0:
         raise ConfigError("omega entries must lie in [0, 1]")
 
 

@@ -11,10 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fwflow.cli import _SETTINGS, _zigzag_table, build_parser, main
-from fwflow.problems import triangle
-from fwflow.solvers import StepSchedule
-from fwflow.tableau import builtin
+from fwflow import problems
+from fwflow.cli import _PRESETS, _SETTINGS, _parse, _zigzag_table, build_parser, main
 
 
 def test_run_writes_trajectory(tmp_path, capsys):
@@ -180,14 +178,45 @@ def test_zigzag_table_shape(tmp_path):
 
 
 def test_zigzag_rows_labelled_by_tableau(tmp_path):
-    runs = [
-        (StepSchedule(delta=0.5), None),
-        (StepSchedule(), None),
-        (StepSchedule(), builtin("midpoint")),
-    ]
-    path = _zigzag_table(tmp_path / "z.csv", triangle(), runs, (5,), 20.0)
+    s = _parse(_SETTINGS["zigzag"], {"problem": "triangle", "windows": [5], "T": 20.0}, "zigzag")
+    runs = [(0.5, None), (1.0, None), (1.0, "midpoint")]
+    path = _zigzag_table(tmp_path / "z.csv", s, runs)
     labels = [row.split(",")[0] for row in path.read_text().strip().split("\n")[1:]]
     assert labels == ["fw", "fw", "midpoint"]
+
+
+def test_presets_hold_only_data():
+    assert json.loads(json.dumps(_PRESETS)) == _PRESETS
+
+
+@pytest.mark.parametrize(
+    "argv, doc, builds",
+    [
+        (["preset", "fig2-bottom"], None, ["logistic"]),
+        (["zigzag", "--deltas", "1,0.5", "--T", "20"], None, ["logistic"]),
+        (
+            ["sweep"],
+            [{"problem": problem, "method": method, "tableau": tab, "max_iter": 5,
+              "output": f"{problem}_{method}"}
+             for problem in ("logistic", "sensing")
+             for method, tab in (("fw", None), ("rk", "rk4"))],
+            ["logistic", "sensing"],
+        ),
+    ],
+    ids=["preset-fig2-bottom", "zigzag", "sweep-logistic-sensing"],
+)
+def test_command_builds_each_problem_once(tmp_path, monkeypatch, capsys, argv, doc, builds):
+    built = []
+    for name, builder in problems.BUILDERS.items():
+        def counted(*args, name=name, builder=builder, **kwargs):
+            built.append(name)
+            return builder(*args, **kwargs)
+        monkeypatch.setitem(problems.BUILDERS, name, counted)
+    if doc is not None:
+        (tmp_path / "sweep.json").write_text(json.dumps(doc))
+        argv = [*argv, "--config", str(tmp_path / "sweep.json")]
+    assert main([*argv, "--output-dir", str(tmp_path / "out")]) == 0
+    assert built == builds
 
 
 # SHA-256 of each zig-zag energy table the CLI writes
@@ -536,6 +565,12 @@ _LIBRARY_REJECTED_ENTRIES = {
             2,
             "error: slope k_min = 100 leaves fewer than 10 of max_iter = 50 steps to fit",
         ),
+        # each delta is checked before a step count round(T / delta) is derived from it
+        *[
+            (["zigzag", "--deltas", delta], None, 2,
+             "error: discretization unit delta must be in (0, 1]")
+            for delta in ("0", "-1", "2", "nan")
+        ],
     ],
     ids=[
         "c-below-1",
@@ -618,6 +653,7 @@ _LIBRARY_REJECTED_ENTRIES = {
         "sweep-later-entry-tableau-and-file",
         "certify-tableau-and-file",
         "sweep-slope-too-few-steps",
+        *[f"zigzag-delta-{name}" for name in ("0", "negative", "above-1", "nan")],
     ],
 )
 def test_exit_code_contract(tmp_path, capsys, argv, doc, code, message):

@@ -87,6 +87,11 @@ class TestBounds:
         sb = schedule_bound(lambda t: 1.0 / (1.0 + t) ** 2, 1e6)
         assert sb == pytest.approx(np.exp(-1.0), abs=1e-4)
 
+    @pytest.mark.parametrize("t", [-1.0, float("nan"), float("inf"), -float("inf")])
+    def test_schedule_rejects_negative_or_non_finite_time(self, t):
+        with pytest.raises(ValueError, match=f"time t must be >= 0 and finite, got {t}"):
+            schedule_bound(StepSchedule(c=2.0).gamma, t)
+
 
 class TestSlopeFit:
     def test_exact_power_law(self):

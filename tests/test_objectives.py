@@ -11,7 +11,7 @@ from fwflow.objectives import (
     ScalarHuber,
     check_gradient,
 )
-from fwflow.problems import sensing_logistic
+from fwflow.problems import Problem, sensing_logistic, triangle
 from fwflow.solvers import StepSchedule, run
 from fwflow.tableau import builtin
 
@@ -215,3 +215,20 @@ def test_logistic_expit_calls_per_run(monkeypatch, method, tab, per_step):
     tableau = builtin(tab) if tab else None
     run(p.objective, p.feasible_set, p.x0, method, StepSchedule(c=2.0), n, tableau=tableau)
     assert len(calls) == per_step * n + 1
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: QuadraticDistance([1.0, 2.0]),
+        lambda: triangle().feasible_set,
+        lambda: Problem("p", QuadraticDistance([0.0]), None, x0=[1.0]),
+    ],
+    ids=["QuadraticDistance", "VertexHull", "Problem"],
+)
+def test_array_fields_compare_and_hash_by_identity(make):
+    # array fields have no single truth value, so these compare and hash as objects
+    one, copy = make(), make()
+    assert one == one and one != copy and not one == copy
+    table = {one: "one", copy: "copy"}
+    assert table[one] == "one" and table[copy] == "copy"

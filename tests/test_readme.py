@@ -3,7 +3,7 @@
 import re
 from pathlib import Path
 
-from fwflow.cli import main
+from fwflow.cli import _PRESETS, main
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
 
@@ -22,3 +22,10 @@ def test_certify_example_prints_readme_lines(capsys):
     argv, lines = example.group(1).split(), example.group(2).splitlines()
     assert main(argv) == 0
     assert capsys.readouterr().out.splitlines()[: len(lines)] == lines
+
+
+def test_preset_list_names_every_preset():
+    section = re.search(r"^## Experiment presets\n(.*?)^## ", README, re.S | re.M)
+    assert section, "README has no Experiment presets section"
+    names = re.findall(r"^- `([^`]+)` — ", section.group(1), re.M)
+    assert sorted(names) == sorted(_PRESETS)
