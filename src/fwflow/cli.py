@@ -241,12 +241,12 @@ def _cmd_certify(args) -> int:
     t = _load_tableau(s["tableau"], s["tableau_file"])
     if t is None:
         raise ConfigError("certify needs a tableau name or --tableau-file")
-    # every certificate before the header, so a bad c prints nothing
-    certs = [tableau_mod.certificate(t, s["c"], k) for k in range(1, s["k_max"] + 1)]
+    StepSchedule(c=s["c"])  # before the header, so a bad c prints nothing; then no row fails
     print("k," + ",".join(f"z{i + 1}" for i in range(t.q)) + ",z_inf")
-    for k, cert in enumerate(certs, 1):
-        zs = ",".join(f"{v:.4f}" for v in cert.z)
-        print(f"{k},{zs},{np.max(np.abs(cert.z)):.4f}")
+    for k in range(1, s["k_max"] + 1):
+        z = tableau_mod.certificate(t, s["c"], k).z
+        zs = ",".join(f"{v:.4f}" for v in z)
+        print(f"{k},{zs},{np.max(np.abs(z)):.4f}")
     return 0
 
 
@@ -277,8 +277,9 @@ def _zigzag_table(path: Path, s: dict, runs) -> Path:
     """
     for delta, _ in runs:  # c and each delta, before a step count is derived from them
         StepSchedule(c=s["c"], delta=delta)
-    for W in s["windows"]:  # the run with the longest step makes the fewest steps
-        diagnostics.check_zigzag_settings(W, s["T"], s["T"] / max(d for d, _ in runs))
+    for W in s["windows"]:  # each run's step count, the longest step's (the fewest) first
+        for delta in sorted((d for d, _ in runs), reverse=True):
+            diagnostics.check_zigzag_settings(W, s["T"], s["T"] / delta)
     entries = [
         _parse(_SETTINGS["run"], {"problem": s["problem"], "seed": s["seed"], "c": s["c"],
                                   "method": "rk" if tab else "flow", "delta": delta,

@@ -57,6 +57,8 @@ def check_zigzag_settings(W: int, T: float, steps: float) -> int:
         raise ConfigError("window size W must be >= 2")
     if not 0 < T < math.inf:  # false for nan too
         raise ConfigError(f"time span T must be positive and finite, got {T}")
+    if not steps < math.inf:  # T / delta can overflow
+        raise ConfigError(f"time span T = {T:g} makes T / delta = {steps} steps, must be finite")
     n = round(steps)
     if n < W:
         raise ConfigError(f"a run of {n} steps over T = {T:g} is shorter than one window W = {W}")
@@ -90,14 +92,16 @@ def schedule_bound(gamma, t: float) -> float:
     """Normalized error bound exp(-integral of gamma over [0, t]).
 
     For gamma(t) = c/(c+t) this equals continuous_bound(c, t). Raises
-    ValueError unless t >= 0 is finite.
+    ValueError unless t >= 0 is finite and the integral is finite and converges.
     """
     if not 0 <= t < math.inf:  # false for nan too
         raise ValueError(f"time t must be >= 0 and finite, got {t}")
     from scipy.integrate import quad  # only fwflow bound needs it, and it loads slowly
-    integral, _ = quad(gamma, 0.0, t, epsabs=1e-10, epsrel=1e-10, limit=200)
-    if not np.isfinite(integral):
-        raise ValueError("schedule integral is non-finite")
+    # full_output returns quad's warning as a fourth item instead of issuing it
+    integral, _, _, *trouble = quad(gamma, 0.0, t, epsabs=1e-10, epsrel=1e-10, limit=200,
+                                    full_output=1)
+    if trouble or not np.isfinite(integral):
+        raise ValueError(f"schedule integral to t = {t} is non-finite or did not converge")
     return float(np.exp(-integral))
 
 

@@ -215,18 +215,16 @@ class MatrixHuber:
 def check_gradient(obj, x, h: float = 1e-5) -> float:
     """Max relative error of the analytic gradient vs central differences.
 
-    The error at coordinate i is |g_i - fd_i| / max(1, |g_i|). Nonsmooth
-    points (Huber kinks) are the caller's responsibility to avoid.
+    The error at coordinate i is |g_i - fd_i| / max(1, |g_i|), and one NaN error
+    makes the result NaN. Avoiding nonsmooth points (Huber kinks) is the caller's task.
     """
-    if not h > 0:
-        raise ValueError("finite-difference step h must be positive")
+    if not 0 < h < np.inf:  # false for nan too
+        raise ValueError(f"finite-difference step h must be positive and finite, got {h}")
     x = np.asarray(x, dtype=float).ravel()
     g = obj.gradient(x)
-    worst = 0.0
+    fd = np.empty_like(x)
     for i in range(x.shape[0]):
         e = np.zeros_like(x)
         e[i] = h
-        fd = (obj.value(x + e) - obj.value(x - e)) / (2.0 * h)
-        err = abs(g[i] - fd) / max(1.0, abs(g[i]))
-        worst = max(worst, err)
-    return worst
+        fd[i] = (obj.value(x + e) - obj.value(x - e)) / (2.0 * h)
+    return float(np.max(np.abs(g - fd) / np.maximum(1.0, np.abs(g)), initial=0.0))

@@ -214,8 +214,8 @@ def certificate(t: Tableau, c: float, k: int) -> Certificate:
     """Compute z = q Gamma (I + A^T Gamma)^(-1) beta for one iteration index."""
     validate(t)
     _check_c(c)
-    if k < 1:
-        raise ValueError("certificate is defined for k >= 1")
+    if not (1 <= k < math.inf and k == int(k)):  # false for nan too
+        raise ValueError(f"certificate is defined for integer k >= 1, got {k}")
     gammas = np.array(_gammas(t, c, k))
     y = _solve_mixing(t, gammas, t.beta)
     z = t.q * gammas * y

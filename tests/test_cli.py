@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fwflow.tableau
 from fwflow import problems
 from fwflow.cli import _PRESETS, _SETTINGS, _parse, _zigzag_table, build_parser, main
 
@@ -51,6 +52,27 @@ def test_certify_euler(capsys):
     rows = capsys.readouterr().out.strip().split("\n")[1:]
     vals = [float(r.split(",")[1]) for r in rows]
     np.testing.assert_allclose(vals, [2 / 3, 0.5, 0.4], atol=5e-5)
+
+
+def test_certify_prints_each_row_before_the_next_certificate(monkeypatch):
+    # rows stream: row k is written before certificate(t, c, k + 1) is computed
+    events, certificate = [], fwflow.tableau.certificate
+
+    def recorded_certificate(t, c, k):
+        events.append(("certificate", k))
+        return certificate(t, c, k)
+
+    class RecordedOut(io.StringIO):
+        def write(self, text):
+            if text != "\n":  # print writes the line, then its end
+                events.append(("write", text.split(",")[0]))
+            return super().write(text)
+
+    monkeypatch.setattr(fwflow.tableau, "certificate", recorded_certificate)
+    with contextlib.redirect_stdout(RecordedOut()):
+        assert main(["certify", "rk4", "--c", "2", "--k-max", "3"]) == 0
+    assert events == [("write", "k"), ("certificate", 1), ("write", "1"), ("certificate", 2),
+                      ("write", "2"), ("certificate", 3), ("write", "3")]
 
 
 def test_unknown_tableau_exits_2(capsys):
@@ -559,6 +581,7 @@ _LIBRARY_REJECTED_ENTRIES = {
             BOTH_TABLEAUS,
         ),
         (["certify", "rk4"], EULER_DOC, 2, BOTH_TABLEAUS),
+        (["certify"], None, 2, "error: certify needs a tableau name or --tableau-file"),
         (  # slope_fit needs 10 points k >= k_min, and the default k_min is 100
             ["sweep"],
             [{"problem": "triangle", "max_iter": 50, "output": "a", "diagnostics": {"slope": {}}}],
@@ -570,6 +593,12 @@ _LIBRARY_REJECTED_ENTRIES = {
             (["zigzag", "--deltas", delta], None, 2,
              "error: discretization unit delta must be in (0, 1]")
             for delta in ("0", "-1", "2", "nan")
+        ],
+        # T / delta overflows to inf, at the one delta or at the shorter of two
+        *[
+            (["zigzag", "--T", "1e308", "--deltas", deltas], None, 2,
+             "error: time span T = 1e+308 makes T / delta = inf steps, must be finite")
+            for deltas in ("1e-300", "1,1e-300")
         ],
     ],
     ids=[
@@ -652,8 +681,11 @@ _LIBRARY_REJECTED_ENTRIES = {
         "run-tableau-and-file",
         "sweep-later-entry-tableau-and-file",
         "certify-tableau-and-file",
+        "certify-no-tableau",
         "sweep-slope-too-few-steps",
         *[f"zigzag-delta-{name}" for name in ("0", "negative", "above-1", "nan")],
+        "zigzag-steps-overflow",
+        "zigzag-steps-overflow-second-delta",
     ],
 )
 def test_exit_code_contract(tmp_path, capsys, argv, doc, code, message):

@@ -31,6 +31,24 @@ class TestGenSensing:
             gen_sensing(10, 10, 0.0)
 
 
+@pytest.mark.parametrize(
+    "generate, message",
+    [
+        (lambda: gen_sensing(0, 5, 0.5), "m and n must be >= 1"),
+        (lambda: gen_sensing(5, 0, 0.5), "m and n must be >= 1"),
+        (lambda: gen_sensing(5, 5, 0.5, noise_sd=-0.1), "noise_sd must be nonnegative"),
+        (lambda: gen_lowrank(6, 5, 2, 0.0), r"observed_fraction must be in \(0, 1\]"),
+        (lambda: gen_lowrank(6, 5, 2, 1.5), r"observed_fraction must be in \(0, 1\]"),
+        (lambda: gen_lowrank(6, 5, 2, 0.5, noise_sd=-0.1), "noise_sd must be nonnegative"),
+    ],
+    ids=["sensing-m-0", "sensing-n-0", "sensing-noise-negative", "lowrank-fraction-0",
+         "lowrank-fraction-above-1", "lowrank-noise-negative"],
+)
+def test_rejected_with_message(generate, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        generate()
+
+
 class TestGenLowrank:
     def test_full_observation(self):
         index, values = gen_lowrank(6, 5, 2, observed_fraction=1.0, seed=0)

@@ -1,7 +1,13 @@
+import math
+import re
+import warnings
+
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from fwflow.diagnostics import (
+    check_zigzag_settings,
     continuous_bound,
     lower_bound_probe,
     schedule_bound,
@@ -91,6 +97,39 @@ class TestBounds:
     def test_schedule_rejects_negative_or_non_finite_time(self, t):
         with pytest.raises(ValueError, match=f"time t must be >= 0 and finite, got {t}"):
             schedule_bound(StepSchedule(c=2.0).gamma, t)
+
+    @pytest.mark.parametrize("c", [1.0, 2.0, 4.0])
+    @pytest.mark.parametrize("t", [0.0, 1.0, 50.0, 1e6, 1e20])
+    def test_schedule_converged_value_is_quad_unchanged(self, c, t):
+        # quad's result where it converges without a warning, bit for bit
+        gamma = StepSchedule(c=c).gamma
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            integral, _ = quad(gamma, 0.0, t, epsabs=1e-10, epsrel=1e-10, limit=200)
+            assert schedule_bound(gamma, t) == float(np.exp(-integral))
+        assert schedule_bound(gamma, t) == pytest.approx(continuous_bound(c, t), rel=1e-13)
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        *[(lambda t=t: continuous_bound(2.0, t), ConfigError,
+           f"time must be >= 0 and finite, got {t}") for t in (-1.0, math.nan, math.inf)],
+        (lambda: slope_fit(_synthetic_traj([[1.0]] * 20), 0.0, 0), ValueError,
+         "k_min must be >= 1"),
+        (lambda: check_zigzag_settings(5, 1e308, math.inf), ConfigError,
+         "time span T = 1e+308 makes T / delta = inf steps, must be finite"),
+        # quad reaches its subdivision limit without converging
+        *[(lambda t=t: schedule_bound(StepSchedule(c=2.0).gamma, t), ValueError,
+           f"schedule integral to t = {t} is non-finite or did not converge")
+          for t in (1e100, 1e300)],
+    ],
+    ids=["continuous-t-negative", "continuous-t-nan", "continuous-t-inf", "slope-k_min-0",
+         "zigzag-steps-inf", "schedule-t-1e100", "schedule-t-1e300"],
+)
+def test_rejected_with_message(call, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()
 
 
 class TestSlopeFit:

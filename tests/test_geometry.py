@@ -25,6 +25,12 @@ class TestLMO:
         s = NuclearBall(2.0, 2, 2).lmo([3.0, 0.0, 0.0, 1.0])
         np.testing.assert_allclose(s.reshape(2, 2), [[-2.0, 0.0], [0.0, 0.0]], atol=1e-12)
 
+    def test_nuclear_ball_zero_gradient(self):
+        # every atom is optimal for G = 0; the LMO returns -radius e1 e1^T
+        expected = np.zeros((2, 3))
+        expected[0, 0] = -2.5
+        np.testing.assert_array_equal(NuclearBall(2.5, 2, 3).lmo(np.zeros(6)), expected.ravel())
+
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             TRIANGLE.lmo([1.0, 0.0, 0.0])
@@ -163,6 +169,24 @@ class TestDiameter:
 
 
 class TestConstruction:
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: VertexHull(np.empty((0, 2))), "VertexHull needs at least one vertex"),
+            (lambda: Box(-1.0, 1.0, dim=0), "Box dimension must be >= 1"),
+            (lambda: L1Ball(1.0, dim=0), "L1Ball dimension must be >= 1"),
+            (lambda: NuclearBall(0.0, 2, 2), "NuclearBall radius must be positive"),
+            (lambda: NuclearBall(np.nan, 2, 2), "NuclearBall radius must be positive"),
+            (lambda: NuclearBall(1.0, 0, 2), "NuclearBall shape must be positive"),
+            (lambda: NuclearBall(1.0, 2, 0), "NuclearBall shape must be positive"),
+        ],
+        ids=["hull-no-vertex", "box-dim-0", "l1-dim-0", "nuclear-radius-0", "nuclear-radius-nan",
+             "nuclear-rows-0", "nuclear-cols-0"],
+    )
+    def test_rejected_with_message(self, build, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            build()
+
     def test_box_requires_order(self):
         with pytest.raises(ValueError):
             Box(1.0, -1.0, dim=1)

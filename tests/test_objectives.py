@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from scipy.special import expit
@@ -11,7 +13,8 @@ from fwflow.objectives import (
     ScalarHuber,
     check_gradient,
 )
-from fwflow.problems import Problem, sensing_logistic, triangle
+from fwflow.geometry import Box
+from fwflow.problems import Problem, scalar_huber, sensing_logistic, triangle
 from fwflow.solvers import StepSchedule, run
 from fwflow.tableau import builtin
 
@@ -118,6 +121,109 @@ class TestConstruction:
     def test_check_gradient_needs_positive_h(self):
         with pytest.raises(ValueError):
             check_gradient(QuadraticDistance(target=[0.0]), [1.0], h=0.0)
+
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: LogisticLoss(np.ones((3, 2)), [1.0, -1.0]),
+             "features and labels row counts differ"),
+            *[(lambda delta=delta: MatrixHuber([0], [1.0], 3, 3, delta=delta),
+               "MatrixHuber delta must be positive") for delta in (0.0, np.nan)],
+        ],
+        ids=["logistic-rows", "matrix-huber-delta-0", "matrix-huber-delta-nan"],
+    )
+    def test_rejected_with_message(self, build, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            build()
+
+
+def _loop_check_gradient(obj, x, h=1e-5):
+    """check_gradient as a Python loop with a running max(), the reference on finite inputs."""
+    x = np.asarray(x, dtype=float).ravel()
+    g = obj.gradient(x)
+    worst = 0.0
+    for i in range(x.shape[0]):
+        e = np.zeros_like(x)
+        e[i] = h
+        fd = (obj.value(x + e) - obj.value(x - e)) / (2.0 * h)
+        err = abs(g[i] - fd) / max(1.0, abs(g[i]))
+        worst = max(worst, err)
+    return worst
+
+
+def _criterion_11_objectives(rng):
+    """The objectives of acceptance criterion 11, drawn from rng in its order."""
+    A = rng.standard_normal((40, 6))
+    y = np.where(rng.standard_normal(40) >= 0, 1.0, -1.0)
+    return [
+        QuadraticDistance(target=rng.standard_normal(6)),
+        ScalarHuber(eps=0.1),
+        LeastSquares(A, rng.standard_normal(40)),
+        LogisticLoss(A, y),
+        MatrixHuber([1, 6], [0.5, -1.0], 3, 3),
+    ]
+
+
+class _NaNGradient:
+    """f(x) = 0.5 ||x||^2 in 3 dimensions, whose gradient has a NaN entry at index i."""
+
+    dim = 3
+
+    def __init__(self, i):
+        self.i = i
+
+    def value(self, x):
+        return 0.5 * float(x @ x)
+
+    def gradient(self, x):
+        g = np.array(x, dtype=float)
+        g[self.i] = np.nan
+        return g
+
+
+class TestCheckGradient:
+    @pytest.mark.parametrize(
+        "seed, objectives",
+        [(17, _all_objectives), (101, _criterion_11_objectives)],
+        ids=["TestGradients", "criterion-11"],
+    )
+    def test_equals_loop_reference(self, seed, objectives):
+        # the points and objectives of TestGradients and criterion 11, bit for bit
+        rng = np.random.default_rng(seed)
+        for obj in objectives(rng):
+            for _ in range(20):
+                x = rng.standard_normal(obj.dim)
+                if isinstance(obj, ScalarHuber):
+                    x = np.where(np.abs(np.abs(x) - obj.eps) < 1e-3, x + 0.01, x)
+                got = check_gradient(obj, x)
+                assert type(got) is float
+                _assert_bits(got, _loop_check_gradient(obj, x))
+
+    @pytest.mark.parametrize("i", [0, 1, 2])
+    def test_nan_gradient_entry_gives_nan(self, i):
+        # the loop's running max() drops a NaN error, at any index
+        assert not np.isnan(_loop_check_gradient(_NaNGradient(i), [0.5, -1.0, 2.0]))
+        assert np.isnan(check_gradient(_NaNGradient(i), [0.5, -1.0, 2.0]))
+
+    @pytest.mark.parametrize("h", [0.0, -1.0, np.inf, np.nan])
+    def test_rejects_step_not_positive_and_finite(self, h):
+        message = f"finite-difference step h must be positive and finite, got {h}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            check_gradient(QuadraticDistance(target=[0.0]), [1.0], h=h)
+
+    def test_empty_point(self):
+        assert check_gradient(QuadraticDistance(target=np.empty(0)), []) == 0.0
+
+
+def test_scalar_huber_problem():
+    p = scalar_huber()
+    assert p.name == "scalar_huber" and p.f_star == 0.0
+    assert isinstance(p.objective, ScalarHuber) and p.objective.eps == 0.1
+    assert p.feasible_set == Box(-1.0, 1.0, dim=1)
+    np.testing.assert_array_equal(p.x0, [1.0])
+    traj = run(p.objective, p.feasible_set, p.x0, "fw", StepSchedule(c=2.0), 50)
+    assert traj.f[0] == pytest.approx(0.095) and 0.0 <= traj.f[-1] < traj.f[0]
+    assert traj.violation.max() == 0.0
 
 
 def _dense_data(cls):

@@ -17,10 +17,28 @@ from fwflow.tableau import (
 )
 
 
+_SHAPE = "shape mismatch: A must be q x q and omega length q"
+_OMEGA_RANGE = r"omega entries must lie in \[0, 1\]"
+
+
 class TestValidate:
     def test_builtins_are_valid(self):
         for name in builtin_names():
             validate(builtin(name))
+
+    @pytest.mark.parametrize(
+        "A, beta, omega, message",
+        [
+            ([[0.0, 0.0], [1.0, 0.0]], [1.0], [0.0], _SHAPE),
+            ([[0.0]], [1.0], [0.0, 0.5], _SHAPE),
+            ([[0.0, 0.0], [0.5, 0.0]], [0.0, 1.0], [0.0, 1.5], _OMEGA_RANGE),
+            ([[0.0, 0.0], [0.5, 0.0]], [0.0, 1.0], [0.0, -0.5], _OMEGA_RANGE),
+        ],
+        ids=["A-larger-than-beta", "omega-longer", "omega-above-1", "omega-negative"],
+    )
+    def test_rejected_with_message(self, A, beta, omega, message):
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            validate(Tableau(A=A, beta=beta, omega=omega))
 
     def test_beta_sum(self):
         t = Tableau(A=[[0.0, 0.0], [0.5, 0.0]], beta=[0.0, 0.5], omega=[0.0, 0.5])
@@ -202,10 +220,25 @@ class TestCertificate:
         with pytest.raises(ValueError):
             certificate(builtin("rk4"), 2.0, 0)
 
+    @pytest.mark.parametrize("k", [0, -1, 1.5, float("nan"), float("inf")])
+    def test_requires_integer_k_at_least_one(self, k):
+        message = f"^certificate is defined for integer k >= 1, got {k}$"
+        with pytest.raises(ValueError, match=message):
+            certificate(builtin("rk4"), 2.0, k)
+
+    def test_integral_float_k(self):
+        np.testing.assert_array_equal(certificate(builtin("rk4"), 2.0, 3.0).z,
+                                      certificate(builtin("rk4"), 2.0, 3).z)
+
     def test_decay_values(self):
         d = certificate_decay(builtin("midpoint"), 2.0, 2)
         np.testing.assert_allclose(d, [1.1429, 0.8889], atol=5e-4)
         assert d[1] < d[0]
+
+    @pytest.mark.parametrize("k_max", [1, 0])
+    def test_decay_needs_two_indices(self, k_max):
+        with pytest.raises(ValueError, match="^k_max must be >= 2$"):
+            certificate_decay(builtin("midpoint"), 2.0, k_max)
 
     def test_decay_non_increasing_all_builtins(self):
         for name in builtin_names():
