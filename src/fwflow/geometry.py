@@ -12,6 +12,7 @@ are reproducible bit for bit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -191,24 +192,25 @@ class NuclearBall:
         return (-self.radius * np.outer(u, v)).ravel()
 
     def _top_singular_pair(self, G):
-        # power iteration on G^T G from a fixed seeded start vector
+        # power iteration on G^T G from a fixed seeded start vector. w = G^T (G v) is both the
+        # Rayleigh-quotient product on v and the next iterate: two BLAS products a round, by
+        # ndarray.dot and sqrt(w . w), the bits of @ and np.linalg.norm without their dispatch
         rng = np.random.default_rng(0)
         v = rng.standard_normal(self.cols)
         v /= np.linalg.norm(v)
-        # w = G^T (G v) serves both as the Rayleigh-quotient product on v and
-        # as the next round's iterate, so each round costs two products
-        Gv = G @ v
-        w = G.T @ Gv
+        Gt, tol = G.T, self._power_tol
+        Gv = G.dot(v)
+        w = Gt.dot(Gv)
         rayleigh = 0.0
         for _ in range(self._power_max_iter):
-            norm = np.linalg.norm(w)
+            norm = math.sqrt(w.dot(w))
             if norm == 0.0:
                 break
             v = w / norm
-            Gv = G @ v
-            w = G.T @ Gv
-            new_rayleigh = float(v @ w)
-            if abs(new_rayleigh - rayleigh) <= self._power_tol * max(1.0, new_rayleigh):
+            Gv = G.dot(v)
+            w = Gt.dot(Gv)
+            new_rayleigh = float(v.dot(w))
+            if abs(new_rayleigh - rayleigh) <= tol * max(1.0, new_rayleigh):
                 break
             rayleigh = new_rayleigh
         u = Gv / np.linalg.norm(Gv)

@@ -30,6 +30,10 @@ __all__ = [
 ]
 
 FEASIBILITY_TOL = 1e-9
+# run() reserves every row up front, so absurd step counts are rejected before it does. This
+# caps steps, not bytes: at 10^7 rows a large iterate still cannot be stored. fig1, the
+# longest preset, takes 50,000
+MAX_ITER = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -166,6 +170,8 @@ def check_settings(method: str, sched: StepSchedule, max_iter: int, stop_gap: fl
         raise ConfigError(f"unknown method {method!r}; choose from {METHODS}")
     if max_iter < 1:
         raise ConfigError("max_iter must be >= 1")
+    if max_iter > MAX_ITER:
+        raise ConfigError(f"max_iter must be <= {MAX_ITER}")
     if np.isnan(stop_gap):
         raise ConfigError("stop_gap must be a number, got nan")
     if sched.delta != 1.0 and method not in ("flow", "rk"):

@@ -314,6 +314,7 @@ _LIBRARY_REJECTED_ENTRIES = {
     "fw-with-delta": ({"delta": 0.5}, "error: method 'fw' takes no step delta"),
     "rk-without-tableau": ({"method": "rk"}, "error: method 'rk' requires a tableau"),
     "max_iter-0": ({"max_iter": 0}, "error: max_iter must be >= 1"),
+    "max_iter-above-cap": ({"max_iter": 10_000_001}, "error: max_iter must be <= 10000000"),
     "zigzag-window-past-max_iter": (
         {"problem": "logistic", "diagnostics": {"zigzag": {"W": [20]}}},
         "error: a run of 5 steps over T = 100 is shorter than one window W = 20",
@@ -600,6 +601,10 @@ _LIBRARY_REJECTED_ENTRIES = {
              "error: time span T = 1e+308 makes T / delta = inf steps, must be finite")
             for deltas in ("1e-300", "1,1e-300")
         ],
+        # round(T / delta) = 1e302 steps is finite but over the step cap, so not even the
+        # delta = 1 run starts
+        (["zigzag", "--T", "100", "--deltas", "1,1e-300"], None, 2,
+         "error: max_iter must be <= 10000000"),
     ],
     ids=[
         "c-below-1",
@@ -686,6 +691,7 @@ _LIBRARY_REJECTED_ENTRIES = {
         *[f"zigzag-delta-{name}" for name in ("0", "negative", "above-1", "nan")],
         "zigzag-steps-overflow",
         "zigzag-steps-overflow-second-delta",
+        "zigzag-steps-above-cap",
     ],
 )
 def test_exit_code_contract(tmp_path, capsys, argv, doc, code, message):

@@ -320,9 +320,11 @@ def _close_gap_gradient(rows, cols, ratio):
     [
         (np.random.default_rng(0).standard_normal((30, 20)), False),
         (np.random.default_rng(1).standard_normal((200, 150)), False),
+        # wider than tall, so each of the round's two products runs on the other shape
+        (np.random.default_rng(3).standard_normal((150, 200)), False),
         (_close_gap_gradient(40, 30, 1.001), True),
     ],
-    ids=["30x20", "200x150", "gap-1.001-cap"],
+    ids=["30x20", "200x150", "150x200", "gap-1.001-cap"],
 )
 def test_power_iteration_bit_identical_to_reference(G, cap):
     rows, cols = G.shape

@@ -1,5 +1,10 @@
 import hashlib
 import io
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +16,7 @@ from fwflow.geometry import Box, NuclearBall, VertexHull
 from fwflow.objectives import QuadraticDistance
 from fwflow.problems import scalar_box, sensing_least_squares, sensing_logistic, triangle
 from fwflow.solvers import (
+    MAX_ITER,
     METHODS,
     StepSchedule,
     Trajectory,
@@ -344,6 +350,18 @@ class TestRun:
         with pytest.raises(ValueError):
             run(p.objective, p.feasible_set, p.x0, "fw", StepSchedule(), 0)
 
+    @pytest.mark.parametrize("max_iter", [MAX_ITER + 1, 10**302], ids=["cap-plus-1", "1e302"])
+    def test_max_iter_above_cap_rejected_before_allocating(self, monkeypatch, max_iter):
+        # run() reserves every row before its first step, so the cap must be checked before
+        # np.empty: 10**302 rows cannot be allocated, and cap + 1 rows could be
+        p = triangle()
+        monkeypatch.setattr(solvers.np, "empty", lambda *a, **k: pytest.fail("allocated"))
+        obj = _Counting(p.objective, "gradient", "value")
+        with pytest.raises(ConfigError, match=f"max_iter must be <= {MAX_ITER}"):
+            run(obj, p.feasible_set, p.x0, "fw", StepSchedule(), max_iter)
+        assert obj.calls == {"gradient": 0, "value": 0}
+        solvers.check_settings("fw", StepSchedule(), MAX_ITER)  # the cap itself is allowed
+
     def test_infeasible_start(self):
         p = triangle()
         with pytest.raises(ValueError):
@@ -590,3 +608,43 @@ def test_dense_run_csv_digest_pinned(builder, method, tab):
     traj.to_csv(buf)
     digest = hashlib.sha256(buf.getvalue().encode()).hexdigest()
     assert digest == PINNED_DENSE_CSV_SHA256[builder, method, tab]
+
+
+# SHA-256 of to_csv on lowrank_huber(users=200, items=150, rank=5, seed=0) with
+# StepSchedule(c=2): fw for 20 steps, and rk with midpoint for 10. These pin the nuclear
+# LMO's power iteration and the SVD audit at the size perfbench's lowrank-nuclear runs.
+# BLAS splits a matrix-vector product of this size across threads, which moves its last
+# bits, so the runs take place in a fresh interpreter with one BLAS thread, as perfbench's.
+PINNED_NUCLEAR_CSV_SHA256 = {
+    "fw": "b65133ea07353c1afce6fc613974af78a126c6245e03adb02f4c8ffaa5b79604",
+    "rk": "a41b064750d66b8d33a8b394c531f9c60f10aa5107d2b4bdfdb9b6c0e2b75fb6",
+}
+
+_NUCLEAR_PROBE = """
+import hashlib, io, json
+from fwflow.problems import lowrank_huber
+from fwflow.solvers import StepSchedule, run
+from fwflow.tableau import builtin
+p = lowrank_huber(users=200, items=150, rank=5, seed=0)
+digests = {}
+for method, tableau, n in (("fw", None, 20), ("rk", builtin("midpoint"), 10)):
+    traj = run(p.objective, p.feasible_set, p.x0, method, StepSchedule(c=2.0), n, tableau=tableau)
+    buf = io.StringIO()
+    traj.to_csv(buf)
+    digests[method] = hashlib.sha256(buf.getvalue().encode()).hexdigest()
+print(json.dumps(digests))
+"""
+
+
+def test_nuclear_run_csv_digest_pinned():
+    one_thread = {var: "1" for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                                       "MKL_NUM_THREADS")}
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", _NUCLEAR_PROBE],
+        env={**os.environ, **one_thread, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert json.loads(proc.stdout) == PINNED_NUCLEAR_CSV_SHA256
