@@ -157,7 +157,7 @@ def _plan(s: dict, built: dict) -> tuple:
     method, max_iter = s["method"], s["max_iter"]
     sched = StepSchedule(c=s["c"], delta=s["delta"])
     tab = _load_tableau(s["tableau"], s["tableau_file"])
-    check_settings(method, sched, max_iter, s["stop_gap"], tab)
+    check_settings(method, sched, max_iter, problem.x0.size, s["stop_gap"], tab)
     diag = s.get("diagnostics", {})
     anchors = diag.get("lower_bound", {}).get("anchors", ())
     for W in diag.get("zigzag", {}).get("W", ()):

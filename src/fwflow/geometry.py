@@ -21,6 +21,9 @@ import numpy as np
 # that only the hull loads scipy.optimize
 _nnls = None
 
+# the slack within which a point counts as inside a set: run() rejects a start point beyond it
+FEASIBILITY_TOL = 1e-9
+
 __all__ = [
     "VertexHull",
     "Box",
@@ -225,7 +228,7 @@ class NuclearBall:
         return 2.0 * self.radius
 
 
-def contains(feasible_set, point, tol: float = 1e-9) -> bool:
+def contains(feasible_set, point, tol: float = FEASIBILITY_TOL) -> bool:
     """True iff the point is within constraint slack ``tol`` of the set; ``tol`` may be inf."""
     if not tol >= 0:  # true for nan too
         raise ValueError(f"tol must be nonnegative, got {tol}")

@@ -56,32 +56,6 @@ class QuadraticDistance:
         return x - self.target
 
 
-@dataclass(frozen=True)
-class ScalarHuber:
-    """Scalar Huber function: x^2/2 inside |x| < eps, eps|x| - eps^2/2 outside."""
-
-    eps: float
-
-    def __post_init__(self):
-        if not self.eps > 0:
-            raise ValueError("ScalarHuber eps must be positive")
-
-    dim = 1
-    smoothness = 1.0
-
-    def value(self, x) -> float:
-        v = float(_check_x(1, x)[0])
-        if abs(v) < self.eps:
-            return 0.5 * v * v
-        return self.eps * abs(v) - 0.5 * self.eps**2
-
-    def gradient(self, x) -> np.ndarray:
-        v = float(_check_x(1, x)[0])
-        if abs(v) < self.eps:
-            return np.array([v])
-        return np.array([self.eps if v > 0 else -self.eps])
-
-
 class _DenseObjective:
     """Value and gradient at one point share one matrix product: the last point's product
     and gradient are kept, keyed on its bytes, so the data arrays must not change."""
@@ -210,6 +184,17 @@ class MatrixHuber:
         g = np.zeros(self.dim)
         np.add.at(g, self._idx, np.clip(r, -self.delta, self.delta))
         return g
+
+
+class ScalarHuber(MatrixHuber):
+    """Scalar Huber function: x^2/2 inside |x| < eps, eps|x| - eps^2/2 outside; the
+    MatrixHuber of a 1 x 1 matrix whose one entry is observed with target 0 and delta eps."""
+
+    def __init__(self, eps: float):
+        if not eps > 0:
+            raise ValueError("ScalarHuber eps must be positive")
+        super().__init__([0], [0.0], 1, 1, delta=eps)
+        self.eps = eps
 
 
 def check_gradient(obj, x, h: float = 1e-5) -> float:

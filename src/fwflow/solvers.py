@@ -18,7 +18,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .geometry import _check_vector
+from .geometry import _check_vector, contains
 from .tableau import ConfigError, Tableau, _check_c, _gammas, validate
 
 __all__ = [
@@ -29,11 +29,9 @@ __all__ = [
     "run",
 ]
 
-FEASIBILITY_TOL = 1e-9
-# run() reserves every row up front, so absurd step counts are rejected before it does. This
-# caps steps, not bytes: at 10^7 rows a large iterate still cannot be stored. fig1, the
-# longest preset, takes 50,000
-MAX_ITER = 10_000_000
+# run() reserves its whole record, max_iter + 1 rows of an iterate and 3 floats, before the
+# first step, so check_settings caps its bytes; the largest preset or workload needs ~25 MB
+MAX_RECORD_BYTES = 2**30
 
 
 @dataclass(frozen=True)
@@ -163,15 +161,17 @@ def _descent_gamma(obj, x, d, k: int) -> float:
 METHODS = ("fw", "flow", "rk", "rk+linesearch", "fw+linesearch", "fw+momentum")
 
 
-def check_settings(method: str, sched: StepSchedule, max_iter: int, stop_gap: float = 0.0,
-                   tableau: Tableau | None = None) -> None:
-    """Raise ConfigError unless run() takes these settings; a tableau is not validated here."""
+def check_settings(method: str, sched: StepSchedule, max_iter: int, size: int,
+                   stop_gap: float = 0.0, tableau: Tableau | None = None) -> None:
+    """Raise ConfigError unless run() takes these settings for iterates of size entries;
+    a tableau is not validated here."""
     if method not in METHODS:
         raise ConfigError(f"unknown method {method!r}; choose from {METHODS}")
     if max_iter < 1:
         raise ConfigError("max_iter must be >= 1")
-    if max_iter > MAX_ITER:
-        raise ConfigError(f"max_iter must be <= {MAX_ITER}")
+    if max_iter >= (rows := MAX_RECORD_BYTES // (8 * (size + 3))):  # (max_iter + 1) rows
+        raise ConfigError(f"max_iter must be < {rows} for {size}-entry iterates, whose record "
+                          f"would exceed {MAX_RECORD_BYTES} bytes")
     if np.isnan(stop_gap):
         raise ConfigError("stop_gap must be a number, got nan")
     if sched.delta != 1.0 and method not in ("flow", "rk"):
@@ -200,11 +200,11 @@ def run(
     first step, bad settings (check_settings), a bad tableau and an
     infeasible x0 raise ConfigError.
     """
-    check_settings(method, sched, max_iter, stop_gap, tableau)
+    x = np.asarray(x0, dtype=float).copy()
+    check_settings(method, sched, max_iter, x.size, stop_gap, tableau)
     if tableau is not None:
         validate(tableau)
-    x = np.asarray(x0, dtype=float).copy()
-    if fset.violation(x) > FEASIBILITY_TOL:
+    if not contains(fset, x):
         raise ConfigError("x0 is outside the feasible set")
 
     m = np.zeros_like(x)  # momentum buffer

@@ -314,7 +314,12 @@ _LIBRARY_REJECTED_ENTRIES = {
     "fw-with-delta": ({"delta": 0.5}, "error: method 'fw' takes no step delta"),
     "rk-without-tableau": ({"method": "rk"}, "error: method 'rk' requires a tableau"),
     "max_iter-0": ({"max_iter": 0}, "error: max_iter must be >= 1"),
-    "max_iter-above-cap": ({"max_iter": 10_000_001}, "error: max_iter must be <= 10000000"),
+    # 26,843,546 rows of 2 + 3 floats are over the 1 GiB record cap, and 300 entries a row
+    # put a lowrank run of 9,999,999 steps at 22.6 GiB
+    "max_iter-above-cap": ({"max_iter": 26_843_545},
+                           "error: max_iter must be < 26843545 for 2-entry iterates"),
+    "lowrank-record-above-cap": ({"problem": "lowrank", "max_iter": 9_999_999},
+                                 "error: max_iter must be < 442962 for 300-entry iterates"),
     "zigzag-window-past-max_iter": (
         {"problem": "logistic", "diagnostics": {"zigzag": {"W": [20]}}},
         "error: a run of 5 steps over T = 100 is shorter than one window W = 20",
@@ -601,10 +606,10 @@ _LIBRARY_REJECTED_ENTRIES = {
              "error: time span T = 1e+308 makes T / delta = inf steps, must be finite")
             for deltas in ("1e-300", "1,1e-300")
         ],
-        # round(T / delta) = 1e302 steps is finite but over the step cap, so not even the
+        # round(T / delta) = 1e302 steps is finite but over the record cap, so not even the
         # delta = 1 run starts
         (["zigzag", "--T", "100", "--deltas", "1,1e-300"], None, 2,
-         "error: max_iter must be <= 10000000"),
+         "error: max_iter must be < 1303084 for 100-entry iterates"),
     ],
     ids=[
         "c-below-1",

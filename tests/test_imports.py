@@ -51,6 +51,7 @@ def test_box_rk_and_lowrank_runs_load_no_scipy(tmp_path):
         tmp_path,
         ["run", "--problem", "scalar_box", "--method", "rk", "--tableau", "rk4",
          "--max-iter", "10", *out],
+        ["run", "--problem", "scalar_huber", "--max-iter", "10", *out],
         ["run", "--problem", "lowrank", "--max-iter", "3", *out],
     )
     assert "scipy" not in report["scipy"]

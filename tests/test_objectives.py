@@ -1,7 +1,12 @@
+import hashlib
+import io
 import re
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.special import expit
 
 import fwflow.objectives
@@ -11,6 +16,7 @@ from fwflow.objectives import (
     MatrixHuber,
     QuadraticDistance,
     ScalarHuber,
+    _check_x,
     check_gradient,
 )
 from fwflow.geometry import Box
@@ -129,8 +135,11 @@ class TestConstruction:
              "features and labels row counts differ"),
             *[(lambda delta=delta: MatrixHuber([0], [1.0], 3, 3, delta=delta),
                "MatrixHuber delta must be positive") for delta in (0.0, np.nan)],
+            *[(lambda eps=eps: ScalarHuber(eps), "ScalarHuber eps must be positive")
+              for eps in (0.0, np.nan)],
         ],
-        ids=["logistic-rows", "matrix-huber-delta-0", "matrix-huber-delta-nan"],
+        ids=["logistic-rows", "matrix-huber-delta-0", "matrix-huber-delta-nan",
+             "scalar-huber-eps-0", "scalar-huber-eps-nan"],
     )
     def test_rejected_with_message(self, build, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
@@ -338,3 +347,86 @@ def test_array_fields_compare_and_hash_by_identity(make):
     assert one == one and one != copy and not one == copy
     table = {one: "one", copy: "copy"}
     assert table[one] == "one" and table[copy] == "copy"
+
+
+@dataclass(frozen=True)
+class _FrozenScalarHuber:
+    """ScalarHuber as it was written before it became MatrixHuber's one-entry case."""
+
+    eps: float
+
+    dim = 1
+    smoothness = 1.0
+
+    def value(self, x) -> float:
+        v = float(_check_x(1, x)[0])
+        if abs(v) < self.eps:
+            return 0.5 * v * v
+        return self.eps * abs(v) - 0.5 * self.eps**2
+
+    def gradient(self, x) -> np.ndarray:
+        v = float(_check_x(1, x)[0])
+        if abs(v) < self.eps:
+            return np.array([v])
+        return np.array([self.eps if v > 0 else -self.eps])
+
+
+class TestScalarHuberIsMatrixHuber:
+    def test_one_entry_case(self):
+        obj = ScalarHuber(eps=0.1)
+        assert isinstance(obj, MatrixHuber) and obj.eps == 0.1 and obj.delta == 0.1
+        assert obj.dim == 1 and obj.smoothness == 1.0
+        assert "value" not in vars(ScalarHuber) and "gradient" not in vars(ScalarHuber)
+        assert obj == obj and obj != ScalarHuber(eps=0.1)  # compares by identity
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(st.floats(-3.0, 3.0))
+    @example(0.1)  # the kinks, on the linear side since |r| < delta is the quadratic one
+    @example(-0.1)
+    @example(0.0)
+    @example(5e-324)  # whose square underflows
+    def test_matches_frozen_reference(self, v):
+        # value bit for bit; gradient by ==, since the sign of a zero gradient may differ
+        new, old = ScalarHuber(0.1), _FrozenScalarHuber(0.1)
+        _assert_bits(new.value([v]), old.value([v]))
+        got, want = new.gradient([v]), old.gradient([v])
+        assert got.dtype == want.dtype and got.shape == want.shape and got[0] == want[0]
+
+    def test_gradient_at_negative_zero_is_positive_zero(self):
+        # np.add.at sums into a zero array, and 0.0 + (-0.0) = 0.0; the frozen copy kept -0.0
+        assert np.signbit(_FrozenScalarHuber(0.1).gradient([-0.0])[0])
+        assert not np.signbit(ScalarHuber(0.1).gradient([-0.0])[0])
+
+    def test_gradient_at_nan_is_nan(self):
+        # the residual is clipped, which keeps a nan; the frozen copy returned -eps
+        assert _FrozenScalarHuber(0.1).gradient([np.nan])[0] == -0.1
+        assert np.isnan(ScalarHuber(0.1).gradient([np.nan])[0])
+
+
+# SHA-256 of to_csv on scalar_huber() with StepSchedule(c=2), 300 steps: (method,
+# tableau) -> digest, delta 0.1 for flow and rk, computed while ScalarHuber had its own
+# value and gradient
+PINNED_HUBER_CSV_SHA256 = {
+    ("fw", None): "df2eda6e6bf89149430891b27160e63d54b112e9b86f080cea7f225e26129c31",
+    ("flow", None): "a98d9546dc19272c119664647bdfc080938c29d9519f5dcf1dc96f6b58e489db",
+    ("fw+linesearch", None): "6c106124593937653cf2be4780198833d4f2898901840b23f99a860d2d2c0795",
+    ("fw+momentum", None): "db4ac7d842eeb1a44c513f1b8889899be4d0d1308db2118d68edc25cf3984a24",
+    ("rk", "rk4"): "192a975b896f5e634ac8dd4e5be1f3d1861266796a268cf2b9b9230930473e78",
+    ("rk", "rk5"): "4ed29ba5063b32989d9dcd07e3188ac51774f4fc4b0c0778004c495c2638e36c",
+    ("rk+linesearch", "rk4"): "462c41a62650d388f47402d27219023f1f57395a5297616b5e544fdb2ef3d5a8",
+}
+
+
+@pytest.mark.parametrize(
+    "method, tab", list(PINNED_HUBER_CSV_SHA256),
+    ids=[f"{m}-{t or 'none'}" for m, t in PINNED_HUBER_CSV_SHA256],
+)
+def test_scalar_huber_run_csv_digest_pinned(method, tab):
+    p = scalar_huber()
+    sched = StepSchedule(c=2.0, delta=0.1 if method in ("flow", "rk") else 1.0)
+    tableau = builtin(tab) if tab else None
+    traj = run(p.objective, p.feasible_set, p.x0, method, sched, 300, tableau=tableau)
+    buf = io.StringIO()
+    traj.to_csv(buf)
+    digest = hashlib.sha256(buf.getvalue().encode()).hexdigest()
+    assert digest == PINNED_HUBER_CSV_SHA256[method, tab]

@@ -12,11 +12,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fwflow import solvers
-from fwflow.geometry import Box, NuclearBall, VertexHull
+from fwflow.geometry import FEASIBILITY_TOL, Box, NuclearBall, VertexHull, contains
 from fwflow.objectives import QuadraticDistance
 from fwflow.problems import scalar_box, sensing_least_squares, sensing_logistic, triangle
 from fwflow.solvers import (
-    MAX_ITER,
+    MAX_RECORD_BYTES,
     METHODS,
     StepSchedule,
     Trajectory,
@@ -350,22 +350,66 @@ class TestRun:
         with pytest.raises(ValueError):
             run(p.objective, p.feasible_set, p.x0, "fw", StepSchedule(), 0)
 
-    @pytest.mark.parametrize("max_iter", [MAX_ITER + 1, 10**302], ids=["cap-plus-1", "1e302"])
+    @pytest.mark.parametrize("max_iter", [MAX_RECORD_BYTES // 40, 10**302],
+                             ids=["cap-plus-1", "1e302"])
     def test_max_iter_above_cap_rejected_before_allocating(self, monkeypatch, max_iter):
         # run() reserves every row before its first step, so the cap must be checked before
-        # np.empty: 10**302 rows cannot be allocated, and cap + 1 rows could be
+        # np.empty: 10**302 rows cannot be allocated, and a record one row over the cap could
+        # be. A row of triangle()'s record is 2 + 3 floats, 40 bytes
         p = triangle()
         monkeypatch.setattr(solvers.np, "empty", lambda *a, **k: pytest.fail("allocated"))
         obj = _Counting(p.objective, "gradient", "value")
-        with pytest.raises(ConfigError, match=f"max_iter must be <= {MAX_ITER}"):
-            run(obj, p.feasible_set, p.x0, "fw", StepSchedule(), max_iter)
-        assert obj.calls == {"gradient": 0, "value": 0}
-        solvers.check_settings("fw", StepSchedule(), MAX_ITER)  # the cap itself is allowed
+        fset = _Counting(p.feasible_set, "lmo", "violation")
+        rows = MAX_RECORD_BYTES // 40
+        with pytest.raises(ConfigError, match=f"^max_iter must be < {rows} for 2-entry iterates"):
+            run(obj, fset, p.x0, "fw", StepSchedule(), max_iter)
+        assert obj.calls == {"gradient": 0, "value": 0} and fset.calls == {"lmo": 0, "violation": 0}
+        solvers.check_settings("fw", StepSchedule(), rows - 1, 2)  # the cap itself is allowed
+
+    @pytest.mark.parametrize("size", [1, 2, 100, 300, 30_000, MAX_RECORD_BYTES // 8 - 3])
+    def test_record_cap_counts_bytes(self, size):
+        # (max_iter + 1) rows of size + 3 floats must fit in MAX_RECORD_BYTES
+        def fits(max_iter):
+            return (max_iter + 1) * (size + 3) * 8 <= MAX_RECORD_BYTES
+
+        most = MAX_RECORD_BYTES // (8 * (size + 3)) - 1
+        assert fits(most) and not fits(most + 1)
+        if most >= 1:
+            solvers.check_settings("fw", StepSchedule(), most, size)
+        with pytest.raises(ConfigError, match=f"^max_iter must be < {most + 1} for {size}-entry"):
+            solvers.check_settings("fw", StepSchedule(), most + 1, size)
+
+    @pytest.mark.parametrize(
+        "method, delta, max_iter, size",
+        [("flow", 0.001, 50_000, 2), ("flow", 0.01, 30_000, 100), ("fw", 1.0, 100, 30_000)],
+        ids=["fig1", "logistic-zigzag", "lowrank-nuclear"],
+    )
+    def test_record_cap_admits_largest_runs(self, method, delta, max_iter, size):
+        # fig1's longest flow, and the largest records of the benchmark's workloads
+        solvers.check_settings(method, StepSchedule(delta=delta), max_iter, size)
 
     def test_infeasible_start(self):
         p = triangle()
         with pytest.raises(ValueError):
             run(p.objective, p.feasible_set, [5.0, 5.0], "fw", StepSchedule(), 5)
+
+    @pytest.mark.parametrize(
+        "slack, inside",
+        [(FEASIBILITY_TOL, True), (float(np.nextafter(FEASIBILITY_TOL, 1.0)), False)],
+        ids=["at-tol", "above-tol"],
+    )
+    def test_start_checked_as_contains_does(self, slack, inside):
+        # one tolerance and one rule, violation <= FEASIBILITY_TOL, read with one violation call
+        fset = _FixedSlack(slack)
+        assert contains(fset, [0.5]) is inside
+        fset.calls = 0
+        if inside:
+            run(HALF_SQUARE, fset, [0.5], "fw", StepSchedule(), 1)
+            assert fset.calls == 3  # x0, then one per recorded row
+        else:
+            with pytest.raises(ConfigError, match="^x0 is outside the feasible set$"):
+                run(HALF_SQUARE, fset, [0.5], "fw", StepSchedule(), 1)
+            assert fset.calls == 1
 
     def test_unknown_method(self):
         p = triangle()
@@ -480,6 +524,22 @@ def test_run_matches_public_steps(c, delta, target, weights, steps):
     assert same_path("fw+momentum", momentum, sched)
 
 
+class _FixedSlack:
+    """BOX, except that every violation reads slack; calls counts them."""
+
+    dim = 1
+
+    def __init__(self, slack):
+        self.slack, self.calls = slack, 0
+
+    def lmo(self, gradient):
+        return BOX.lmo(gradient)
+
+    def violation(self, point):
+        self.calls += 1
+        return self.slack
+
+
 class _Counting:
     """Forwards every attribute of an objective or set, counting calls of the named methods."""
 
@@ -547,6 +607,25 @@ def test_rk_truncation_error_order(name, order):
     errs = [np.linalg.norm(a - b) for a, b in zip(ends, ends[1:])]
     orders = [np.log2(errs[i] / errs[i + 1]) for i in range(2)]
     assert all(abs(p - order) <= 0.3 for p in orders), orders
+
+
+@pytest.mark.parametrize("c", [1.0, 2.0, 4.0])
+def test_triangle_fw_is_one_dimensional_from_step_1(c):
+    # why acceptance criterion 5 reads a 1/k^2 slope: gamma(0) = 1 puts x1 on the bottom
+    # edge, where the top vertex never wins the LMO again (an exact tie goes to the lowest
+    # index), so the run is 1-D FW on [-1, 1] toward 0.2, whose distance to x* keeps its 1/k
+    # floor while f - f* = |x - x*|^2 / 2 falls like 1/k^2
+    p = triangle()
+    sched = StepSchedule(c=c)
+    n = 10_000
+    x = run(p.objective, p.feasible_set, p.x0, "fw", sched, n).x
+    assert np.all(x[1:, 1] == 0.0)
+    assert x[1][0] == 0.9999999999999999  # -0.4 + 1.4 in floats, one ulp below s0 = 1
+    y, ys = x[1][0], []
+    for k in range(1, n):
+        y = y + sched.gamma(k) * ((-1.0 if y >= 0.2 else 1.0) - y)
+        ys.append(y)
+    assert np.array(ys).tobytes() == x[2:, 0].tobytes()
 
 
 # SHA-256 of to_csv on triangle() with StepSchedule(c=2), 200 steps, delta 0.1
