@@ -175,7 +175,8 @@ class MatrixHuber:
         r = x[self._idx] - self._vals
         a = np.abs(r)
         quad = a < self.delta
-        out = np.where(quad, 0.5 * r * r, self.delta * a - 0.5 * self.delta**2)
+        m = np.minimum(a, self.delta)  # a where quad, so no branch squares a large residual
+        out = np.where(quad, 0.5 * m * m, self.delta * a - 0.5 * self.delta**2)
         return float(out.sum())
 
     def gradient(self, x) -> np.ndarray:

@@ -203,11 +203,12 @@ def _gammas(t: Tableau, c: float, time: float, delta: float = 1.0) -> list:
 
 
 def _solve_mixing(t: Tableau, gammas: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve (I + A^T Gamma) y = rhs; the system is unit upper triangular."""
-    from scipy.linalg import solve_triangular  # only certificates and rate constants need it
-
-    M = np.eye(t.q) + t.A.T * gammas[None, :]
-    return solve_triangular(M, rhs, lower=False, unit_diagonal=True)
+    """Back substitution for (I + A^T Gamma) y = rhs: y_i = rhs_i - sum_{j>i} A_ji gamma_j y_j."""
+    y = np.array(rhs, dtype=float)
+    for i in reversed(range(t.q - 1)):
+        terms = [t.A[j, i] * gammas[j] * y[j] for j in range(i + 1, t.q)]
+        y[i] = rhs[i] - np.add.accumulate(terms)[-1]  # summed in order of ascending j
+    return y
 
 
 def certificate(t: Tableau, c: float, k: int) -> Certificate:

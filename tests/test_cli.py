@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fwflow.tableau
-from fwflow import problems
+from fwflow import cli, geometry, problems
 from fwflow.cli import _PRESETS, _SETTINGS, _parse, _zigzag_table, build_parser, main
 
 
@@ -239,6 +240,37 @@ def test_command_builds_each_problem_once(tmp_path, monkeypatch, capsys, argv, d
         argv = [*argv, "--config", str(tmp_path / "sweep.json")]
     assert main([*argv, "--output-dir", str(tmp_path / "out")]) == 0
     assert built == builds
+
+
+@pytest.mark.parametrize(
+    "argv, lmos, runs",
+    [
+        # fw + midpoint + rk4 over 100 steps: 101 + (100*2 + 101) + (100*4 + 101)
+        (["preset", "fig2-bottom"], 903, 3),
+        # rk4 over 10 steps: 4 stages per step plus one gap call per record, 5*10 + 1
+        (["run", "--method", "rk", "--tableau", "rk4", "--max-iter", "10"], 51, 1),
+    ],
+    ids=["preset-fig2-bottom", "run-rk4"],
+)
+def test_cli_call_counts(tmp_path, monkeypatch, capsys, argv, lmos, runs):
+    # the counts that the benchmark tracer's self-check asserts for its two CLI probes,
+    # counted here by wrappers of this test's own
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for cls in vars(geometry).values():
+        if isinstance(cls, type) and cls.__module__ == geometry.__name__ and "lmo" in vars(cls):
+            monkeypatch.setattr(cls, "lmo", counted("lmo", vars(cls)["lmo"]))
+    monkeypatch.setattr(cli, "run_solver", counted("run", cli.run_solver))
+    for name, builder in problems.BUILDERS.items():
+        monkeypatch.setitem(problems.BUILDERS, name, counted("build", builder))
+    assert main([*argv, "--output-dir", str(tmp_path)]) == 0
+    assert calls == {"lmo": lmos, "run": runs, "build": 1}
 
 
 # SHA-256 of each zig-zag energy table the CLI writes

@@ -27,16 +27,32 @@ print(json.dumps({
 """
 
 
-def _loaded(tmp_path, *argvs):
+# computes every builtin's certificate and rate constants, as the benchmark's output
+# check does, and prints every scipy module then loaded
+_TABLEAU_PROBE = """
+import json, sys
+from fwflow.tableau import builtin, builtin_names, certificate, rate_constants
+for name in builtin_names():
+    certificate(builtin(name), 2.0, 1)
+    rate_constants(builtin(name), 2.0, L=1.0, diam=1.0)
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+"""
+
+
+def _python(tmp_path, code, *args):
     proc = subprocess.run(
-        [sys.executable, "-c", _PROBE, json.dumps(argvs)],
+        [sys.executable, "-c", code, *args],
         cwd=tmp_path,
         env={**os.environ, "PYTHONPATH": str(SRC)},
         capture_output=True,
         text=True,
         check=True,
     )
-    report = json.loads(proc.stdout)
+    return json.loads(proc.stdout)
+
+
+def _loaded(tmp_path, *argvs):
+    report = _python(tmp_path, _PROBE, json.dumps(argvs))
     assert report["codes"] == [0] * len(argvs)
     return report
 
@@ -82,5 +98,8 @@ def test_bound_and_certify_print_as_before(tmp_path):
     assert certify["stdout_sha256"] == (
         "b27f8324db213a05af1fda966ab0a655b66ecceef8a0107f5b4a67844afe51b7"
     )
-    assert "scipy.linalg" in certify["scipy"]
-    assert "scipy.integrate" not in certify["scipy"]
+    assert certify["scipy"] == []
+
+
+def test_certificates_and_rate_constants_load_no_scipy(tmp_path):
+    assert _python(tmp_path, _TABLEAU_PROBE) == []

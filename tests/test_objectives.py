@@ -397,6 +397,11 @@ class TestScalarHuberIsMatrixHuber:
         assert np.signbit(_FrozenScalarHuber(0.1).gradient([-0.0])[0])
         assert not np.signbit(ScalarHuber(0.1).gradient([-0.0])[0])
 
+    def test_large_residual_value_does_not_overflow(self):
+        # the quadratic branch squares min(|r|, delta), so a residual whose square
+        # overflows raises no RuntimeWarning (an error under this suite) on the linear side
+        assert ScalarHuber(0.1).value([1e200]) == 1e199 == _FrozenScalarHuber(0.1).value([1e200])
+
     def test_gradient_at_nan_is_nan(self):
         # the residual is clipped, which keeps a nan; the frozen copy returned -eps
         assert _FrozenScalarHuber(0.1).gradient([np.nan])[0] == -0.1

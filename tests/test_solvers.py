@@ -626,6 +626,12 @@ def test_triangle_fw_is_one_dimensional_from_step_1(c):
         y = y + sched.gamma(k) * ((-1.0 if y >= 0.2 else 1.0) - y)
         ys.append(y)
     assert np.array(ys).tobytes() == x[2:, 0].tobytes()
+    if c == 2.0:
+        # the contrast: criterion 5's rk runs (at its c) start at t = 1, where every
+        # gamma_i < 1, so they never land on the bottom edge
+        for name in builtin_names():
+            x = run(p.objective, p.feasible_set, p.x0, "rk", sched, n, tableau=builtin(name)).x
+            assert np.all(x[1:, 1] != 0.0) and 0.1 <= np.abs(x[1:, 1]).max() <= 0.19, name
 
 
 # SHA-256 of to_csv on triangle() with StepSchedule(c=2), 200 steps, delta 0.1

@@ -1,4 +1,7 @@
+import hashlib
 import json
+from dataclasses import astuple
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -299,3 +302,80 @@ class TestRateConstants:
     def test_bound_curve(self):
         rc = rate_constants(builtin("euler"), c=2.0, L=1.0, diam=2.0, h_x0=10.0)
         assert rc.h0 == 10.0
+
+
+# SHA-256 of the bytes of certificate(t, c, k).z over k = 1..1000, recorded while
+# _solve_mixing solved its system with LAPACK (scipy.linalg.solve_triangular)
+PINNED_Z_SHA256 = {
+    ("euler", 1.0): "e9b3a04c0a1b61fbf38412200d4ac27e7a73d2ba4576076870c2967a2894b325",
+    ("euler", 1.5): "a45727aab843a7126bcd8f3c1a89b11cb44cd96e68bf450675b540349a20b6e6",
+    ("euler", 2.0): "52af6262f6fbf5097939ab1c6a80e312eccb3d9440633362269b1d416f554de2",
+    ("euler", 4.0): "7d5b71a50ba1d0b4d685f53cd4876541e9d96030729813217a7437787446f0ad",
+    ("midpoint", 1.0): "a4490d7cdc7b65e23f9b0f318e3824433c2697a164c751de4d80a87a8cd8feb8",
+    ("midpoint", 1.5): "546c511da7c261ab1da3fc6d6552bb1cd9cf97fb6b389d1811a858597be44c86",
+    ("midpoint", 2.0): "f9f93bd97b36182ffe7718ae9f717eeff45c8256b7d636591d29c524ca72c5da",
+    ("midpoint", 4.0): "01c5e0f26dd29c6673fd6a7295ba2b9e78817a69755b2fdbdd9dbe0c7b9a44d5",
+    ("rk4", 1.0): "fbe402dbbb376de641e1b986ae8d7d0bddd1f0d8f254102eb24c3a1df69d3c93",
+    ("rk4", 1.5): "db415ba4e44fb571229df059f018d1ad0989001653d1296a0f4a265e6c452f9a",
+    ("rk4", 2.0): "b030116d2be9ebb9ce0d96d347b0b5cd8689c7b3052b4681afdcb4becbdb9abe",
+    ("rk4", 4.0): "86046602539ab6312758c2ef7657d46d83dc08bdfb0849ca48db5167b431ee04",
+    ("rk38", 1.0): "d7439f6ef4dea58ef435de9db1c4f32f41f9e9181359eb4041bea8b72b88481a",
+    ("rk38", 1.5): "7a28f2434be2b380ab53816792791a1aed5cfaef260703cfc4c7c1063c491cb1",
+    ("rk38", 2.0): "dca2d09e4b80a2f5968e5f87ba2104a440f6d61ff8038e55a5e38f2a3d426995",
+    ("rk38", 4.0): "2e17e81adc54aaacec7dbb284e1b46c4e6724e1a49e38a806260a3a69e28d30c",
+}
+
+# rate_constants(t, c, L=1, diam=1) as (p_max, D2, D3, D4, h0), recorded with the z pins
+PINNED_RATE_CONSTANTS = {
+    ("euler", 1.5): (0.6, 0.6, 0.0, 0.18, 0.81),
+    ("euler", 2.0): (0.6666666666666666, 0.6666666666666666, 0.0, 0.2222222222222222,
+                     0.8888888888888888),
+    ("euler", 4.0): (0.8, 0.8, 0.0, 0.32000000000000006, 1.706666666666667),
+    ("midpoint", 1.5): (0.6, 1.2, 1.2, 3.3600000000000003, 15.120000000000003),
+    ("midpoint", 2.0): (0.6666666666666666, 1.3333333333333333, 1.3333333333333333, 4.0,
+                        16.0),
+    ("midpoint", 4.0): (0.8, 1.6, 1.6, 5.440000000000001, 29.01333333333334),
+    ("rk4", 1.5): (0.6, 2.4, 9.6, 35.519999999999996, 159.83999999999997),
+    ("rk4", 2.0): (0.6666666666666666, 2.6666666666666665, 10.666666666666666,
+                   42.666666666666664, 170.66666666666666),
+    ("rk4", 4.0): (0.8459200619225319, 3.3836802476901275, 13.53472099076051,
+                   65.05653507449796, 346.9681870639891),
+    ("rk38", 1.5): (0.6852966948503812, 2.741186779401525, 10.9647471176061,
+                    44.77821943565177, 201.50198746043296),
+    ("rk38", 2.0): (0.8867455794540839, 3.5469823178163358, 14.187929271265343,
+                    70.8028053043232, 283.2112212172928),
+    ("rk38", 4.0): (1.4761059883656351, 5.9044239534625405, 23.617695813850162,
+                    180.49769581385013, 962.6543776738673),
+}
+
+
+@pytest.mark.parametrize("name, c", list(PINNED_Z_SHA256))
+def test_certificate_bits_pinned(name, c):
+    t, digest = builtin(name), hashlib.sha256()
+    for k in range(1, 1001):
+        digest.update(certificate(t, c, k).z.tobytes())
+    assert digest.hexdigest() == PINNED_Z_SHA256[name, c]
+
+
+@pytest.mark.parametrize("name, c", list(PINNED_RATE_CONSTANTS))
+def test_rate_constants_bits_pinned(name, c):
+    assert astuple(rate_constants(builtin(name), c, L=1.0, diam=1.0)) == (
+        PINNED_RATE_CONSTANTS[name, c]
+    )
+
+
+@pytest.mark.parametrize("c", [1, 2, 4])
+def test_rk5_certificate_near_exact(c):
+    # rk5's z2 cancels to about 0, so its float bits depend on the order of the sums; it
+    # stays within 1e-15 of z evaluated exactly from the same float entries
+    t = builtin("rk5")
+    A, beta, omega = ([Fraction(v) for v in a] for a in (t.A.T.ravel(), t.beta, t.omega))
+    q = t.q
+    for k in range(1, 201):
+        gammas = [Fraction(c) / (c + k + w) for w in omega]
+        y = list(beta)
+        for i in reversed(range(q)):
+            y[i] -= sum(A[i * q + j] * gammas[j] * y[j] for j in range(i + 1, q))
+        exact = [q * g * v for g, v in zip(gammas, y)]
+        z = certificate(t, float(c), k).z
+        assert max(abs(Fraction(v) - e) for v, e in zip(z.tolist(), exact)) <= 1e-15, k
