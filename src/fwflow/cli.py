@@ -123,10 +123,7 @@ def _load_tableau(name: str | None, path: str | None):
     if name is not None and path is not None:
         raise ConfigError("give a tableau name or a tableau file, not both")
     if path is not None:
-        text = Path(path).read_text()
-        t = tableau_mod.Tableau.from_json(text, name=Path(path).stem)
-        tableau_mod.validate(t)
-        return t
+        return tableau_mod.Tableau.from_json(Path(path).read_text(), name=Path(path).stem)
     return None if name is None else tableau_mod.builtin(name)
 
 

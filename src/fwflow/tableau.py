@@ -37,7 +37,7 @@ class Tableau:
     """Explicit Runge-Kutta tableau: stage matrix A, weights beta, offsets omega.
 
     The arrays are read-only copies, so a tableau is checked once, when it is
-    built: ``validate`` reports that verdict. Tableaus compare and hash by
+    built: an invalid one raises ConfigError. Tableaus compare and hash by
     identity, as array fields have no single truth value.
     """
 
@@ -45,9 +45,7 @@ class Tableau:
     beta: np.ndarray
     omega: np.ndarray
     name: str = ""
-    # set by __post_init__: the first invariant fault, or None
-    _fault: str | None = field(init=False, repr=False)
-    # set for a valid tableau: per stage, the nonzero (j, A_ij) pairs; beta and omega;
+    # set by __post_init__: per stage, the nonzero (j, A_ij) pairs; beta and omega;
     # all as Python floats, since float * array rounds as np.float64 * array
     _stage_terms: tuple = field(init=False, repr=False)
     _beta: list = field(init=False, repr=False)
@@ -58,18 +56,12 @@ class Tableau:
             entries = shape(np.asarray(getattr(self, key), dtype=float)).copy()
             entries.setflags(write=False)
             object.__setattr__(self, key, entries)
-        try:
-            _check_invariants(self)
-            fault = None
-        except ConfigError as e:
-            fault = str(e)
-        object.__setattr__(self, "_fault", fault)
-        if fault is None:
-            terms = tuple(tuple((j, a) for j, a in enumerate(row[:i]) if a != 0.0)
-                          for i, row in enumerate(self.A.tolist()))
-            object.__setattr__(self, "_stage_terms", terms)
-            object.__setattr__(self, "_beta", self.beta.tolist())
-            object.__setattr__(self, "_omega", self.omega.tolist())
+        _check_invariants(self)
+        terms = tuple(tuple((j, a) for j, a in enumerate(row[:i]) if a != 0.0)
+                      for i, row in enumerate(self.A.tolist()))
+        object.__setattr__(self, "_stage_terms", terms)
+        object.__setattr__(self, "_beta", self.beta.tolist())
+        object.__setattr__(self, "_omega", self.omega.tolist())
 
     @property
     def q(self) -> int:
@@ -80,7 +72,8 @@ class Tableau:
         """Build a tableau from a JSON document {"A": [[..]], "beta": [..], "omega": [..]}.
 
         Raises ConfigError when the document is not an object, lacks a key, or
-        holds a key whose value is not a (rectangular) array of numbers.
+        holds a key whose value is not a (rectangular) array of numbers or numeric
+        strings (a JSON boolean is not a number), and when the tableau is invalid.
         """
         doc = json.loads(text)
         if not isinstance(doc, dict):
@@ -93,13 +86,15 @@ class Tableau:
                 entries[key] = np.asarray(doc[key], dtype=float)
             except (TypeError, ValueError) as e:
                 raise ConfigError(f"tableau JSON key {key!r} must hold numbers: {e}") from None
+            if any(isinstance(v, bool) for v in np.asarray(doc[key], dtype=object).flat):
+                raise ConfigError(f"tableau JSON key {key!r} must hold numbers, not booleans")
         return cls(**entries, name=name)
 
 
 def validate(t: Tableau) -> None:
-    """Raise ConfigError naming the first violated tableau invariant, found when t was built."""
-    if t._fault is not None:
-        raise ConfigError(t._fault)
+    """Raise ConfigError unless t is a Tableau, which was checked when it was built."""
+    if not isinstance(t, Tableau):
+        raise ConfigError(f"expected a Tableau, got {type(t).__name__}")
 
 
 def _check_invariants(t: Tableau) -> None:

@@ -323,6 +323,7 @@ OVERFLOWS = {"A": [[0.0, 0.0], [1e308, 0.0]], "beta": [0.0, 1.0], "omega": [0.0,
 NO_OMEGA = {"A": [[0]], "beta": [1]}
 NON_NUMERIC = {"A": "x", "beta": [1], "omega": [0]}
 RAGGED_A = {"A": [[0.0], [0.5, 0.0]], "beta": [0.0, 1.0], "omega": [0.0, 0.5]}
+BOOLEAN_EULER = {"A": [[False]], "beta": [True], "omega": [False]}  # euler, spelled in booleans
 EULER_DOC = {"A": [[0]], "beta": [1], "omega": [0]}
 BOTH_TABLEAUS = "error: give a tableau name or a tableau file, not both"
 NOT_NUMBERS = "error: tableau JSON key 'A' must hold numbers"
@@ -370,6 +371,8 @@ _LIBRARY_REJECTED_ENTRIES = {
         (["run", "--method", "rk"], [[0.0]], 2, "error: tableau JSON must be an object"),
         (["run", "--method", "rk"], NON_NUMERIC, 2, NOT_NUMBERS),
         (["run", "--method", "rk"], RAGGED_A, 2, NOT_NUMBERS),
+        (["run", "--method", "rk"], BOOLEAN_EULER, 2, f"{NOT_NUMBERS}, not booleans"),
+        (["certify"], BOOLEAN_EULER, 2, f"{NOT_NUMBERS}, not booleans"),
         pytest.param(
             ["run", "--problem", "scalar_box", "--method", "rk", "--max-iter", "5"],
             OVERFLOWS,
@@ -652,6 +655,8 @@ _LIBRARY_REJECTED_ENTRIES = {
         "tableau-not-object",
         "tableau-non-numeric",
         "tableau-ragged",
+        "tableau-boolean",
+        "certify-tableau-boolean",
         "overflow-mid-run",
         "unknown-method",
         "delta-without-flow",

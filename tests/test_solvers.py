@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fwflow import solvers
+from fwflow.diagnostics import slope_fit
 from fwflow.geometry import FEASIBILITY_TOL, Box, NuclearBall, VertexHull, contains
 from fwflow.objectives import QuadraticDistance
 from fwflow.problems import scalar_box, sensing_least_squares, sensing_logistic, triangle
@@ -632,6 +634,77 @@ def test_triangle_fw_is_one_dimensional_from_step_1(c):
         for name in builtin_names():
             x = run(p.objective, p.feasible_set, p.x0, "rk", sched, n, tableau=builtin(name)).x
             assert np.all(x[1:, 1] != 0.0) and 0.1 <= np.abs(x[1:, 1]).max() <= 0.19, name
+
+
+@pytest.mark.parametrize("c", [2.0, 4.0])
+def test_simplex_fw_meets_the_slope_band(c):
+    # criterion 5's band where f - f* is linear in the distance to x*: Jaggi's (ICML 2013)
+    # instance f = |x|^2 / 2 on the unit simplex in dimension 200, f* = 1/400. Row k has at
+    # most k + 1 atoms, so f - f* >= 1/(2(k + 1)) - 1/400
+    n = 200
+    x0 = np.zeros(n)
+    x0[0] = 1.0
+    traj = run(QuadraticDistance(np.zeros(n)), VertexHull(np.eye(n)), x0, "fw",
+               StepSchedule(c=c), 100)
+    f_star = 1 / 400
+    assert np.all(traj.f - f_star >= 1 / (2 * (traj.k + 1)) - f_star - 1e-15)
+    assert -1.3 <= slope_fit(traj, f_star, k_min=10) <= -0.7
+
+
+class _StageRecorder:
+    """A feasible set that records every LMO vertex, as an exact integer on the scalar box."""
+
+    def __init__(self, fset):
+        self.fset, self.dim, self.vertices = fset, fset.dim, []
+
+    def lmo(self, gradient):
+        s = self.fset.lmo(gradient)
+        self.vertices.append(int(s[0]))
+        return s
+
+    def violation(self, point):
+        return self.fset.violation(point)
+
+
+def _exact(entries: np.ndarray) -> np.ndarray:
+    """A tableau's float entries as fractions with denominators <= 100, checked bit for bit."""
+    fractions = [Fraction(v).limit_denominator(100) for v in entries.ravel().tolist()]
+    assert [float(v) for v in fractions] == entries.ravel().tolist()
+    return np.array(fractions, dtype=object).reshape(entries.shape)
+
+
+def _stage_sums(name, c):
+    """Per step k = 1000..1039 of rk on scalar_box(): the stage LMO signs s, and exactly
+    S1 = sum beta_i s_i and S2 = sum beta_i omega_i s_i / c + sum beta_i (A s)_i."""
+    t = builtin(name)
+    A, beta, omega = _exact(t.A), _exact(t.beta), _exact(t.omega)
+    p = scalar_box()
+    fset = _StageRecorder(p.feasible_set)
+    run(p.objective, fset, p.x0, "rk", StepSchedule(c=float(c)), 1040, tableau=t)
+    sums = []
+    for k in range(1000, 1040):  # each step records the gap's LMO, then one per stage
+        s = np.array(fset.vertices[k * (t.q + 1) + 1:(k + 1) * (t.q + 1)], dtype=object)
+        S2 = sum(beta * omega * s) / c + sum(beta * (A @ s))
+        sums.append((tuple(s), sum(beta * s), S2))
+    return sums
+
+
+@pytest.mark.parametrize("c", [1, 2, 4])
+def test_stage_sign_patterns_on_the_scalar_box(c):
+    # criterion 6's mechanism, first step: near x* = 0 the stage signs settle, and the
+    # drift of a step, gamma S1 - gamma^2 S2 + O(gamma^3), is cancelled to first order by
+    # rk4 and rk38, and to second order only by rk38
+    rk4, rk38 = _stage_sums("rk4", c), _stage_sums("rk38", c)
+    assert {s for s, _, _ in rk4 + rk38} == {(-1, 1, -1, 1)}
+    assert {(S1, S2) for _, S1, S2 in rk38} == {(0, 0)}
+    assert {(S1, S2) for _, S1, S2 in rk4} == {(0, Fraction(1, 6 * c) - Fraction(1, 6))}
+    first = (-1, -1, -1, 1, -1, 1)
+    second = tuple(-v for v in first)
+    rk5 = _stage_sums("rk5", c)
+    assert [s for s, _, _ in rk5] in ([first, second] * 20, [second, first] * 20)
+    assert {(s, S1) for s, S1, _ in rk5} == {(first, Fraction(-26, 45)),
+                                             (second, Fraction(26, 45))}
+    assert {abs(S1) for _, S1, _ in _stage_sums("midpoint", c)} == {1}
 
 
 # SHA-256 of to_csv on triangle() with StepSchedule(c=2), 200 steps, delta 0.1

@@ -41,42 +41,52 @@ class TestValidate:
     )
     def test_rejected_with_message(self, A, beta, omega, message):
         with pytest.raises(ConfigError, match=f"^{message}$"):
-            validate(Tableau(A=A, beta=beta, omega=omega))
+            Tableau(A=A, beta=beta, omega=omega)
 
     def test_beta_sum(self):
-        t = Tableau(A=[[0.0, 0.0], [0.5, 0.0]], beta=[0.0, 0.5], omega=[0.0, 0.5])
-        with pytest.raises(ValueError, match="beta sum"):
-            validate(t)
+        with pytest.raises(ConfigError, match="beta sum"):
+            Tableau(A=[[0.0, 0.0], [0.5, 0.0]], beta=[0.0, 0.5], omega=[0.0, 0.5])
 
     def test_strictly_lower_triangular(self):
         A = builtin("rk4").A.copy()
         A[0, 1] = 1.0
-        t = Tableau(A=A, beta=builtin("rk4").beta, omega=builtin("rk4").omega)
-        with pytest.raises(ValueError, match="strictly lower triangular"):
-            validate(t)
+        with pytest.raises(ConfigError, match="strictly lower triangular"):
+            Tableau(A=A, beta=builtin("rk4").beta, omega=builtin("rk4").omega)
 
     def test_omega_first_entry(self):
-        t = Tableau(A=[[0.0, 0.0], [0.5, 0.0]], beta=[0.0, 1.0], omega=[0.1, 0.5])
-        with pytest.raises(ValueError, match="omega"):
-            validate(t)
+        with pytest.raises(ConfigError, match="omega"):
+            Tableau(A=[[0.0, 0.0], [0.5, 0.0]], beta=[0.0, 1.0], omega=[0.1, 0.5])
+
+    @pytest.mark.parametrize(
+        "call, kind",
+        [
+            (lambda: validate(None), "NoneType"),
+            (lambda: certificate("rk4", 2.0, 1), "str"),
+            (lambda: rate_constants({"name": "rk4"}, c=2.0, L=1.0, diam=2.0), "dict"),
+        ],
+        ids=["validate-none", "certificate-name", "rate_constants-dict"],
+    )
+    def test_rejects_what_is_not_a_tableau(self, call, kind):
+        with pytest.raises(ConfigError, match=f"^expected a Tableau, got {kind}$"):
+            call()
 
 
-def _reference_validate(t: Tableau) -> None:
-    """validate's checks as numpy reductions: the independent side of the property below."""
-    q = t.q
-    if t.A.shape != (q, q) or t.omega.shape[0] != q:
+def _reference_validate(A: np.ndarray, beta: np.ndarray, omega: np.ndarray) -> None:
+    """The tableau checks as numpy reductions: the independent side of the property below."""
+    q = beta.shape[0]
+    if A.shape != (q, q) or omega.shape[0] != q:
         raise ConfigError("shape mismatch: A must be q x q and omega length q")
-    for name, entries in (("A", t.A), ("beta", t.beta), ("omega", t.omega)):
+    for name, entries in (("A", A), ("beta", beta), ("omega", omega)):
         if not np.isfinite(entries).all():
             at = tuple(int(i) for i in np.argwhere(~np.isfinite(entries))[0])
             raise ConfigError(f"tableau entry {name}{list(at)} is {entries[at]}, must be finite")
-    if abs(float(t.beta.sum()) - 1.0) > 1e-12:
-        raise ConfigError(f"beta sum is {t.beta.sum()!r}, must be 1")
-    if np.triu(t.A).any():
+    if abs(float(beta.sum()) - 1.0) > 1e-12:
+        raise ConfigError(f"beta sum is {beta.sum()!r}, must be 1")
+    if np.triu(A).any():
         raise ConfigError("A is not strictly lower triangular")
-    if t.omega[0] != 0.0:
+    if omega[0] != 0.0:
         raise ConfigError("omega[0] must be 0")
-    if t.omega.min() < 0.0 or t.omega.max() > 1.0:
+    if omega.min() < 0.0 or omega.max() > 1.0:
         raise ConfigError("omega entries must lie in [0, 1]")
 
 
@@ -85,8 +95,8 @@ _FAULTS = ("none", "beta-sum", "non-finite", "upper-entry", "signed-zero-upper",
 
 
 @st.composite
-def _tableaus(draw, fault):
-    """A valid tableau with q in 1..6, then the named fault injected."""
+def _tableau_arrays(draw, fault):
+    """The arrays of a valid tableau with q in 1..6, then the named fault injected."""
     q = draw(st.integers(1, 6))
     entry = st.floats(-2.0, 2.0) | st.sampled_from([0.0, -0.0])
     A = np.zeros((q, q))
@@ -115,12 +125,12 @@ def _tableaus(draw, fault):
     elif fault == "shape":  # A gains a column, or beta (so q) or omega an entry
         name = draw(st.sampled_from(["A", "beta", "omega"]))
         arrays[name] = np.hstack([arrays[name], np.zeros((q, 1)) if name == "A" else [0.0]])
-    return Tableau(**arrays)
+    return arrays
 
 
-def _outcome(check, t: Tableau):
+def _outcome(check, *args):
     try:
-        check(t)
+        check(*args)
     except ConfigError as e:
         return str(e)
     return None
@@ -130,9 +140,11 @@ def _outcome(check, t: Tableau):
 @settings(derandomize=True, max_examples=30, deadline=None)
 @given(data=st.data())
 def test_validate_matches_reference(fault, data):
-    t = data.draw(_tableaus(fault))
-    # the verdict is found once, when t is built; every call reports the same one
-    assert _outcome(validate, t) == _outcome(validate, t) == _outcome(_reference_validate, t)
+    # a tableau is checked when it is built: building it raises the reference's message,
+    # and a tableau that is built passes validate
+    arrays = data.draw(_tableau_arrays(fault))
+    expected = _outcome(_reference_validate, arrays["A"], arrays["beta"], arrays["omega"])
+    assert _outcome(lambda: validate(Tableau(**arrays))) == expected
 
 
 class TestReadOnly:
@@ -196,6 +208,21 @@ class TestBuiltins:
         np.testing.assert_array_equal(t.A, t2.A)
         np.testing.assert_array_equal(t.beta, t2.beta)
         np.testing.assert_array_equal(t.omega, t2.omega)
+
+    def test_json_numeric_strings(self):
+        doc = {"A": [["0", 0], ["0.5", "0"]], "beta": [0, "1"], "omega": [0, "0.5"]}
+        t = Tableau.from_json(json.dumps(doc))
+        for key in ("A", "beta", "omega"):
+            np.testing.assert_array_equal(getattr(t, key), getattr(builtin("midpoint"), key))
+
+    @pytest.mark.parametrize("doc, key", [
+        ('{"A": [[false]], "beta": [true], "omega": [false]}', "A"),
+        ('{"A": [[0, 0], [0.5, 0]], "beta": [0, true], "omega": [0, 0.5]}', "beta"),
+        ('{"A": [[0]], "beta": [1], "omega": false}', "omega"),
+    ])
+    def test_json_rejects_booleans(self, doc, key):
+        with pytest.raises(ConfigError, match=f"^tableau JSON key '{key}' must hold numbers, not"):
+            Tableau.from_json(doc)
 
 
 class TestCertificate:
