@@ -173,10 +173,14 @@ def _plan(s: dict, built: dict) -> tuple:
     return problem, sched, tab, s["output"] or f"{problem.name}_{method.replace('+', '_')}"
 
 
-def _trajectories(settings: list):
-    """Plan every run's settings, then run each in turn: yield (s, problem, sched, stem, traj)."""
+def _plans(settings: list) -> list:
+    """(s, problem, sched, tableau, stem) for every run's settings s, each checked by _plan."""
     built = {}  # one problem per (problem, seed), made for this call only
-    plans = [(s, *_plan(s, built)) for s in settings]
+    return [(s, *_plan(s, built)) for s in settings]
+
+
+def _trajectories(plans: list):
+    """Run each of _plans' plans in turn: yield (s, problem, sched, stem, traj)."""
     for s, problem, sched, tab, stem in plans:
         yield s, problem, sched, stem, run_solver(
             problem.objective, problem.feasible_set, problem.x0, s["method"], sched,
@@ -187,9 +191,13 @@ def _runs(settings: list, out_dir: Path):
     """Run every run's settings in turn, yielding each path it writes.
 
     A run's diagnostics are all computed before any of its files is written, so a
-    diagnostic that fails leaves none of that run's files behind.
+    diagnostic that fails leaves none of that run's files behind. No two runs share a stem.
     """
-    for s, problem, sched, stem, traj in _trajectories(settings):
+    plans = _plans(settings)
+    stems = [stem for *_, stem in plans]
+    if shared := [stem for stem in stems if stems.count(stem) > 1]:
+        raise ConfigError(f"two runs would write the output stem {shared[0]!r}")
+    for s, problem, sched, stem, traj in _trajectories(plans):
         diag, tables = s.get("diagnostics", {}), []  # (file suffix, rows), in writing order
         if "zigzag" in diag:
             rows = _zigzag_rows(traj, s["method"], diag["zigzag"]["W"], diag["zigzag"]["T"])
@@ -212,7 +220,7 @@ def _runs(settings: list, out_dir: Path):
                 cb = diagnostics.continuous_bound(sched.c, t)
                 rows.append(f"{t:.17g},{norm_err:.17g},{cb:.17g}")
             tables.append(("bound", rows))
-        out_dir.mkdir(parents=True, exist_ok=True)
+        (out_dir / f"{stem}.csv").parent.mkdir(parents=True, exist_ok=True)
         traj.to_csv(out_dir / f"{stem}.csv")
         yield out_dir / f"{stem}.csv"
         for suffix, rows in tables:
@@ -285,7 +293,7 @@ def _zigzag_table(path: Path, s: dict, runs) -> Path:
         for delta, tab in runs
     ]
     rows = [_ZIGZAG_HEADER]
-    for e, *_, traj in _trajectories(entries):
+    for e, *_, traj in _trajectories(_plans(entries)):
         rows += _zigzag_rows(traj, e["tableau"] or "fw", s["windows"], s["T"])
     return _write_rows(path, rows)
 

@@ -17,10 +17,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-# scipy.optimize.nnls minus its input checks, bound when the first VertexHull is built, so
-# that only the hull loads scipy.optimize
-_nnls = None
-
 # the slack within which a point counts as inside a set: run() rejects a start point beyond it
 FEASIBILITY_TOL = 1e-9
 
@@ -50,11 +46,11 @@ class VertexHull:
     vertices: np.ndarray
     # violation's NNLS matrix: the vertices as columns over a sum-to-one row
     _nnls_system: np.ndarray = field(init=False, repr=False)
+    # violation's solver: scipy.optimize.nnls minus its input checks
+    _nnls: object = field(init=False, repr=False)
 
     def __post_init__(self):
-        global _nnls
-        if _nnls is None:
-            from scipy.optimize._slsqplib import nnls as _nnls
+        from scipy.optimize._slsqplib import nnls  # here, so that only a hull loads scipy.optimize
         v = np.atleast_2d(np.asarray(self.vertices, dtype=float))
         if v.shape[0] < 1:
             raise ValueError("VertexHull needs at least one vertex")
@@ -62,6 +58,7 @@ class VertexHull:
             raise ValueError("VertexHull vertices must be finite")
         object.__setattr__(self, "vertices", v)
         object.__setattr__(self, "_nnls_system", np.vstack([v.T, np.ones(v.shape[0])]))
+        object.__setattr__(self, "_nnls", nnls)
 
     @property
     def dim(self) -> int:
@@ -81,7 +78,7 @@ class VertexHull:
         target = np.empty(x.shape[0] + 1)
         target[:-1] = x
         target[-1] = 1.0
-        _, resid, info = _nnls(self._nnls_system, target, 3 * self.vertices.shape[0])
+        _, resid, info = self._nnls(self._nnls_system, target, 3 * self.vertices.shape[0])
         if info == 3:
             raise RuntimeError("Maximum number of iterations reached.")
         return float(resid)

@@ -103,14 +103,6 @@ class LeastSquares(_DenseObjective):
         return 0.5 * float(r @ r)
 
 
-def expit(z):
-    """scipy.special.expit, which this module name is rebound to on the first call, so that
-    only the logistic loss loads scipy.special; _gradient_from looks the name up per call."""
-    global expit
-    from scipy.special import expit
-    return expit(z)
-
-
 class LogisticLoss(_DenseObjective):
     """Mean logistic loss over labels in {-1, +1}.
 
@@ -119,6 +111,8 @@ class LogisticLoss(_DenseObjective):
     """
 
     def __init__(self, features, labels):
+        from scipy.special import expit  # here, so that only a logistic loss loads scipy.special
+        self._expit = expit
         self.features = np.asarray(features, dtype=float)
         self.labels = np.asarray(labels, dtype=float).ravel()
         if self.features.shape[0] != self.labels.shape[0]:
@@ -138,7 +132,7 @@ class LogisticLoss(_DenseObjective):
         return self.labels * (self.features @ x)  # the margins
 
     def _gradient_from(self, margins) -> np.ndarray:
-        return -(self.features.T @ (self.labels * expit(-margins))) / self.features.shape[0]
+        return -(self.features.T @ (self.labels * self._expit(-margins))) / self.features.shape[0]
 
     def value(self, x) -> float:
         margins = self._at(x)

@@ -645,6 +645,12 @@ _LIBRARY_REJECTED_ENTRIES = {
         # delta = 1 run starts
         (["zigzag", "--T", "100", "--deltas", "1,1e-300"], None, 2,
          "error: max_iter must be < 1303084 for 100-entry iterates"),
+        (  # both runs would write triangle_fw.csv, so neither starts
+            ["sweep"],
+            [{"c": 1, "max_iter": 5}, {"c": 2, "max_iter": 5}],
+            2,
+            "error: two runs would write the output stem 'triangle_fw'",
+        ),
     ],
     ids=[
         "c-below-1",
@@ -734,6 +740,7 @@ _LIBRARY_REJECTED_ENTRIES = {
         "zigzag-steps-overflow",
         "zigzag-steps-overflow-second-delta",
         "zigzag-steps-above-cap",
+        "sweep-shared-stem",
     ],
 )
 def test_exit_code_contract(tmp_path, capsys, argv, doc, code, message):
@@ -778,6 +785,20 @@ def test_failed_diagnostic_writes_none_of_its_runs_files(tmp_path, capsys, entry
     captured = capsys.readouterr()
     assert captured.err.startswith(message)
     assert captured.out == "" and not out.exists()
+
+
+def test_output_names_a_subdirectory(tmp_path, capsys):
+    # a run's CSV and its diagnostics' CSVs go into the subdirectory that output names
+    out = tmp_path / "out"
+    assert main(["run", "--max-iter", "5", "--output", "sub/a", "--output-dir", str(out)]) == 0
+    doc = [{"problem": "logistic", "max_iter": 10, "output": "sub/b",
+            "diagnostics": {"zigzag": {}}}]
+    path = tmp_path / "sweep.json"
+    path.write_text(json.dumps(doc))
+    assert main(["sweep", "--config", str(path), "--output-dir", str(out)]) == 0
+    written = [out / "sub" / name for name in ("a.csv", "b.csv", "b_zigzag.csv")]
+    assert capsys.readouterr().out.split() == [str(p) for p in written]
+    assert all(p.is_file() for p in written)
 
 
 def test_rk_takes_delta(tmp_path, capsys):

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fwflow import solvers
-from fwflow.diagnostics import slope_fit
+from fwflow.diagnostics import lower_bound_probe, slope_fit
 from fwflow.geometry import FEASIBILITY_TOL, Box, NuclearBall, VertexHull, contains
 from fwflow.objectives import QuadraticDistance
 from fwflow.problems import scalar_box, sensing_least_squares, sensing_logistic, triangle
@@ -674,37 +674,48 @@ def _exact(entries: np.ndarray) -> np.ndarray:
 
 
 def _stage_sums(name, c):
-    """Per step k = 1000..1039 of rk on scalar_box(): the stage LMO signs s, and exactly
-    S1 = sum beta_i s_i and S2 = sum beta_i omega_i s_i / c + sum beta_i (A s)_i."""
+    """A 1,040-step rk run on scalar_box(): per step k = 1000..1039 the stage LMO signs s,
+    and exactly S1 = sum beta_i s_i and S2 = sum beta_i omega_i s_i / c + sum beta_i (A s)_i;
+    then the probe k sup_{k' >= k} |x| at anchors 100 and 1000."""
     t = builtin(name)
     A, beta, omega = _exact(t.A), _exact(t.beta), _exact(t.omega)
     p = scalar_box()
     fset = _StageRecorder(p.feasible_set)
-    run(p.objective, fset, p.x0, "rk", StepSchedule(c=float(c)), 1040, tableau=t)
+    traj = run(p.objective, fset, p.x0, "rk", StepSchedule(c=float(c)), 1040, tableau=t)
     sums = []
     for k in range(1000, 1040):  # each step records the gap's LMO, then one per stage
         s = np.array(fset.vertices[k * (t.q + 1) + 1:(k + 1) * (t.q + 1)], dtype=object)
         S2 = sum(beta * omega * s) / c + sum(beta * (A @ s))
         sums.append((tuple(s), sum(beta * s), S2))
-    return sums
+    return sums, lower_bound_probe(traj, [100, 1000])
 
 
-@pytest.mark.parametrize("c", [1, 2, 4])
+@pytest.mark.parametrize("c", [1, Fraction(3, 2), 2, 4], ids=str)
 def test_stage_sign_patterns_on_the_scalar_box(c):
-    # criterion 6's mechanism, first step: near x* = 0 the stage signs settle, and the
-    # drift of a step, gamma S1 - gamma^2 S2 + O(gamma^3), is cancelled to first order by
-    # rk4 and rk38, and to second order only by rk38
-    rk4, rk38 = _stage_sums("rk4", c), _stage_sums("rk38", c)
-    assert {s for s, _, _ in rk4 + rk38} == {(-1, 1, -1, 1)}
+    # criterion 6's mechanism: near x* = 0 the stage signs settle, and the drift of a
+    # step, gamma S1 - gamma^2 S2 + O(gamma^3), is cancelled to first order by rk4 and
+    # rk38, and to second order only by rk38
+    runs = {name: _stage_sums(name, c) for name in ("midpoint", "rk4", "rk38", "rk5")}
+    (rk4, _), (rk38, _), (rk5, _) = runs["rk4"], runs["rk38"], runs["rk5"]
+    pattern = (-1, 1, -1, 1)
+    assert {s for s, _, _ in rk4} == {pattern}
+    # rk38 settles on the negated pattern at c = 3/2, which leaves S1 = S2 = 0
+    assert {s for s, _, _ in rk38} in ({pattern}, {tuple(-v for v in pattern)})
     assert {(S1, S2) for _, S1, S2 in rk38} == {(0, 0)}
     assert {(S1, S2) for _, S1, S2 in rk4} == {(0, Fraction(1, 6 * c) - Fraction(1, 6))}
     first = (-1, -1, -1, 1, -1, 1)
     second = tuple(-v for v in first)
-    rk5 = _stage_sums("rk5", c)
     assert [s for s, _, _ in rk5] in ([first, second] * 20, [second, first] * 20)
     assert {(s, S1) for s, S1, _ in rk5} == {(first, Fraction(-26, 45)),
                                              (second, Fraction(26, 45))}
-    assert {abs(S1) for _, S1, _ in _stage_sums("midpoint", c)} == {1}
+    assert {abs(S1) for _, S1, _ in runs["midpoint"][0]} == {1}
+    # the regime: with S1 = S2 = 0 the drift is O(gamma^3), so for c > 1 |x| escapes the
+    # 1/k floor and the probe falls by more than half over a decade; else it holds the floor
+    for name, (sums, (probe_100, probe_1000)) in runs.items():
+        if c > 1 and {(S1, S2) for _, S1, S2 in sums} == {(0, 0)}:
+            assert name == "rk38" and probe_1000 / probe_100 < 0.5
+        else:
+            assert probe_1000 / probe_100 > 0.5 and probe_1000 >= 0.05
 
 
 # SHA-256 of to_csv on triangle() with StepSchedule(c=2), 200 steps, delta 0.1
