@@ -134,6 +134,8 @@ def _write_rows(path: Path, rows) -> Path:
 
 
 _ZIGZAG_HEADER = "method,delta,W,energy"
+# a run writes <stem>.csv, then each diagnostic's table to <stem>_<suffix>.csv in this order
+_SUFFIXES = dict(zigzag="zigzag", slope="slope", lower_bound="lower_bound", bound_compare="bound")
 
 
 def _zigzag_rows(traj, label: str, windows, T: float) -> list:
@@ -145,7 +147,7 @@ def _zigzag_rows(traj, label: str, windows, T: float) -> list:
 
 
 def _plan(s: dict, built: dict) -> tuple:
-    """Check what _parse cannot in one run's settings s; return (problem, sched, tableau, stem).
+    """Check what _parse cannot in one run's settings s; return (problem, sched, tableau, files).
 
     built maps each (problem, seed) that the command has built to its problem.
     """
@@ -170,19 +172,21 @@ def _plan(s: dict, built: dict) -> tuple:
     if "slope" in diag and max_iter - diag["slope"]["k_min"] + 1 < 10:  # slope_fit needs 10 points
         raise ConfigError(f"slope k_min = {diag['slope']['k_min']} leaves fewer than 10 of "
                           f"max_iter = {max_iter} steps to fit")
-    return problem, sched, tab, s["output"] or f"{problem.name}_{method.replace('+', '_')}"
+    stem = s["output"] or f"{problem.name}_{method.replace('+', '_')}"
+    return problem, sched, tab, [f"{stem}.csv"] + [f"{stem}_{suffix}.csv" for name, suffix
+                                                   in _SUFFIXES.items() if name in diag]
 
 
 def _plans(settings: list) -> list:
-    """(s, problem, sched, tableau, stem) for every run's settings s, each checked by _plan."""
+    """(s, problem, sched, tableau, files) for every run's settings s, each checked by _plan."""
     built = {}  # one problem per (problem, seed), made for this call only
     return [(s, *_plan(s, built)) for s in settings]
 
 
 def _trajectories(plans: list):
-    """Run each of _plans' plans in turn: yield (s, problem, sched, stem, traj)."""
-    for s, problem, sched, tab, stem in plans:
-        yield s, problem, sched, stem, run_solver(
+    """Run each of _plans' plans in turn: yield (s, problem, sched, files, traj)."""
+    for s, problem, sched, tab, files in plans:
+        yield s, problem, sched, files, run_solver(
             problem.objective, problem.feasible_set, problem.x0, s["method"], sched,
             s["max_iter"], stop_gap=s["stop_gap"], tableau=tab)
 
@@ -191,40 +195,39 @@ def _runs(settings: list, out_dir: Path):
     """Run every run's settings in turn, yielding each path it writes.
 
     A run's diagnostics are all computed before any of its files is written, so a
-    diagnostic that fails leaves none of that run's files behind. No two runs share a stem.
+    diagnostic that fails leaves none of that run's files behind. No two runs write one file.
     """
     plans = _plans(settings)
-    stems = [stem for *_, stem in plans]
-    if shared := [stem for stem in stems if stems.count(stem) > 1]:
-        raise ConfigError(f"two runs would write the output stem {shared[0]!r}")
-    for s, problem, sched, stem, traj in _trajectories(plans):
-        diag, tables = s.get("diagnostics", {}), []  # (file suffix, rows), in writing order
+    paths = [(out_dir / name).resolve() for *_, files in plans for name in files]
+    if shared := [path for path in paths if paths.count(path) > 1]:
+        raise ConfigError(f"two runs would write {shared[0].name!r} in {shared[0].parent}")
+    for s, problem, sched, files, traj in _trajectories(plans):
+        diag, tables = s.get("diagnostics", {}), {}  # diagnostic -> rows of its table
         if "zigzag" in diag:
             rows = _zigzag_rows(traj, s["method"], diag["zigzag"]["W"], diag["zigzag"]["T"])
-            tables.append(("zigzag", [_ZIGZAG_HEADER] + rows))
+            tables["zigzag"] = [_ZIGZAG_HEADER] + rows
         if "slope" in diag:
             k_min = diag["slope"]["k_min"]
             slope = diagnostics.slope_fit(traj, problem.f_star, k_min)
-            rows = ["k_min,slope", f"{k_min},{slope:.17g}"]
-            tables.append(("slope", rows))
+            tables["slope"] = ["k_min,slope", f"{k_min},{slope:.17g}"]
         if "lower_bound" in diag:
             anchors = diag["lower_bound"]["anchors"]
             vals = diagnostics.lower_bound_probe(traj, anchors)
             rows = ["anchor,probe"] + [f"{a},{v:.17g}" for a, v in zip(anchors, vals)]
-            tables.append(("lower_bound", rows))
+            tables["lower_bound"] = rows
         if "bound_compare" in diag:
             h0 = problem.objective.value(problem.x0) - problem.f_star
-            rows = ["t,normalized_error,bound"]
+            tables["bound_compare"] = rows = ["t,normalized_error,bound"]
             for t, f in zip(traj.t.tolist(), traj.f.tolist()):
                 norm_err = (f - problem.f_star) / h0
                 cb = diagnostics.continuous_bound(sched.c, t)
                 rows.append(f"{t:.17g},{norm_err:.17g},{cb:.17g}")
-            tables.append(("bound", rows))
-        (out_dir / f"{stem}.csv").parent.mkdir(parents=True, exist_ok=True)
-        traj.to_csv(out_dir / f"{stem}.csv")
-        yield out_dir / f"{stem}.csv"
-        for suffix, rows in tables:
-            yield _write_rows(out_dir / f"{stem}_{suffix}.csv", rows)
+        csv, *table_paths = (out_dir / name for name in files)
+        csv.parent.mkdir(parents=True, exist_ok=True)
+        traj.to_csv(csv)
+        yield csv
+        for path, rows in zip(table_paths, (tables[n] for n in _SUFFIXES if n in tables)):
+            yield _write_rows(path, rows)
 
 
 def _cmd_run(args) -> int:

@@ -134,21 +134,17 @@ def step(obj, fset, x, t: float, sched: StepSchedule, tableau: Tableau) -> np.nd
     return _stages(obj, fset, x, tableau, lambda i, xb, d: gammas[i])
 
 
-def _descent_gamma(obj, x, d, k: int) -> float:
-    """Monotone step length used by the +linesearch solver variants.
-
-    gamma_bar is the largest gamma in [0, 1] with f(x + gamma d) <= f(x) + 1e-14:
-    probing doubles from 2/(2+k) up to 1, then 60 bisection steps pin the
-    sublevel boundary. Returns the midpoint gamma_bar / 2 of [0, gamma_bar]
-    (the exact minimizer when f is quadratic along d; never increases f for
-    convex f), or the full step 1 when gamma_bar clips at 1.
+def _descent_gamma(obj, x, d) -> float:
+    """Monotone step length of the +linesearch variants: min(1, gamma_bar / 2), with gamma_bar
+    the largest gamma in [0, 2] with f(x + gamma d) <= f(x) + 1e-14, pinned by 60 bisection
+    rounds unless it is 2. That is the exact minimizer along d, clipped to [0, 1], when f is
+    quadratic along d, and raises a convex f by at most 1e-14. f is evaluated up to x + 2d,
+    outside the feasible set; every shipped objective is defined on all of R^n.
     """
     bound = obj.value(x) + 1e-14
-    lo, hi = 0.0, min(2.0 / (2.0 + k), 1.0)
-    while obj.value(x + hi * d) <= bound:
-        if hi >= 1.0:
-            return 1.0
-        lo, hi = hi, min(1.0, 2.0 * hi)
+    if obj.value(x + 2.0 * d) <= bound:
+        return 1.0
+    lo, hi = 0.0, 2.0
     for _ in range(60):
         mid = 0.5 * (lo + hi)
         if obj.value(x + mid * d) <= bound:
@@ -225,7 +221,7 @@ def run(
         if method in ("fw", "flow"):  # fw is the flow at delta = 1
             x = _mix(x, s, sched.delta * sched.gamma(j * sched.delta))
         elif method == "fw+linesearch":
-            x = _mix(x, s, _descent_gamma(obj, x, s - x, j))
+            x = _mix(x, s, _descent_gamma(obj, x, s - x))
         elif method == "fw+momentum":  # the LMO sees the gradient average, d = 2/(j+2)
             d = 2.0 / (j + 2.0)
             m = (1.0 - d) * m + d * g
@@ -234,7 +230,7 @@ def run(
             x = step(obj, fset, x, 1 + j * sched.delta, sched, tableau)
         else:  # rk+linesearch: each stage takes the longer of gamma_tilde_i and a descent step
             gammas = _gammas(tableau, sched.c, j + 1)
-            rule = lambda i, xb, d: max(gammas[i], _descent_gamma(obj, xb, d, j))  # noqa: E731
+            rule = lambda i, xb, d: max(gammas[i], _descent_gamma(obj, xb, d))  # noqa: E731
             x = _stages(obj, fset, x, tableau, rule)
     n = j + 1  # rows recorded; fewer than max_iter + 1 when stop_gap ended the run
     return Trajectory(xs[:n], fs[:n], gaps[:n], viols[:n], delta=sched.delta)

@@ -59,20 +59,8 @@ def _report(num, name, ok, detail=""):
 
 
 # ---------------------------------------------------------------------------
-# shared trajectories (module-scoped so expensive runs happen once)
-
-
-@pytest.fixture(scope="module")
-def triangle_runs():
-    """10^4-iteration triangle runs: fw plus every builtin tableau."""
-    p = problems.triangle()
-    sched = StepSchedule(c=2.0)
-    out = {"fw": run(p.objective, p.feasible_set, p.x0, "fw", sched, 10000)}
-    for name in builtin_names():
-        out[name] = run(
-            p.objective, p.feasible_set, p.x0, "rk", sched, 10000, tableau=builtin(name)
-        )
-    return p, out
+# shared trajectories (module-scoped so expensive runs happen once; triangle_runs is
+# session-scoped in conftest.py, since test_solvers.py reads it too)
 
 
 @pytest.fixture(scope="module")

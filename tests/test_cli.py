@@ -169,11 +169,20 @@ def test_tableau_file(tmp_path):
     assert rc == 0
 
 
+# SHA-256 of each CSV that `fwflow preset fig3` writes
+PINNED_FIG3_SHA256 = {
+    "fig3_fw": "f30228e136e344951705c4434ee4df5f1ca9817c95b77980c8566c5dfa6c05c5",
+    "fig3_fw_linesearch": "a3793ce422f65e2f8d3a63cb5e4f6b0910f0307209494d23f8824957ab49c680",
+    "fig3_rk_linesearch": "529b39a2c0ffde74ce8b929003053c4057c6d63291930b9529966266aae7c871",
+    "fig3_fw_momentum": "889c60e1d891fcdfff774d2c2c0a6985b3952f18b07b1141ee07b29e4f104e7d",
+}
+
+
 def test_preset_fig3_manifest(tmp_path):
     rc = main(["preset", "fig3", "--output-dir", str(tmp_path)])
     assert rc == 0
-    for stem in ("fig3_fw", "fig3_fw_linesearch", "fig3_rk_linesearch", "fig3_fw_momentum"):
-        assert (tmp_path / f"{stem}.csv").exists()
+    for stem, digest in PINNED_FIG3_SHA256.items():
+        assert hashlib.sha256((tmp_path / f"{stem}.csv").read_bytes()).hexdigest() == digest, stem
 
 
 def test_zigzag_table_shape(tmp_path):
@@ -649,7 +658,20 @@ _LIBRARY_REJECTED_ENTRIES = {
             ["sweep"],
             [{"c": 1, "max_iter": 5}, {"c": 2, "max_iter": 5}],
             2,
-            "error: two runs would write the output stem 'triangle_fw'",
+            "error: two runs would write 'triangle_fw.csv' in ",
+        ),
+        (  # the first run's zigzag table and the second run's CSV are one file
+            ["sweep"],
+            [{"problem": "logistic", "max_iter": 10, "output": "a", "diagnostics": {"zigzag": {}}},
+             {"problem": "logistic", "max_iter": 10, "output": "a_zigzag"}],
+            2,
+            "error: two runs would write 'a_zigzag.csv' in ",
+        ),
+        (  # two spellings of one path
+            ["sweep"],
+            [{"max_iter": 5, "output": "a"}, {"max_iter": 5, "output": "./a"}],
+            2,
+            "error: two runs would write 'a.csv' in ",
         ),
     ],
     ids=[
@@ -741,6 +763,8 @@ _LIBRARY_REJECTED_ENTRIES = {
         "zigzag-steps-overflow-second-delta",
         "zigzag-steps-above-cap",
         "sweep-shared-stem",
+        "sweep-diagnostic-file-is-a-run-file",
+        "sweep-one-file-two-spellings",
     ],
 )
 def test_exit_code_contract(tmp_path, capsys, argv, doc, code, message):

@@ -410,15 +410,15 @@ class TestScalarHuberIsMatrixHuber:
 
 # SHA-256 of to_csv on scalar_huber() with StepSchedule(c=2), 300 steps: (method,
 # tableau) -> digest, delta 0.1 for flow and rk, computed while ScalarHuber had its own
-# value and gradient
+# value and gradient; the two +linesearch digests since the search bisects [0, 2]
 PINNED_HUBER_CSV_SHA256 = {
     ("fw", None): "df2eda6e6bf89149430891b27160e63d54b112e9b86f080cea7f225e26129c31",
     ("flow", None): "a98d9546dc19272c119664647bdfc080938c29d9519f5dcf1dc96f6b58e489db",
-    ("fw+linesearch", None): "6c106124593937653cf2be4780198833d4f2898901840b23f99a860d2d2c0795",
+    ("fw+linesearch", None): "4d446dcc34b130e89edef1c2e163b7df3eb360efd4fb0bff4700e044a072d5d3",
     ("fw+momentum", None): "db4ac7d842eeb1a44c513f1b8889899be4d0d1308db2118d68edc25cf3984a24",
     ("rk", "rk4"): "192a975b896f5e634ac8dd4e5be1f3d1861266796a268cf2b9b9230930473e78",
     ("rk", "rk5"): "4ed29ba5063b32989d9dcd07e3188ac51774f4fc4b0c0778004c495c2638e36c",
-    ("rk+linesearch", "rk4"): "462c41a62650d388f47402d27219023f1f57395a5297616b5e544fdb2ef3d5a8",
+    ("rk+linesearch", "rk4"): "45d56714dbe02f19c4fbb22e8a6a5e8946f8e3827ee3cd0793cefe9484bc1064",
 }
 
 

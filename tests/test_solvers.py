@@ -9,14 +9,20 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fwflow import solvers
 from fwflow.diagnostics import lower_bound_probe, slope_fit
 from fwflow.geometry import FEASIBILITY_TOL, Box, NuclearBall, VertexHull, contains
 from fwflow.objectives import QuadraticDistance
-from fwflow.problems import scalar_box, sensing_least_squares, sensing_logistic, triangle
+from fwflow.problems import (
+    scalar_box,
+    scalar_huber,
+    sensing_least_squares,
+    sensing_logistic,
+    triangle,
+)
 from fwflow.solvers import (
     MAX_RECORD_BYTES,
     METHODS,
@@ -221,68 +227,46 @@ def _vec(*v):
 class TestLineSearch:
     """The descent step of the +linesearch solvers."""
 
-    def test_clips_to_one(self):
+    def test_steps_to_the_exact_minimizer(self):
+        # f = (x - 0.2)^2/2 from x=1 along d=-1: f(1-g) <= f(1) iff g <= 1.6, so the step is
+        # the midpoint 0.8 of the sublevel interval, the exact minimizer
         obj = QuadraticDistance(target=[0.2])
-        assert _descent_gamma(obj, _vec(1.0), _vec(-1.0), 1000) == 1.0
+        assert _descent_gamma(obj, _vec(1.0), _vec(-1.0)) == pytest.approx(0.8, abs=1e-12)
 
     def test_ascent_direction_falls_back(self):
-        # probing falls back below 2/(2+k) to the sublevel boundary at 0: no uphill step
+        # along an ascent direction the sublevel boundary is at 0: no uphill step
         obj = QuadraticDistance(target=[0.0])
-        g = _descent_gamma(obj, _vec(1.0), _vec(1.0), 8)
+        g = _descent_gamma(obj, _vec(1.0), _vec(1.0))
         assert g == pytest.approx(0.0, abs=1e-13)
 
     def test_zero_direction(self):
         obj = QuadraticDistance(target=[0.0])
-        assert _descent_gamma(obj, _vec(0.5), _vec(0.0), 3) == 1.0
+        assert _descent_gamma(obj, _vec(0.5), _vec(0.0)) == 1.0
 
     def test_sublevel_boundary(self):
-        # f = x^2/2 from x=1 along d=-1: f(1-g) <= f(1) iff g <= 2, so the step clips
+        # f = x^2/2 from x=1 along d=-1: f(1-g) <= f(1) iff g <= 2, so the step is the
+        # full step 1, the exact minimizer
         obj = QuadraticDistance(target=[0.0])
-        assert _descent_gamma(obj, _vec(1.0), _vec(-1.0), 1000) == 1.0
+        assert _descent_gamma(obj, _vec(1.0), _vec(-1.0)) == 1.0
         # from x=1 along d=-4: f(1-4g) <= f(1) iff g <= 0.5; the midpoint 0.25
         # of the sublevel interval is the exact minimizer
-        g = _descent_gamma(obj, _vec(1.0), _vec(-4.0), 1000)
+        g = _descent_gamma(obj, _vec(1.0), _vec(-4.0))
         assert g == pytest.approx(0.25, abs=1e-12)
 
 
-def _reference_sublevel_max(obj, x, d, k: int, slack: float = 1e-14):
-    """Largest gamma in [0, 1] keeping f(x + gamma d) <= f(x) + slack.
-
-    Exponential probing doubles from 2/(2+k) up to 1, then 60 bisection steps
-    pin the sublevel boundary. Returns (gamma_bar, hit_upper_clip).
-    """
-    fx = obj.value(x)
-
-    def ok(g):
-        return obj.value(x + g * d) <= fx + slack
-
-    g = min(2.0 / (2.0 + k), 1.0)
-    if not ok(g):
-        lo, hi = 0.0, g
-    else:
-        lo = g
-        while lo < 1.0:
-            g = min(1.0, 2.0 * g)
-            if ok(g):
-                lo = g
-            else:
-                break
-        if lo >= 1.0:
-            return 1.0, True
-        hi = g
+def _reference_descent_gamma(obj, x, d) -> float:
+    """The line search as it stands, kept verbatim: min(1, gamma_bar / 2) by bisection on [0, 2]."""
+    bound = obj.value(x) + 1e-14
+    if obj.value(x + 2.0 * d) <= bound:
+        return 1.0
+    lo, hi = 0.0, 2.0
     for _ in range(60):
         mid = 0.5 * (lo + hi)
-        if ok(mid):
+        if obj.value(x + mid * d) <= bound:
             lo = mid
         else:
             hi = mid
-    return lo, False
-
-
-def _reference_descent_gamma(obj, x, d, k: int) -> float:
-    """The earlier two-function line search, kept verbatim with _reference_sublevel_max."""
-    gamma_bar, clipped = _reference_sublevel_max(obj, x, d, k)
-    return gamma_bar if clipped else 0.5 * gamma_bar
+    return 0.5 * lo
 
 
 class _RecordedValue:
@@ -302,6 +286,7 @@ def _logsumexp(z):
 
 
 _COORD = st.floats(-10.0, 10.0, allow_nan=False)
+_WEIGHT = st.floats(0.01, 10.0)
 
 
 @settings(derandomize=True, max_examples=400, deadline=None)
@@ -309,26 +294,53 @@ _COORD = st.floats(-10.0, 10.0, allow_nan=False)
     kind=st.sampled_from(("quadratic", "logsumexp", "abs")),
     dim=st.integers(1, 4),
     zero_direction=st.booleans(),
-    k=st.integers(0, 2000),
     data=st.data(),
 )
-def test_descent_gamma_matches_reference(kind, dim, zero_direction, k, data):
+def test_descent_gamma_matches_reference(kind, dim, zero_direction, data):
     def vector(elements):
         return np.array(data.draw(st.lists(elements, min_size=dim, max_size=dim)))
 
     x, center = vector(_COORD), vector(_COORD)
     d = np.zeros(dim) if zero_direction else vector(_COORD)
     if kind == "quadratic":
-        w = vector(st.floats(0.01, 10.0))
+        w = vector(_WEIGHT)
         f = lambda y: float(0.5 * (w * (y - center) ** 2).sum())  # noqa: E731
     elif kind == "logsumexp":
         f = lambda y: _logsumexp(y - center)  # noqa: E731
     else:
         f = lambda y: float(np.abs(y - center).sum())  # noqa: E731
     new, ref = _RecordedValue(f), _RecordedValue(f)
-    got, want = _descent_gamma(new, x, d, k), _reference_descent_gamma(ref, x, d, k)
+    got, want = _descent_gamma(new, x, d), _reference_descent_gamma(ref, x, d)
     assert np.float64(got).tobytes() == np.float64(want).tobytes()
     assert new.calls == ref.calls
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(dim=st.integers(1, 4), data=st.data())
+def test_descent_gamma_is_the_clipped_minimizer_on_quadratics(dim, data):
+    # f = sum w (y - center)^2 / 2 along d is quadratic with slope g = grad f . d and
+    # curvature h = d'Hd, so the exact step is min(1, max(0, -g / h)). The slack 1e-14 and
+    # the rounding of f, up to ~1e-12 at these ranges, move the sublevel boundary by about
+    # their size over |g|, so a direction with a slope below 0.05 has no 1e-10 answer
+    def vector(elements):
+        return np.array(data.draw(st.lists(elements, min_size=dim, max_size=dim)))
+
+    x, center, d, w = vector(_COORD), vector(_COORD), vector(_COORD), vector(_WEIGHT)
+    g, h = float(w * (x - center) @ d), float(w * d @ d)
+    assume(abs(g) >= 0.05)
+    obj = _RecordedValue(lambda y: float(0.5 * (w * (y - center) ** 2).sum()))
+    gamma = _descent_gamma(obj, x, d)
+    assert abs(gamma - min(1.0, max(0.0, -g / h))) <= 1e-10
+    assert len(obj.calls) <= 62
+
+
+@pytest.mark.parametrize("builder", [scalar_box, scalar_huber])
+def test_fw_linesearch_settles_on_the_scalar_problems(builder):
+    # from x0 = 1 the first step along d = s - x0 = -2 is 1/2 up to the slack, which lands
+    # on x* = 0, and no later step leaves it by more than the slack allows
+    p = builder()
+    traj = run(p.objective, p.feasible_set, p.x0, "fw+linesearch", StepSchedule(c=2.0), 300)
+    assert np.all(traj.f[1:] <= 1e-14)
 
 
 class TestMomentum:
@@ -612,7 +624,7 @@ def test_rk_truncation_error_order(name, order):
 
 
 @pytest.mark.parametrize("c", [1.0, 2.0, 4.0])
-def test_triangle_fw_is_one_dimensional_from_step_1(c):
+def test_triangle_fw_is_one_dimensional_from_step_1(c, request):
     # why acceptance criterion 5 reads a 1/k^2 slope: gamma(0) = 1 puts x1 on the bottom
     # edge, where the top vertex never wins the LMO again (an exact tie goes to the lowest
     # index), so the run is 1-D FW on [-1, 1] toward 0.2, whose distance to x* keeps its 1/k
@@ -620,7 +632,9 @@ def test_triangle_fw_is_one_dimensional_from_step_1(c):
     p = triangle()
     sched = StepSchedule(c=c)
     n = 10_000
-    x = run(p.objective, p.feasible_set, p.x0, "fw", sched, n).x
+    # at c = 2 these are criterion 5's runs, made once per session by conftest.triangle_runs
+    runs = request.getfixturevalue("triangle_runs")[1] if c == 2.0 else {}
+    x = runs["fw"].x if runs else run(p.objective, p.feasible_set, p.x0, "fw", sched, n).x
     assert np.all(x[1:, 1] == 0.0)
     assert x[1][0] == 0.9999999999999999  # -0.4 + 1.4 in floats, one ulp below s0 = 1
     y, ys = x[1][0], []
@@ -632,23 +646,49 @@ def test_triangle_fw_is_one_dimensional_from_step_1(c):
         # the contrast: criterion 5's rk runs (at its c) start at t = 1, where every
         # gamma_i < 1, so they never land on the bottom edge
         for name in builtin_names():
-            x = run(p.objective, p.feasible_set, p.x0, "rk", sched, n, tableau=builtin(name)).x
+            x = runs[name].x
             assert np.all(x[1:, 1] != 0.0) and 0.1 <= np.abs(x[1:, 1]).max() <= 0.19, name
+
+
+class _LmoCounter:
+    """A feasible set whose every violation audit records the LMO calls made before it."""
+
+    def __init__(self, fset):
+        self.fset, self.dim, self.calls, self.at_audit = fset, fset.dim, 0, []
+
+    def lmo(self, gradient):
+        self.calls += 1
+        return self.fset.lmo(gradient)
+
+    def violation(self, point):
+        self.at_audit.append(self.calls)
+        return self.fset.violation(point)
 
 
 @pytest.mark.parametrize("c", [2.0, 4.0])
 def test_simplex_fw_meets_the_slope_band(c):
     # criterion 5's band where f - f* is linear in the distance to x*: Jaggi's (ICML 2013)
-    # instance f = |x|^2 / 2 on the unit simplex in dimension 200, f* = 1/400. Row k has at
-    # most k + 1 atoms, so f - f* >= 1/(2(k + 1)) - 1/400
+    # instance f = |x|^2 / 2 on the unit simplex in dimension n = 200 from e1, f* = 1/(2n).
+    # A step keeps sum x = 1 and adds at most one atom per stage LMO, and a point with
+    # sum x = 1 and s nonzero entries has |x|^2 >= 1/s. So row k of a q-stage method has at
+    # most qk + 1 atoms and f - f* >= 1/(2(qk + 1)) - 1/(2n), and the same holds in the m
+    # LMO calls made before it: the paper's 1/k worst case, for every tableau
     n = 200
     x0 = np.zeros(n)
     x0[0] = 1.0
-    traj = run(QuadraticDistance(np.zeros(n)), VertexHull(np.eye(n)), x0, "fw",
-               StepSchedule(c=c), 100)
-    f_star = 1 / 400
+    obj, simplex, f_star = QuadraticDistance(np.zeros(n)), VertexHull(np.eye(n)), 1 / (2 * n)
+    traj = run(obj, simplex, x0, "fw", StepSchedule(c=c), 100)
     assert np.all(traj.f - f_star >= 1 / (2 * (traj.k + 1)) - f_star - 1e-15)
     assert -1.3 <= slope_fit(traj, f_star, k_min=10) <= -0.7
+    for name in (None, *builtin_names()):
+        t, counter = builtin(name) if name else None, _LmoCounter(simplex)
+        traj = run(obj, counter, x0, "rk" if t else "fw", StepSchedule(c=c), 30, tableau=t)
+        q = t.q if t else 1
+        m = np.array(counter.at_audit[1:]) - 1  # audit 0 checks x0; row k's own gap LMO is last
+        assert np.all(np.count_nonzero(traj.x, axis=1) <= q * traj.k + 1), name
+        assert np.all(traj.f - f_star >= 1 / (2 * (q * traj.k + 1)) - f_star - 1e-15), name
+        assert np.all(traj.f - f_star >= 1 / (2 * (m + 1)) - f_star - 1e-15), name
+        assert -1.3 <= slope_fit(traj, f_star, k_min=10) <= -0.7, name
 
 
 class _StageRecorder:
@@ -726,7 +766,7 @@ PINNED_CSV_SHA256 = {
     "flow": "3a84f03b7915a6153f71de6de712fa8956e40478e8aea20ac7a3dd7071359b24",
     "rk": "d2c2450d524bcb98726e7b99107446e251cd3e8cac502b9683d7bc2e8611dc91",
     "rk+linesearch": "cd433a8ba8610ea9674053ea5f52f6eca98bc8f65048373411f71ada615b579c",
-    "fw+linesearch": "d0cd6e853ad2d07912ac9ddc700dde1e50be87f1f7536bac107f324b318509a0",
+    "fw+linesearch": "f14edcce3045c665d0b54a515805454b163efd660e2e6a4d615e64f5f92c18d5",
     "fw+momentum": "d7848689df40e4658d54aa07333c93d20d317d6c0bfb85eee7666faf44ae53be",
 }
 
@@ -754,7 +794,7 @@ PINNED_DENSE_CSV_SHA256 = {
     (sensing_logistic, "rk", "midpoint"):
         "dbf76b6babeee13d2b3fe259281a817e40437f834a5c883d1bf81e4af26ecacd",
     (sensing_logistic, "fw+linesearch", None):
-        "4f11ab2c80f325b462e1ba0c1ca723f3f3649a354881a076fd58aaf581c5ef1d",
+        "839b7a92fa733e64594d2f793238613e76050cd549adc69550a2dc1ddbbfbd3e",
     (sensing_logistic, "fw+momentum", None):
         "57e0bc4fc8823ceaa99895b0167a07b32ccfaa7b86b9e729feb05b68d41c748a",
     (sensing_least_squares, "rk", "midpoint"):
