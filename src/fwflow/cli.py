@@ -216,9 +216,9 @@ def _runs(settings: list, out_dir: Path):
             rows = ["anchor,probe"] + [f"{a},{v:.17g}" for a, v in zip(anchors, vals)]
             tables["lower_bound"] = rows
         if "bound_compare" in diag:
-            h0 = problem.objective.value(problem.x0) - problem.f_star
+            h0 = (fs := traj.f.tolist())[0] - problem.f_star  # row 0 holds f(x0)
             tables["bound_compare"] = rows = ["t,normalized_error,bound"]
-            for t, f in zip(traj.t.tolist(), traj.f.tolist()):
+            for t, f in zip(traj.t.tolist(), fs):
                 norm_err = (f - problem.f_star) / h0
                 cb = diagnostics.continuous_bound(sched.c, t)
                 rows.append(f"{t:.17g},{norm_err:.17g},{cb:.17g}")

@@ -1,12 +1,12 @@
 """Iteration schemes: Frank-Wolfe, flow discretization, Runge-Kutta multistep,
 line-search and momentum variants, plus the driver loop.
 
-Every update is the mix x + coefficient * (target - x), written once in
-``_mix``. FW, the flow and the Runge-Kutta methods are one ``step``: a
-tableau's stage loop ``_stages`` run from time t with the one schedule rule
-``tableau._gammas``. The flow is the Euler tableau from t = 0, FW is the flow
-at delta = 1, and ``run`` takes their one-stage step as a single ``_mix``,
-bit for bit.
+FW, the flow and the Runge-Kutta methods are one ``step``: a tableau's stage
+loop ``_stages`` run from time t with the one schedule rule ``tableau._gammas``.
+The flow is the Euler tableau from t = 0, and FW is the flow at delta = 1.
+``run`` takes their one-stage step, bit for bit, and fw+linesearch's and
+fw+momentum's as one update x + coef * (s - x): line search changes the
+coefficient, and momentum changes the atom s.
 """
 
 from __future__ import annotations
@@ -89,11 +89,6 @@ class Trajectory:
             rows = zip(self.f.tolist(), self.gap.tolist(), self.violation.tolist())
             for k, (f, gap, v) in enumerate(rows):
                 fh.write(f"{k},{k * self.delta:.17g},{f:.17g},{gap:.17g},{v:.17g}\n")
-
-
-def _mix(x, s, coef):
-    """The one update rule: move x toward s by the fraction coef."""
-    return x + coef * (s - x)
 
 
 def _stages(obj, fset, x, t: Tableau, coef):
@@ -190,13 +185,14 @@ def run(
 ) -> Trajectory:
     """Drive one solver over max_iter steps, recording every iterate.
 
-    rk steps from time t = 1; everything else starts at t = 0 (index k = 0).
+    x0 is flattened row-major, as every oracle flattens its input; rk steps from time
+    t = 1, and everything else starts at t = 0 (index k = 0).
     Stops early once the gap g . (x - s) <= stop_gap (stop_gap = 0 disables the check).
     Feasibility is monitored (recorded per step), never enforced. Before the
     first step, bad settings (check_settings), a bad tableau and an
     infeasible x0 raise ConfigError.
     """
-    x = np.asarray(x0, dtype=float).copy()
+    x = np.array(x0, dtype=float).ravel()
     check_settings(method, sched, max_iter, x.size, stop_gap, tableau)
     if tableau is not None:
         validate(tableau)
@@ -218,19 +214,19 @@ def run(
         if j == max_iter or (stop_gap > 0.0 and gap <= stop_gap):
             break
 
-        if method in ("fw", "flow"):  # fw is the flow at delta = 1
-            x = _mix(x, s, sched.delta * sched.gamma(j * sched.delta))
-        elif method == "fw+linesearch":
-            x = _mix(x, s, _descent_gamma(obj, x, s - x))
-        elif method == "fw+momentum":  # the LMO sees the gradient average, d = 2/(j+2)
-            d = 2.0 / (j + 2.0)
-            m = (1.0 - d) * m + d * g
-            x = _mix(x, fset.lmo(m), sched.gamma(j))
-        elif method == "rk":
+        if method == "rk":
             x = step(obj, fset, x, 1 + j * sched.delta, sched, tableau)
-        else:  # rk+linesearch: each stage takes the longer of gamma_tilde_i and a descent step
+        elif method == "rk+linesearch":  # each stage steps by max(gamma_tilde_i, descent step)
             gammas = _gammas(tableau, sched.c, j + 1)
             rule = lambda i, xb, d: max(gammas[i], _descent_gamma(obj, xb, d))  # noqa: E731
             x = _stages(obj, fset, x, tableau, rule)
+        else:  # fw (the flow at delta = 1), flow and the FW variants: one atom, one coefficient
+            if method == "fw+momentum":  # the atom answers the gradient average, d = 2/(j+2)
+                d = 2.0 / (j + 2.0)
+                m = (1.0 - d) * m + d * g
+                s = fset.lmo(m)
+            coef = (_descent_gamma(obj, x, s - x) if method == "fw+linesearch"
+                    else sched.delta * sched.gamma(j * sched.delta))
+            x = x + coef * (s - x)
     n = j + 1  # rows recorded; fewer than max_iter + 1 when stop_gap ended the run
     return Trajectory(xs[:n], fs[:n], gaps[:n], viols[:n], delta=sched.delta)

@@ -17,6 +17,7 @@ from fwflow.diagnostics import lower_bound_probe, slope_fit
 from fwflow.geometry import FEASIBILITY_TOL, Box, NuclearBall, VertexHull, contains
 from fwflow.objectives import QuadraticDistance
 from fwflow.problems import (
+    lowrank_huber,
     scalar_box,
     scalar_huber,
     sensing_least_squares,
@@ -359,6 +360,29 @@ class TestRun:
         assert traj[0].k == 0 and traj[-1].k == 10
         np.testing.assert_allclose(traj.k, np.arange(11))
 
+    @pytest.mark.parametrize("method", ["fw", "rk"])
+    @pytest.mark.parametrize(
+        "builder, shape",
+        [(scalar_box, (1, 1)), (triangle, (2, 1)), (triangle, (1, 2)), (lowrank_huber, (20, 15))],
+        ids=["scalar_box-1x1", "triangle-2x1", "triangle-1x2", "lowrank_huber-20x15"],
+    )
+    def test_x0_of_any_shape_runs_as_the_flat_x0(self, builder, shape, method):
+        # every oracle flattens its input, and so does run(): NuclearBall's points are
+        # matrices flattened row-major, so lowrank_huber's 20x15 start is its 300-vector
+        p = builder()
+        tab = builtin("rk4") if method == "rk" else None
+
+        def csv(x0):
+            traj = run(p.objective, p.feasible_set, x0, method, StepSchedule(), 3, tableau=tab)
+            buf = io.StringIO()
+            traj.to_csv(buf)
+            return traj, buf.getvalue()
+
+        flat, want = csv(p.x0)
+        traj, got = csv(p.x0.reshape(shape))
+        assert got == want
+        assert traj.x.shape == (4, p.x0.size) and traj.x.tobytes() == flat.x.tobytes()
+
     def test_max_iter_boundary(self):
         p = triangle()
         with pytest.raises(ValueError):
@@ -536,6 +560,12 @@ def test_run_matches_public_steps(c, delta, target, weights, steps):
         return x
 
     assert same_path("fw+momentum", momentum, sched)
+
+    def linesearch(x, k, s):
+        atom = hull.lmo(obj.gradient(x))
+        return x + _reference_descent_gamma(obj, x, atom - x) * (atom - x)
+
+    assert same_path("fw+linesearch", linesearch, sched)
 
 
 class _FixedSlack:
