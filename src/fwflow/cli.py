@@ -15,12 +15,13 @@ import argparse
 import json
 import os
 import sys
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
 
 from . import diagnostics, problems, tableau as tableau_mod
-from .solvers import StepSchedule, check_settings, run as run_solver
+from .solvers import StepSchedule, _format_rows, check_settings, run as run_solver
 from .tableau import ConfigError
 
 # Every setting, per subcommand (a sweep entry or preset job is a "run"): key ->
@@ -127,21 +128,23 @@ def _load_tableau(name: str | None, path: str | None):
     return None if name is None else tableau_mod.builtin(name)
 
 
-def _write_rows(path: Path, rows) -> Path:
+def _write_rows(path: Path, lines) -> Path:
+    """Stream lines, each ending in a newline, to the file path, with LF line ends as to_csv."""
     path.parent.mkdir(parents=True, exist_ok=True)  # only once the settings are checked
-    path.write_text("\n".join(rows) + "\n")
+    with open(path, "w", newline="\n") as fh:
+        fh.writelines(lines)
     return path
 
 
-_ZIGZAG_HEADER = "method,delta,W,energy"
+_ZIGZAG_HEADER = "method,delta,W,energy\n"
 # a run writes <stem>.csv, then each diagnostic's table to <stem>_<suffix>.csv in this order
 _SUFFIXES = dict(zigzag="zigzag", slope="slope", lower_bound="lower_bound", bound_compare="bound")
 
 
 def _zigzag_rows(traj, label: str, windows, T: float) -> list:
-    """Rows of the _ZIGZAG_HEADER table for one trajectory, one per window W."""
+    """Lines of the _ZIGZAG_HEADER table for one trajectory, one per window W."""
     return [
-        f"{label},{traj.delta:.17g},{W},{diagnostics.zigzag_protocol(traj, W, T).mean():.17g}"
+        f"{label},{traj.delta:.17g},{W},{diagnostics.zigzag_protocol(traj, W, T).mean():.17g}\n"
         for W in windows
     ]
 
@@ -202,26 +205,24 @@ def _runs(settings: list, out_dir: Path):
     if shared := [path for path in paths if paths.count(path) > 1]:
         raise ConfigError(f"two runs would write {shared[0].name!r} in {shared[0].parent}")
     for s, problem, sched, files, traj in _trajectories(plans):
-        diag, tables = s.get("diagnostics", {}), {}  # diagnostic -> rows of its table
+        diag, tables = s.get("diagnostics", {}), {}  # diagnostic -> lines of its table
         if "zigzag" in diag:
             rows = _zigzag_rows(traj, s["method"], diag["zigzag"]["W"], diag["zigzag"]["T"])
             tables["zigzag"] = [_ZIGZAG_HEADER] + rows
         if "slope" in diag:
             k_min = diag["slope"]["k_min"]
             slope = diagnostics.slope_fit(traj, problem.f_star, k_min)
-            tables["slope"] = ["k_min,slope", f"{k_min},{slope:.17g}"]
+            tables["slope"] = ["k_min,slope\n", f"{k_min},{slope:.17g}\n"]
         if "lower_bound" in diag:
             anchors = diag["lower_bound"]["anchors"]
             vals = diagnostics.lower_bound_probe(traj, anchors)
-            rows = ["anchor,probe"] + [f"{a},{v:.17g}" for a, v in zip(anchors, vals)]
+            rows = ["anchor,probe\n"] + [f"{a},{v:.17g}\n" for a, v in zip(anchors, vals)]
             tables["lower_bound"] = rows
-        if "bound_compare" in diag:
-            h0 = (fs := traj.f.tolist())[0] - problem.f_star  # row 0 holds f(x0)
-            tables["bound_compare"] = rows = ["t,normalized_error,bound"]
-            for t, f in zip(traj.t.tolist(), fs):
-                norm_err = (f - problem.f_star) / h0
-                cb = diagnostics.continuous_bound(sched.c, t)
-                rows.append(f"{t:.17g},{norm_err:.17g},{cb:.17g}")
+        if "bound_compare" in diag:  # the bounds now; their lines as the file is written
+            h0 = float(traj.f[0]) - problem.f_star  # row 0 holds f(x0)
+            bounds = np.array(diagnostics.continuous_bound(sched.c, traj.t.tolist()))
+            tables["bound_compare"] = chain(["t,normalized_error,bound\n"], _format_rows(
+                "%.17g,%.17g,%.17g\n", traj.t, (traj.f - problem.f_star) / h0, bounds))
         csv, *table_paths = (out_dir / name for name in files)
         csv.parent.mkdir(parents=True, exist_ok=True)
         traj.to_csv(csv)
@@ -263,16 +264,16 @@ def _cmd_bound(args) -> int:
     if not 0 <= s["t_max"] < np.inf:  # before sampling, whose first time would be 0 * inf
         raise ConfigError(f"--t-max must be >= 0 and finite, got {s['t_max']}")
     sched = StepSchedule(c=s["c"])
-    lines = ["t,continuous_bound,schedule_bound"]
+    lines = ["t,continuous_bound,schedule_bound\n"]  # every row, before any is output
     for i in range(s["points"] + 1):
         t = s["t_max"] * i / s["points"]
         cb = diagnostics.continuous_bound(sched.c, t)
         sb = diagnostics.schedule_bound(sched.gamma, t)
-        lines.append(f"{t:.17g},{cb:.17g},{sb:.17g}")
+        lines.append(f"{t:.17g},{cb:.17g},{sb:.17g}\n")
     if s["output"]:
         print(_write_rows(_out_dir(args.output_dir) / s["output"], lines))
     else:
-        sys.stdout.write("\n".join(lines) + "\n")
+        sys.stdout.writelines(lines)
     return 0
 
 

@@ -77,15 +77,17 @@ def zigzag_protocol(traj, W: int, T: float) -> np.ndarray:
     return np.array([zigzag_energy(traj.x[w * W : w * W + W + 1]) for w in range(n_windows)])
 
 
-def continuous_bound(c: float, t: float) -> float:
-    """Normalized error bound (c/(c+t))^c of the continuous flow.
+def continuous_bound(c: float, t):
+    """Normalized error bound (c/(c+t))^c of the continuous flow at t, or at each time of a list t.
 
-    Raises ConfigError unless c >= 1 and t >= 0, both finite.
+    Raises ConfigError unless c >= 1 and every time t >= 0, all finite.
     """
     _check_c(c)
-    if not 0 <= t < math.inf:  # false for nan too
-        raise ConfigError(f"time must be >= 0 and finite, got {t}")
-    return (c / (c + t)) ** c
+    times = t if isinstance(t, list) else [t]
+    for bad in (u for u in times if not 0 <= u < math.inf):  # true for nan too
+        raise ConfigError(f"time must be >= 0 and finite, got {bad}")
+    bounds = [(c / (c + u)) ** c for u in times]  # Python's float **: numpy's moves bits
+    return bounds if isinstance(t, list) else bounds[0]
 
 
 def schedule_bound(gamma, t: float) -> float:

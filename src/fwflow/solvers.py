@@ -32,6 +32,7 @@ __all__ = [
 # run() reserves its whole record, max_iter + 1 rows of an iterate and 3 floats, before the
 # first step, so check_settings caps its bytes; the largest preset or workload needs ~25 MB
 MAX_RECORD_BYTES = 2**30
+_CHUNK_ROWS = 1024  # rows per % pass of _format_rows; 4,096 raised box-rk's peak memory
 
 
 @dataclass(frozen=True)
@@ -82,13 +83,19 @@ class Trajectory:
         return self.k * self.delta
 
     def to_csv(self, target) -> None:
-        """Write iter,t,f,gap,feas_violation rows with 17 significant digits."""
+        """Write iter,t,f,gap,feas_violation rows with 17 significant digits, a chunk at a time."""
         is_path = isinstance(target, str) or hasattr(target, "__fspath__")
         with open(target, "w", newline="\n") if is_path else nullcontext(target) as fh:
             fh.write("iter,t,f,gap,feas_violation\n")
-            rows = zip(self.f.tolist(), self.gap.tolist(), self.violation.tolist())
-            for k, (f, gap, v) in enumerate(rows):
-                fh.write(f"{k},{k * self.delta:.17g},{f:.17g},{gap:.17g},{v:.17g}\n")
+            fh.writelines(_format_rows("%d,%.17g,%.17g,%.17g,%.17g\n", self.k, self.t, self.f,
+                                       self.gap, self.violation))
+
+
+def _format_rows(fmt: str, *columns):
+    """Yield fmt % row over the rows of equal-length numpy columns, one % per _CHUNK_ROWS rows."""
+    for i in range(0, len(columns[0]), _CHUNK_ROWS):
+        cells = [col[i:i + _CHUNK_ROWS].tolist() for col in columns]  # Python ints and floats
+        yield (fmt * len(cells[0])) % tuple([v for row in zip(*cells) for v in row])
 
 
 def _stages(obj, fset, x, t: Tableau, coef):

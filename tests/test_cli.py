@@ -116,6 +116,16 @@ def test_bound_consistency(tmp_path):
     np.testing.assert_allclose(rows[:, 1], rows[:, 2], atol=1e-8)
 
 
+@pytest.mark.parametrize("output", [[], ["--output", "bound.csv"]], ids=["stdout", "file"])
+def test_bound_prints_nothing_when_a_row_fails(tmp_path, capsys, output):
+    # rows 0 and 1 are t = 0 and 5e307; the schedule integral to 5e307 does not converge
+    argv = ["bound", "--t-max", "1e308", "--points", "2", *output, "--output-dir", str(tmp_path)]
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("runtime error: schedule integral to t = 5e+307 ")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_sweep(tmp_path):
     cfg = [
         {"problem": "scalar_box", "method": "fw", "max_iter": 10, "output": "a"},

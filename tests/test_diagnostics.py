@@ -79,6 +79,29 @@ class TestBounds:
         assert continuous_bound(2.0, 2.0) == pytest.approx(0.25)
         assert continuous_bound(4.0, 96.0) == pytest.approx(2.56e-6)
 
+    @pytest.mark.parametrize("c", [3.0, 4.0])
+    def test_continuous_list_is_the_scalar_bounds_bit_for_bit(self, c):
+        # times of fig1's finest flow run, where numpy's ** would move thousands of bits
+        times = (np.arange(50001) * 0.001).tolist() + [0, 7, 1e300]
+        got = continuous_bound(c, times)
+        assert type(got) is list and len(got) == len(times)
+        want = [continuous_bound(c, t) for t in times]
+        assert np.array_equal(np.array(got).view(np.int64), np.array(want).view(np.int64))
+        assert want == [(c / (c + t)) ** c for t in times]  # Python's float **, not numpy's
+        assert type(continuous_bound(c, 1.5)) is float and continuous_bound(c, []) == []
+
+    @pytest.mark.parametrize("bad", [math.nan, -1.0, math.inf])
+    @pytest.mark.parametrize("good", [[], [0.0, 2.5, 1e6]])
+    def test_continuous_list_rejects_a_bad_time_as_the_scalar_call(self, good, bad):
+        with pytest.raises(ConfigError) as scalar:
+            continuous_bound(2.0, bad)
+        with pytest.raises(ConfigError, match=f"^{re.escape(str(scalar.value))}$"):
+            continuous_bound(2.0, [*good, bad, -2.0, 3.0])  # the first bad time is named
+
+    def test_continuous_list_checks_c_first(self):
+        with pytest.raises(ConfigError, match="^schedule constant c must be >= 1 and finite, "):
+            continuous_bound(0.5, [math.nan])
+
     def test_schedule_constant_gamma(self):
         assert schedule_bound(lambda t: 0.5, 3.0) == pytest.approx(np.exp(-1.5))
 
