@@ -827,6 +827,8 @@ PINNED_DENSE_CSV_SHA256 = {
         "839b7a92fa733e64594d2f793238613e76050cd549adc69550a2dc1ddbbfbd3e",
     (sensing_logistic, "fw+momentum", None):
         "57e0bc4fc8823ceaa99895b0167a07b32ccfaa7b86b9e729feb05b68d41c748a",
+    (sensing_least_squares, "fw", None):
+        "8560b341eda05ef5541127fb8dbffc964be031448f09d24089ee5f04fb356d99",
     (sensing_least_squares, "rk", "midpoint"):
         "edc99470bb8f316c82960d24b984212fa10bc20d953e60ca3a20a6f3c8a6313d",
     (sensing_least_squares, "rk+linesearch", "midpoint"):
