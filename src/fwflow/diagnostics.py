@@ -37,14 +37,14 @@ def zigzag_energy(points) -> float:
         raise ValueError("zigzag energy needs at least 3 points (W >= 2)")
     W = pts.shape[0] - 1
     d_bar = pts[-1] - pts[0]
-    nn = float(d_bar @ d_bar)
+    nn = float(d_bar.dot(d_bar))
     if nn == 0.0:
         return 0.0
     total = 0.0
     for i in range(1, W):
         d = pts[i + 1] - pts[i]
-        ortho = d - (d @ d_bar) / nn * d_bar
-        total += math.sqrt(ortho @ ortho)
+        ortho = d - d.dot(d_bar) / nn * d_bar
+        total += math.sqrt(ortho.dot(ortho))
     return total / (W - 1)
 
 

@@ -67,7 +67,7 @@ class VertexHull:
     def lmo(self, gradient) -> np.ndarray:
         g = _check_vector(self.dim, gradient, "gradient")
         # argmin returns the first (lowest-index) minimizer on ties
-        i = int((self.vertices @ g).argmin())
+        i = int(self.vertices.dot(g).argmin())
         return self.vertices[i].copy()
 
     def violation(self, point) -> float:
@@ -84,9 +84,8 @@ class VertexHull:
         return float(resid)
 
     def diameter(self) -> float:
-        v = self.vertices
-        diffs = v[:, None, :] - v[None, :, :]
-        return float(np.sqrt((diffs**2).sum(axis=2).max()))
+        v = self.vertices  # one row of squared distances at a time, not all n * n * dim differences
+        return float(np.sqrt(max(((v - row) ** 2).sum(axis=1).max() for row in v)))
 
 
 @dataclass(frozen=True)
@@ -145,7 +144,7 @@ class L1Ball:
 
     def violation(self, point) -> float:
         x = _check_vector(self.dim, point, "point")
-        return max(0.0, float(np.abs(x).sum() - self.radius))
+        return max(0.0, float(np.add.reduce(np.abs(x)) - self.radius))
 
     def diameter(self) -> float:
         return 2.0 * self.radius

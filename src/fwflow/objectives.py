@@ -49,7 +49,7 @@ class QuadraticDistance:
 
     def value(self, x) -> float:
         x = _check_x(self.dim, x)
-        return 0.5 * float(((x - self.target) ** 2).sum())
+        return 0.5 * float(np.add.reduce((x - self.target) ** 2))
 
     def gradient(self, x) -> np.ndarray:
         x = _check_x(self.dim, x)
@@ -93,14 +93,14 @@ class LeastSquares(_DenseObjective):
         return float(np.linalg.norm(self.design, 2) ** 2)
 
     def _product(self, x) -> np.ndarray:
-        return self.design @ x - self.response  # the residual
+        return self.design.dot(x) - self.response  # the residual
 
     def _gradient_from(self, r) -> np.ndarray:
-        return self.design.T @ r
+        return self.design.T.dot(r)
 
     def value(self, x) -> float:
         r = self._at(x)
-        return 0.5 * float(r @ r)
+        return 0.5 * float(r.dot(r))
 
 
 class LogisticLoss(_DenseObjective):
@@ -129,14 +129,14 @@ class LogisticLoss(_DenseObjective):
         return float(np.linalg.norm(self.features, 2) ** 2) / (4.0 * self.features.shape[0])
 
     def _product(self, x) -> np.ndarray:
-        return self.labels * (self.features @ x)  # the margins
+        return self.labels * self.features.dot(x)  # the margins
 
     def _gradient_from(self, margins) -> np.ndarray:
-        return -(self.features.T @ (self.labels * self._expit(-margins))) / self.features.shape[0]
+        return -self.features.T.dot(self.labels * self._expit(-margins)) / self.features.shape[0]
 
     def value(self, x) -> float:
         margins = self._at(x)
-        return float(np.logaddexp(0.0, -margins).sum() / margins.shape[0])
+        return float(np.add.reduce(np.logaddexp(0.0, -margins)) / margins.shape[0])
 
 
 class MatrixHuber:
@@ -171,7 +171,7 @@ class MatrixHuber:
         quad = a < self.delta
         m = np.minimum(a, self.delta)  # a where quad, so no branch squares a large residual
         out = np.where(quad, 0.5 * m * m, self.delta * a - 0.5 * self.delta**2)
-        return float(out.sum())
+        return float(np.add.reduce(out))
 
     def gradient(self, x) -> np.ndarray:
         x = _check_x(self.dim, x)

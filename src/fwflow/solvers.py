@@ -4,9 +4,11 @@ line-search and momentum variants, plus the driver loop.
 FW, the flow and the Runge-Kutta methods are one ``step``: a tableau's stage
 loop ``_stages`` run from time t with the one schedule rule ``tableau._gammas``.
 The flow is the Euler tableau from t = 0, and FW is the flow at delta = 1.
-``run`` takes their one-stage step, bit for bit, and fw+linesearch's and
-fw+momentum's as one update x + coef * (s - x): line search changes the
-coefficient, and momentum changes the atom s.
+``run`` takes their one-stage step, and fw+linesearch's and fw+momentum's, as one update
+x - coef * (x - s) sharing x - s with the gap: line search sets coef, and momentum s. By IEEE
+sign symmetry that is x + coef * (s - x) bit for bit, but that an entry at -0 with atom entry -0
+stays -0. Per-step ``ndarray.dot`` and ``np.add.reduce`` are ``@`` and ``.sum()`` undispatched,
+but ``.dot`` of two one-entry arrays can give -0 where ``@`` gave +0 (run's gap adds +0.0).
 """
 
 from __future__ import annotations
@@ -213,7 +215,8 @@ def run(
     for j in range(max_iter + 1):
         g = obj.gradient(x)
         s = fset.lmo(g)
-        gap = float(g @ (x - s))
+        d = x - s  # first in the product, so that a gradient given as a list still works
+        gap = float(d.dot(g)) + 0.0  # -0 to +0, as @ gives for one-entry d and g
         xs[j] = x
         fs[j] = obj.value(x)
         gaps[j] = gap
@@ -228,12 +231,12 @@ def run(
             rule = lambda i, xb, d: max(gammas[i], _descent_gamma(obj, xb, d))  # noqa: E731
             x = _stages(obj, fset, x, tableau, rule)
         else:  # fw (the flow at delta = 1), flow and the FW variants: one atom, one coefficient
-            if method == "fw+momentum":  # the atom answers the gradient average, d = 2/(j+2)
-                d = 2.0 / (j + 2.0)
-                m = (1.0 - d) * m + d * g
-                s = fset.lmo(m)
+            if method == "fw+momentum":  # the atom answers the gradient average, w = 2/(j+2)
+                w = 2.0 / (j + 2.0)
+                m = (1.0 - w) * m + w * g
+                d = x - fset.lmo(m)
             coef = (_descent_gamma(obj, x, s - x) if method == "fw+linesearch"
                     else sched.delta * sched.gamma(j * sched.delta))
-            x = x + coef * (s - x)
+            x = x - coef * d  # x + coef (s - x), bit for bit but for -0 entries (module doc)
     n = j + 1  # rows recorded; fewer than max_iter + 1 when stop_gap ended the run
     return Trajectory(xs[:n], fs[:n], gaps[:n], viols[:n], delta=sched.delta)

@@ -26,3 +26,39 @@ def test_no_module_rebinds_an_outer_name(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     lines = [node.lineno for node in ast.walk(tree) if isinstance(node, (ast.Global, ast.Nonlocal))]
     assert not lines, f"{path.name} has a global or nonlocal statement at lines {lines}"
+
+
+# the functions that run once per step, stage or zig-zag window, by module and qualified name
+PER_STEP = {
+    "solvers.py": ["run", "_stages", "_descent_gamma"],
+    "geometry.py": ["VertexHull.lmo", "L1Ball.violation"],
+    "objectives.py": ["QuadraticDistance.value", "MatrixHuber.value"]
+    + [f"{cls}.{name}" for cls in ("LeastSquares", "LogisticLoss")
+       for name in ("_product", "_gradient_from", "value")],
+    "diagnostics.py": ["zigzag_energy"],
+}
+
+
+def _functions(tree, prefix=""):
+    """(qualified name, node) of every function in tree, methods named Class.method."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            name = prefix + node.name
+            if isinstance(node, ast.FunctionDef):
+                yield name, node
+            yield from _functions(node, name + ".")
+
+
+@pytest.mark.parametrize("module", sorted(PER_STEP))
+def test_per_step_code_calls_dot_and_add_reduce(module):
+    # ndarray.dot and np.add.reduce make @'s BLAS calls and .sum()'s pairwise sums, bit for
+    # bit, without @'s dispatch or .sum()'s Python wrapper, which cost more than the
+    # arithmetic on the small arrays of a step
+    path = Path(fwflow.__file__).parent / module
+    found = dict(_functions(ast.parse(path.read_text(), filename=str(path))))
+    for name in PER_STEP[module]:
+        uses = [node.lineno for node in ast.walk(found[name])
+                if isinstance(getattr(node, "op", None), ast.MatMult)
+                or isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "sum"]
+        assert not uses, f"{module}:{name} uses @ or .sum() at lines {uses}"

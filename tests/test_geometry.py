@@ -1,3 +1,6 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -166,6 +169,28 @@ class TestDiameter:
             np.linalg.norm(v[i] - v[j]) for i in range(len(v)) for j in range(len(v))
         )
         assert hull.diameter() == pytest.approx(brute)
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(n=st.integers(1, 50), dim=st.sampled_from([1, 2, 3, 7, 8, 9, 16, 127, 128, 129, 257]),
+           scale=st.sampled_from([1e-150, 1.0, 1e150]), seed=st.integers(0, 2**32 - 1))
+    def test_hull_matches_all_pairs_formula(self, n, dim, scale, seed):
+        # a row at a time, each pair goes through the subtraction, square and pairwise sum of
+        # the n x n x dim array of differences that diameter built before, so the float holds
+        v = scale * np.random.default_rng(seed).standard_normal((n, dim))
+        diffs = v[:, None, :] - v[None, :, :]
+        old = float(np.sqrt((diffs**2).sum(axis=2).max()))
+        assert VertexHull(v).diameter().hex() == old.hex()
+
+    def test_hull_memory_grows_with_vertices_times_dim(self):
+        # all pairwise differences of the 300-vertex simplex took 413 MiB
+        hull = VertexHull(np.eye(300))
+        tracemalloc.start()
+        try:
+            assert hull.diameter() == math.sqrt(2.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
 
 class TestConstruction:

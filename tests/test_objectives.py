@@ -1,5 +1,6 @@
 import hashlib
 import io
+import math
 import re
 from dataclasses import dataclass
 
@@ -19,7 +20,8 @@ from fwflow.objectives import (
     _check_x,
     check_gradient,
 )
-from fwflow.geometry import Box
+from fwflow.diagnostics import zigzag_energy
+from fwflow.geometry import Box, L1Ball, VertexHull
 from fwflow.problems import Problem, scalar_huber, sensing_logistic, triangle
 from fwflow.solvers import StepSchedule, run
 from fwflow.tableau import builtin
@@ -258,6 +260,66 @@ def _reference(cls, data, x):
 def _assert_bits(got, want):
     got, want = np.asarray(got), np.asarray(want)
     assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def _frozen_zigzag_energy(points):
+    """diagnostics.zigzag_energy as written with @, before its products were ndarray.dot."""
+    pts = np.asarray(points, dtype=float)
+    d_bar = pts[-1] - pts[0]
+    nn = float(d_bar @ d_bar)
+    if nn == 0.0:
+        return 0.0
+    total = 0.0
+    for i in range(1, pts.shape[0] - 1):
+        d = pts[i + 1] - pts[i]
+        ortho = d - (d @ d_bar) / nn * d_bar
+        total += math.sqrt(ortho @ ortho)
+    return total / (pts.shape[0] - 2)
+
+
+def _frozen_huber_value(index, values, delta, x):
+    """MatrixHuber.value as written with .sum(), before its sum was np.add.reduce."""
+    a = np.abs(x[index] - values)
+    m = np.minimum(a, delta)
+    return float(np.where(a < delta, 0.5 * m * m, delta * a - 0.5 * delta**2).sum())
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(m=st.sampled_from([1, 2, 3, 5, 8, 9, 64, 129, 300]),
+       n=st.sampled_from([1, 2, 3, 8, 9, 33, 100]),
+       scale=st.sampled_from([1e-3, 1.0, 1e3]), seed=st.integers(0, 2**32 - 1))
+def test_rewritten_oracles_match_their_matmul_and_sum_forms(m, n, scale, seed):
+    # ndarray.dot and np.add.reduce make the BLAS calls and pairwise sums of @ and .sum(),
+    # so every per-step oracle keeps its bits; some entries are signed zeros
+    rng = np.random.default_rng(seed)
+
+    def draw(*shape):
+        a = scale * rng.standard_normal(shape)
+        a[rng.random(shape) < 0.1] = 0.0
+        a[rng.random(shape) < 0.1] = -0.0
+        return a
+
+    A, b, x, target = draw(m, n), draw(m), draw(n), draw(n)
+    signs = np.where(b >= 0.0, 1.0, -1.0)
+    for cls, v in ((LeastSquares, b), (LogisticLoss, signs)):
+        want = _reference(cls, (A, v), x)
+        obj = cls(A, v)
+        _assert_bits(obj.value(x), want["value"])
+        if A.size == 1:  # .dot multiplies one-entry arrays, and a -0 product stays -0
+            _assert_bits(obj.gradient(x) + 0.0, want["gradient"] + 0.0)
+        else:
+            _assert_bits(obj.gradient(x), want["gradient"])
+    _assert_bits(QuadraticDistance(target).value(x), 0.5 * float(((x - target) ** 2).sum()))
+    index = rng.integers(0, n, size=m)
+    delta = float(rng.choice([1e-3, 1.0, 1e3]))
+    _assert_bits(MatrixHuber(index, b, 1, n, delta).value(x),
+                 _frozen_huber_value(index, b, delta, x))
+    _assert_bits(VertexHull(A).lmo(x), A[int((A @ x).argmin())])
+    radius = float(np.abs(x).sum()) * rng.choice([0.5, 1.0, 2.0])
+    if radius > 0.0:
+        _assert_bits(L1Ball(radius, n).violation(x), max(0.0, float(np.abs(x).sum() - radius)))
+    if m >= 3:
+        _assert_bits(zigzag_energy(A), _frozen_zigzag_energy(A))
 
 
 @pytest.mark.parametrize("cls", [LeastSquares, LogisticLoss])

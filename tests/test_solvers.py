@@ -538,7 +538,16 @@ def test_run_matches_public_steps(c, delta, target, weights, steps):
             x = step(x, k, sched)
             xs.append(x)
         traj = run(obj, hull, x0, method, sched, steps, tableau=tableau)
-        return traj.x.tobytes() == np.array(xs).tobytes()
+        # each row's gap and value, written out with @ and .sum()
+        gaps, fs = [], []
+        for x in xs:
+            g = x - obj.target
+            s = hull.vertices[int((hull.vertices @ g).argmin())]
+            gaps.append(float(g @ (x - s)))
+            fs.append(0.5 * float(((x - obj.target) ** 2).sum()))
+        return (traj.x.tobytes() == np.array(xs).tobytes()
+                and traj.gap.tobytes() == np.array(gaps).tobytes()
+                and traj.f.tobytes() == np.array(fs).tobytes())
 
     sched = StepSchedule(c=c)
     assert same_path("fw", lambda x, k, s: _reference_fw_step(obj, hull, x, k, s), sched)
@@ -566,6 +575,22 @@ def test_run_matches_public_steps(c, delta, target, weights, steps):
         return x + _reference_descent_gamma(obj, x, atom - x) * (atom - x)
 
     assert same_path("fw+linesearch", linesearch, sched)
+
+
+def test_run_gap_at_its_own_atom_is_positive_zero():
+    # from x1 on, x is the vertex its LMO returns, so each gap is +0 * g with g = -1: that
+    # product of one-entry arrays is -0 by ndarray.dot, where @ summed it from +0 to +0
+    traj = run(QuadraticDistance([2.0]), BOX, [0.0], "fw", StepSchedule(), 5)
+    assert traj.x[1:].tolist() == [[1.0]] * 5
+    assert not traj.gap[1:].any() and not np.signbit(traj.gap).any()
+
+
+def test_fw_update_keeps_negative_zero_on_a_negative_zero_atom():
+    # x - coef * (x - s) is x + coef * (s - x) bit for bit but where x and s are both -0:
+    # x - s is +0 there, and -0 - coef * (+0) is -0, where -0 + coef * (+0) gave +0
+    hull = VertexHull([[-0.0, -0.0], [1.0, 0.0], [0.0, 1.0]])
+    traj = run(QuadraticDistance([-0.5, -0.5]), hull, [-0.0, -0.0], "fw", StepSchedule(), 3)
+    assert not traj.x.any() and np.signbit(traj.x).all()
 
 
 class _FixedSlack:
