@@ -12,8 +12,13 @@ are reproducible bit for bit.
 
 from __future__ import annotations
 
+import functools
+import importlib.machinery
+import importlib.util
 import math
+import sys
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -39,6 +44,29 @@ def _check_vector(dim: int, v, what: str) -> np.ndarray:
     return x
 
 
+@functools.cache
+def _compiled(module: str, name: str):
+    """name from scipy's compiled module (say "scipy.optimize._slsqplib"), loaded from its
+    extension file without running the __init__.py of the packages around it, which would
+    load tens of MB of scipy that a run never calls."""
+    import scipy  # runs scipy._distributor_init, as any import of a scipy module does
+    loaded = sys.modules.get(module)  # there if its package was imported first
+    if loaded is None:
+        stem = Path(scipy.__file__).parent.joinpath(*module.split(".")[1:])
+        paths = (stem.with_name(stem.name + s) for s in importlib.machinery.EXTENSION_SUFFIXES)
+        path = next((p for p in paths if p.is_file()), None)
+        if path is None:
+            raise ImportError(f"fwflow needs scipy >= 1.17: no compiled module {module} "
+                              f"in scipy {scipy.__version__}", name=module)
+        spec = importlib.util.spec_from_file_location(module, path)
+        loaded = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(loaded)
+        # a single-phase extension puts itself in sys.modules; left there, it would keep a
+        # later import of its package from binding it, and the same function, as an attribute
+        sys.modules.pop(module, None)
+    return getattr(loaded, name)
+
+
 @dataclass(frozen=True, eq=False)
 class VertexHull:
     """Convex hull of a finite vertex list (one point per row)."""
@@ -50,15 +78,14 @@ class VertexHull:
     _nnls: object = field(init=False, repr=False)
 
     def __post_init__(self):
-        from scipy.optimize._slsqplib import nnls  # here, so that only a hull loads scipy.optimize
-        v = np.atleast_2d(np.asarray(self.vertices, dtype=float))
-        if v.shape[0] < 1:
-            raise ValueError("VertexHull needs at least one vertex")
+        v = np.asarray(self.vertices, dtype=float)
+        if v.ndim != 2 or 0 in v.shape:
+            raise ValueError("VertexHull needs an n x dim array of vertices with n, dim >= 1")
         if not np.isfinite(v).all():
             raise ValueError("VertexHull vertices must be finite")
         object.__setattr__(self, "vertices", v)
         object.__setattr__(self, "_nnls_system", np.vstack([v.T, np.ones(v.shape[0])]))
-        object.__setattr__(self, "_nnls", nnls)
+        object.__setattr__(self, "_nnls", _compiled("scipy.optimize._slsqplib", "nnls"))
 
     @property
     def dim(self) -> int:
@@ -137,7 +164,7 @@ class L1Ball:
 
     def lmo(self, gradient) -> np.ndarray:
         g = _check_vector(self.dim, gradient, "gradient")
-        j = int(np.argmax(np.abs(g)))  # lowest index on ties
+        j = int(np.abs(g).argmax())  # lowest index on ties
         s = np.zeros(self.dim)
         s[j] = -self.radius if g[j] >= 0.0 else self.radius
         return s
@@ -179,7 +206,7 @@ class NuclearBall:
     def lmo(self, gradient) -> np.ndarray:
         g = _check_vector(self.dim, gradient, "gradient")
         G = g.reshape(self.rows, self.cols)
-        if np.all(G == 0.0):
+        if not G.any():  # -0.0 counts as zero
             u = np.zeros(self.rows)
             v = np.zeros(self.cols)
             u[0] = v[0] = 1.0
@@ -217,7 +244,8 @@ class NuclearBall:
 
     def violation(self, point) -> float:
         x = _check_vector(self.dim, point, "point")
-        nuc = float(np.linalg.svd(x.reshape(self.rows, self.cols), compute_uv=False).sum())
+        sigma = np.linalg.svd(x.reshape(self.rows, self.cols), compute_uv=False)
+        nuc = float(np.add.reduce(sigma))
         return max(0.0, nuc - self.radius)
 
     def diameter(self) -> float:

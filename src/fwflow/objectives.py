@@ -13,6 +13,8 @@ from functools import cached_property
 
 import numpy as np
 
+from .geometry import _compiled
+
 __all__ = [
     "QuadraticDistance",
     "ScalarHuber",
@@ -111,14 +113,15 @@ class LogisticLoss(_DenseObjective):
     """
 
     def __init__(self, features, labels):
-        from scipy.special import expit  # here, so that only a logistic loss loads scipy.special
-        self._expit = expit
         self.features = np.asarray(features, dtype=float)
         self.labels = np.asarray(labels, dtype=float).ravel()
         if self.features.shape[0] != self.labels.shape[0]:
             raise ValueError("features and labels row counts differ")
+        if self.labels.shape[0] == 0:
+            raise ValueError("LogisticLoss needs at least one sample")
         if not np.all(np.isin(self.labels, (-1.0, 1.0))):
             raise ValueError("labels must be -1 or +1")
+        self._expit = _compiled("scipy.special._special_ufuncs", "expit")  # scipy.special.expit
 
     @property
     def dim(self) -> int:

@@ -31,7 +31,8 @@ def test_no_module_rebinds_an_outer_name(path):
 # the functions that run once per step, stage or zig-zag window, by module and qualified name
 PER_STEP = {
     "solvers.py": ["run", "_stages", "_descent_gamma"],
-    "geometry.py": ["VertexHull.lmo", "L1Ball.violation"],
+    "geometry.py": [f"{cls}.{name}" for cls in ("VertexHull", "Box", "L1Ball", "NuclearBall")
+                    for name in ("lmo", "violation")],
     "objectives.py": ["QuadraticDistance.value", "MatrixHuber.value"]
     + [f"{cls}.{name}" for cls in ("LeastSquares", "LogisticLoss")
        for name in ("_product", "_gradient_from", "value")],
@@ -49,16 +50,29 @@ def _functions(tree, prefix=""):
             yield from _functions(node, name + ".")
 
 
+# numpy functions whose fromnumeric Python wrapper only calls the array method of that name
+_WRAPPERS = {"argmax", "argmin", "all", "any"}
+
+
+def _slow_dispatch(node) -> bool:
+    """True for a @, a .sum() call, or a call to np.argmax, np.argmin, np.all or np.any."""
+    if isinstance(getattr(node, "op", None), ast.MatMult):
+        return True
+    if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
+        return False
+    func = node.func
+    return func.attr == "sum" or (func.attr in _WRAPPERS and isinstance(func.value, ast.Name)
+                                  and func.value.id == "np")
+
+
 @pytest.mark.parametrize("module", sorted(PER_STEP))
 def test_per_step_code_calls_dot_and_add_reduce(module):
     # ndarray.dot and np.add.reduce make @'s BLAS calls and .sum()'s pairwise sums, bit for
-    # bit, without @'s dispatch or .sum()'s Python wrapper, which cost more than the
-    # arithmetic on the small arrays of a step
+    # bit, without @'s dispatch or .sum()'s Python wrapper, and a.argmax() is np.argmax(a)
+    # without its wrapper; each of these costs more than the arithmetic on a step's arrays
     path = Path(fwflow.__file__).parent / module
     found = dict(_functions(ast.parse(path.read_text(), filename=str(path))))
     for name in PER_STEP[module]:
-        uses = [node.lineno for node in ast.walk(found[name])
-                if isinstance(getattr(node, "op", None), ast.MatMult)
-                or isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-                and node.func.attr == "sum"]
-        assert not uses, f"{module}:{name} uses @ or .sum() at lines {uses}"
+        uses = [node.lineno for node in ast.walk(found[name]) if _slow_dispatch(node)]
+        assert not uses, (f"{module}:{name} uses @, .sum(), np.argmax, np.argmin, np.all or "
+                          f"np.any at lines {uses}")

@@ -193,11 +193,19 @@ class TestDiameter:
         assert peak < 16 * 2**20
 
 
+_HULL_SHAPE = "VertexHull needs an n x dim array of vertices with n, dim >= 1"
+
+
 class TestConstruction:
     @pytest.mark.parametrize(
         "build, message",
         [
-            (lambda: VertexHull(np.empty((0, 2))), "VertexHull needs at least one vertex"),
+            (lambda: VertexHull(np.empty((0, 2))), _HULL_SHAPE),
+            (lambda: VertexHull([]), _HULL_SHAPE),
+            (lambda: VertexHull([[]]), _HULL_SHAPE),
+            (lambda: VertexHull(np.zeros((3, 0))), _HULL_SHAPE),
+            (lambda: VertexHull(np.zeros((2, 2, 2))), _HULL_SHAPE),
+            (lambda: VertexHull([1.0, 2.0]), _HULL_SHAPE),
             (lambda: Box(-1.0, 1.0, dim=0), "Box dimension must be >= 1"),
             (lambda: L1Ball(1.0, dim=0), "L1Ball dimension must be >= 1"),
             (lambda: NuclearBall(0.0, 2, 2), "NuclearBall radius must be positive"),
@@ -205,8 +213,9 @@ class TestConstruction:
             (lambda: NuclearBall(1.0, 0, 2), "NuclearBall shape must be positive"),
             (lambda: NuclearBall(1.0, 2, 0), "NuclearBall shape must be positive"),
         ],
-        ids=["hull-no-vertex", "box-dim-0", "l1-dim-0", "nuclear-radius-0", "nuclear-radius-nan",
-             "nuclear-rows-0", "nuclear-cols-0"],
+        ids=["hull-no-vertex", "hull-empty-list", "hull-no-coordinate", "hull-dim-0",
+             "hull-3-axes", "hull-1-axis", "box-dim-0", "l1-dim-0", "nuclear-radius-0",
+             "nuclear-radius-nan", "nuclear-rows-0", "nuclear-cols-0"],
     )
     def test_rejected_with_message(self, build, message):
         with pytest.raises(ValueError, match=f"^{message}$"):

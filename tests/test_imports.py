@@ -9,13 +9,24 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
+from fwflow.geometry import _compiled
+
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 # imports fwflow, runs fwflow.cli.main on each argv given as JSON, and prints the exit
-# codes, the SHA-256 of what the runs printed, and every scipy module then loaded
+# codes, the SHA-256 of what the runs printed, every scipy module then loaded, and the peak
+# resident memory in KiB (ru_maxrss) after the import and again after the runs. On Linux a
+# process that exec starts takes its launcher's peak, here the test session's, as its own
+# ru_maxrss, so the probe forks first and works in the child, whose peak is its own
 _PROBE = """
-import contextlib, hashlib, io, json, sys
+import os, sys
+if os.fork():
+    sys.exit(os.waitstatus_to_exitcode(os.wait()[1]))
+import contextlib, hashlib, io, json, resource
 import fwflow, fwflow.cli
+rss_import = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
 out = io.StringIO()
 with contextlib.redirect_stdout(out):
     codes = [fwflow.cli.main(argv) for argv in json.loads(sys.argv[1])]
@@ -23,8 +34,30 @@ print(json.dumps({
     "codes": codes,
     "stdout_sha256": hashlib.sha256(out.getvalue().encode()).hexdigest(),
     "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy"),
+    "rss_kib": [rss_import, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss],
 }))
 """
+
+# builds a hull and a logistic loss, and imports the scipy packages whose compiled functions
+# they hold, in the order given; prints whether each holds the very object its package hands
+# out, and whether both compiled modules are still in sys.modules under their package
+_SAME_KERNEL_PROBE = """
+import json, sys
+def build():
+    from fwflow.problems import sensing_logistic, triangle
+    return triangle().feasible_set, sensing_logistic(0).objective
+if sys.argv[1] == "packages-first":
+    import scipy.optimize, scipy.special
+hull, loss = build()
+import scipy.optimize, scipy.special
+print(json.dumps([hull._nnls is scipy.optimize._slsqplib.nnls,
+                  loss._expit is scipy.special.expit,
+                  "scipy.optimize._slsqplib" in sys.modules,
+                  "scipy.special._special_ufuncs" in sys.modules]))
+"""
+
+# the scipy packages that importing scipy.optimize or scipy.special for one function loads
+_SCIPY_PACKAGES = ("scipy.optimize", "scipy.special", "scipy.linalg", "scipy.sparse")
 
 
 # computes every builtin's certificate and rate constants, as the benchmark's output
@@ -73,18 +106,33 @@ def test_box_rk_and_lowrank_runs_load_no_scipy(tmp_path):
     assert "scipy" not in report["scipy"]
 
 
-def test_hull_run_loads_scipy_optimize(tmp_path):
-    report = _loaded(tmp_path, ["run", "--problem", "triangle", "--max-iter", "3",
-                                "--output-dir", str(tmp_path)])
-    assert "scipy.optimize" in report["scipy"]
+def _hull_and_logistic_runs(tmp_path):
+    out = ["--output-dir", str(tmp_path)]
+    return _loaded(tmp_path, ["run", "--problem", "triangle", "--max-iter", "3", *out],
+                   ["run", "--problem", "logistic", "--max-iter", "3", *out])
 
 
-def test_logistic_run_loads_scipy_special_only(tmp_path):
-    report = _loaded(tmp_path, ["run", "--problem", "logistic", "--max-iter", "3",
-                                "--output-dir", str(tmp_path)])
-    assert "scipy.special" in report["scipy"]
-    assert "scipy.optimize" not in report["scipy"]
-    assert "scipy.linalg" not in report["scipy"]
+def test_hull_and_logistic_runs_load_no_scipy_package(tmp_path):
+    # each loads only the compiled module of the one scipy function it calls
+    loaded = _hull_and_logistic_runs(tmp_path)["scipy"]
+    assert "scipy" in loaded
+    assert not [m for m in loaded if m.startswith(_SCIPY_PACKAGES)]
+
+
+def test_hull_and_logistic_runs_keep_resident_memory_small(tmp_path):
+    # importing scipy.optimize and scipy.special for nnls and expit grew it by about 45 MB
+    before, after = _hull_and_logistic_runs(tmp_path)["rss_kib"]
+    assert after - before < 20 * 1024
+
+
+@pytest.mark.parametrize("order", ["packages-first", "packages-later"])
+def test_packages_hand_out_the_kernels_fwflow_holds(tmp_path, order):
+    assert _python(tmp_path, _SAME_KERNEL_PROBE, order) == [True] * 4
+
+
+def test_compiled_module_that_is_not_there_names_the_scipy_requirement():
+    with pytest.raises(ImportError, match=r"scipy >= 1\.17.*scipy\.optimize\._no_such_module"):
+        _compiled("scipy.optimize._no_such_module", "nnls")
 
 
 def test_bound_and_certify_print_as_before(tmp_path):

@@ -6,7 +6,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
-import scipy.special
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import expit
@@ -135,13 +134,14 @@ class TestConstruction:
         [
             (lambda: LogisticLoss(np.ones((3, 2)), [1.0, -1.0]),
              "features and labels row counts differ"),
+            (lambda: LogisticLoss(np.zeros((0, 3)), []), "LogisticLoss needs at least one sample"),
             *[(lambda delta=delta: MatrixHuber([0], [1.0], 3, 3, delta=delta),
                "MatrixHuber delta must be positive") for delta in (0.0, np.nan)],
             *[(lambda eps=eps: ScalarHuber(eps), "ScalarHuber eps must be positive")
               for eps in (0.0, np.nan)],
         ],
-        ids=["logistic-rows", "matrix-huber-delta-0", "matrix-huber-delta-nan",
-             "scalar-huber-eps-0", "scalar-huber-eps-nan"],
+        ids=["logistic-rows", "logistic-no-sample", "matrix-huber-delta-0",
+             "matrix-huber-delta-nan", "scalar-huber-eps-0", "scalar-huber-eps-nan"],
     )
     def test_rejected_with_message(self, build, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
@@ -386,8 +386,8 @@ def test_logistic_expit_calls_per_run(monkeypatch, method, tab, per_step):
         calls.append(None)
         return expit(z)
 
-    monkeypatch.setattr(scipy.special, "expit", counting_expit)  # before the loss binds it
     p = sensing_logistic(seed=0)
+    monkeypatch.setattr(p.objective, "_expit", counting_expit)  # the routine the loss calls
     n = 12
     tableau = builtin(tab) if tab else None
     run(p.objective, p.feasible_set, p.x0, method, StepSchedule(c=2.0), n, tableau=tableau)
