@@ -10,8 +10,10 @@ import sys
 from pathlib import Path
 
 import pytest
+import scipy.special
 
 from fwflow.geometry import _compiled
+from fwflow.problems import sensing_logistic, triangle
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -112,11 +114,22 @@ def _hull_and_logistic_runs(tmp_path):
                    ["run", "--problem", "logistic", "--max-iter", "3", *out])
 
 
-def test_hull_and_logistic_runs_load_no_scipy_package(tmp_path):
-    # each loads only the compiled module of the one scipy function it calls
-    loaded = _hull_and_logistic_runs(tmp_path)["scipy"]
+def test_hull_run_loads_scipy_optimize(tmp_path):
+    # only scipy.optimize's compiled nnls module, from its file, and no scipy package
+    loaded = _loaded(tmp_path, ["run", "--problem", "triangle", "--max-iter", "3",
+                                "--output-dir", str(tmp_path)])["scipy"]
     assert "scipy" in loaded
     assert not [m for m in loaded if m.startswith(_SCIPY_PACKAGES)]
+    assert triangle().feasible_set._nnls.__module__ == "scipy.optimize._slsqplib"
+
+
+def test_logistic_run_loads_scipy_special_only(tmp_path):
+    # only scipy.special's compiled expit module, from its file, and no scipy package
+    loaded = _loaded(tmp_path, ["run", "--problem", "logistic", "--max-iter", "3",
+                                "--output-dir", str(tmp_path)])["scipy"]
+    assert "scipy" in loaded
+    assert not [m for m in loaded if m.startswith(_SCIPY_PACKAGES)]
+    assert sensing_logistic(0).objective._expit is scipy.special.expit
 
 
 def test_hull_and_logistic_runs_keep_resident_memory_small(tmp_path):
