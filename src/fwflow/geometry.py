@@ -18,7 +18,6 @@ import importlib.util
 import math
 import sys
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -44,6 +43,26 @@ def _check_vector(dim: int, v, what: str) -> np.ndarray:
     return x
 
 
+def _checked(values, shape: tuple, what: str) -> np.ndarray:
+    """values as a finite float array of shape `shape` (None: any length >= 1), or a ValueError."""
+    try:
+        a = np.asarray(values, dtype=float)
+    except (TypeError, ValueError):  # ragged, or not numbers: fails the shape test below
+        a = np.empty(0)
+    if a.ndim != len(shape) or not all(n >= 1 and m in (None, n) for n, m in zip(a.shape, shape)):
+        raise ValueError(f"{what} must be a nonempty array of shape {shape}, None for any length")
+    if np.count_nonzero(np.isfinite(a)) != a.size:
+        raise ValueError(f"{what} has non-finite entries")
+    return a
+
+
+def _size(n, what: str) -> int:
+    """n as an int; a ValueError naming it what unless n is a whole number >= 1."""
+    if not 1 <= n < math.inf or n % 1:
+        raise ValueError(f"{what} must be a whole number >= 1, got {n!r}")
+    return int(n)
+
+
 @functools.cache
 def _compiled(module: str, name: str):
     """name from scipy's compiled module (say "scipy.optimize._slsqplib"), loaded from its
@@ -52,13 +71,11 @@ def _compiled(module: str, name: str):
     import scipy  # runs scipy._distributor_init, as any import of a scipy module does
     loaded = sys.modules.get(module)  # there if its package was imported first
     if loaded is None:
-        stem = Path(scipy.__file__).parent.joinpath(*module.split(".")[1:])
-        paths = (stem.with_name(stem.name + s) for s in importlib.machinery.EXTENSION_SUFFIXES)
-        path = next((p for p in paths if p.is_file()), None)
-        if path is None:
+        package = importlib.util.find_spec(module.rpartition(".")[0])  # found, not imported
+        spec = importlib.machinery.PathFinder.find_spec(module, package.submodule_search_locations)
+        if spec is None:
             raise ImportError(f"fwflow needs scipy >= 1.17: no compiled module {module} "
                               f"in scipy {scipy.__version__}", name=module)
-        spec = importlib.util.spec_from_file_location(module, path)
         loaded = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(loaded)
         # a single-phase extension puts itself in sys.modules; left there, it would keep a
@@ -78,11 +95,7 @@ class VertexHull:
     _nnls: object = field(init=False, repr=False)
 
     def __post_init__(self):
-        v = np.asarray(self.vertices, dtype=float)
-        if v.ndim != 2 or 0 in v.shape:
-            raise ValueError("VertexHull needs an n x dim array of vertices with n, dim >= 1")
-        if not np.isfinite(v).all():
-            raise ValueError("VertexHull vertices must be finite")
+        v = _checked(self.vertices, (None, None), "VertexHull vertices")
         object.__setattr__(self, "vertices", v)
         object.__setattr__(self, "_nnls_system", np.vstack([v.T, np.ones(v.shape[0])]))
         object.__setattr__(self, "_nnls", _compiled("scipy.optimize._slsqplib", "nnls"))
@@ -130,10 +143,9 @@ class Box:
     def __post_init__(self):
         object.__setattr__(self, "lower", float(self.lower))
         object.__setattr__(self, "upper", float(self.upper))
-        if not self.lower < self.upper:
-            raise ValueError("Box requires lower < upper")
-        if self.dim < 1:
-            raise ValueError("Box dimension must be >= 1")
+        if not -math.inf < self.lower < self.upper < math.inf:
+            raise ValueError("Box requires finite lower < upper")
+        object.__setattr__(self, "dim", _size(self.dim, "Box dimension"))
 
     def lmo(self, gradient) -> np.ndarray:
         g = _check_vector(self.dim, gradient, "gradient")
@@ -157,10 +169,9 @@ class L1Ball:
     dim: int
 
     def __post_init__(self):
-        if not self.radius > 0:
-            raise ValueError("L1Ball radius must be positive")
-        if self.dim < 1:
-            raise ValueError("L1Ball dimension must be >= 1")
+        if not 0 < self.radius < math.inf:
+            raise ValueError("L1Ball radius must be positive and finite")
+        object.__setattr__(self, "dim", _size(self.dim, "L1Ball dimension"))
 
     def lmo(self, gradient) -> np.ndarray:
         g = _check_vector(self.dim, gradient, "gradient")
@@ -194,10 +205,10 @@ class NuclearBall:
     _power_tol = 1e-10
 
     def __post_init__(self):
-        if not self.radius > 0:
-            raise ValueError("NuclearBall radius must be positive")
-        if self.rows < 1 or self.cols < 1:
-            raise ValueError("NuclearBall shape must be positive")
+        if not 0 < self.radius < math.inf:
+            raise ValueError("NuclearBall radius must be positive and finite")
+        object.__setattr__(self, "rows", _size(self.rows, "NuclearBall rows"))
+        object.__setattr__(self, "cols", _size(self.cols, "NuclearBall cols"))
 
     @property
     def dim(self) -> int:

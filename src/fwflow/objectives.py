@@ -8,12 +8,11 @@ against central finite differences.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .geometry import _compiled
+from .geometry import _checked, _compiled, _size
 
 __all__ = [
     "QuadraticDistance",
@@ -32,14 +31,11 @@ def _check_x(dim: int, x) -> np.ndarray:
     return x
 
 
-@dataclass(frozen=True, eq=False)
 class QuadraticDistance:
     """f(x) = 0.5 ||x - target||^2."""
 
-    target: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "target", np.asarray(self.target, dtype=float).ravel())
+    def __init__(self, target):
+        self.target = _checked(np.ravel(target), (None,), "QuadraticDistance target")
 
     @property
     def dim(self) -> int:
@@ -81,10 +77,8 @@ class LeastSquares(_DenseObjective):
     """f(x) = 0.5 ||A x - b||^2."""
 
     def __init__(self, design, response):
-        self.design = np.asarray(design, dtype=float)
-        self.response = np.asarray(response, dtype=float).ravel()
-        if self.design.shape[0] != self.response.shape[0]:
-            raise ValueError("design and response row counts differ")
+        self.design = _checked(design, (None, None), "LeastSquares design")
+        self.response = _checked(response, self.design.shape[:1], "LeastSquares response")
 
     @property
     def dim(self) -> int:
@@ -113,12 +107,8 @@ class LogisticLoss(_DenseObjective):
     """
 
     def __init__(self, features, labels):
-        self.features = np.asarray(features, dtype=float)
-        self.labels = np.asarray(labels, dtype=float).ravel()
-        if self.features.shape[0] != self.labels.shape[0]:
-            raise ValueError("features and labels row counts differ")
-        if self.labels.shape[0] == 0:
-            raise ValueError("LogisticLoss needs at least one sample")
+        self.features = _checked(features, (None, None), "LogisticLoss features")
+        self.labels = _checked(labels, self.features.shape[:1], "LogisticLoss labels")
         if not np.all(np.isin(self.labels, (-1.0, 1.0))):
             raise ValueError("labels must be -1 or +1")
         self._expit = _compiled("scipy.special._special_ufuncs", "expit")  # scipy.special.expit
@@ -150,17 +140,16 @@ class MatrixHuber:
     """
 
     def __init__(self, index, values, rows: int, cols: int, delta: float = 1.0):
-        if not delta > 0:
-            raise ValueError("MatrixHuber delta must be positive")
-        self.rows = rows
-        self.cols = cols
+        if not 0 < delta < np.inf:
+            raise ValueError("MatrixHuber delta must be positive and finite")
+        self.rows = _size(rows, "MatrixHuber rows")
+        self.cols = _size(cols, "MatrixHuber cols")
         self.delta = float(delta)
-        self._idx = np.asarray(index, dtype=int).ravel()
-        self._vals = np.asarray(values, dtype=float).ravel()
-        if self._idx.shape != self._vals.shape:
-            raise ValueError("index and values lengths differ")
-        if self._idx.size and (self._idx.min() < 0 or self._idx.max() >= rows * cols):
-            raise ValueError("entry indices outside matrix shape")
+        index = _checked(index, (None,), "MatrixHuber index")
+        if (index % 1).any() or index.min() < 0 or index.max() >= self.dim:
+            raise ValueError("MatrixHuber index entries must be whole numbers in [0, rows * cols)")
+        self._idx = index.astype(int)
+        self._vals = _checked(values, index.shape, "MatrixHuber values")
         self.smoothness = 1.0  # Huber curvature is at most 1 per entry
 
     @property
@@ -189,8 +178,8 @@ class ScalarHuber(MatrixHuber):
     MatrixHuber of a 1 x 1 matrix whose one entry is observed with target 0 and delta eps."""
 
     def __init__(self, eps: float):
-        if not eps > 0:
-            raise ValueError("ScalarHuber eps must be positive")
+        if not 0 < eps < np.inf:
+            raise ValueError("ScalarHuber eps must be positive and finite")
         super().__init__([0], [0.0], 1, 1, delta=eps)
         self.eps = eps
 

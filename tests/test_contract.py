@@ -1,0 +1,131 @@
+"""The construction contract of every feasible set, objective and problem builder.
+
+Each constructor either refuses its input with a ValueError (ConfigError is one) whose message
+names the argument at fault, or builds an object with an int dim >= 1 whose oracles take the
+zero point of that dim, without a warning, and give finite results. The table breaks one
+argument per call and keeps the others at a valid default.
+"""
+
+import math
+import warnings
+
+import numpy as np
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+
+from fwflow.geometry import Box, L1Ball, NuclearBall, VertexHull
+from fwflow.objectives import (
+    LeastSquares,
+    LogisticLoss,
+    MatrixHuber,
+    QuadraticDistance,
+    ScalarHuber,
+)
+from fwflow.problems import (
+    Problem,
+    lowrank_huber,
+    scalar_box,
+    scalar_huber,
+    sensing_least_squares,
+    sensing_logistic,
+    triangle,
+)
+
+_NON_FINITE = [math.nan, math.inf, -math.inf]
+# large finite magnitudes are left out: overflow is a question of numerics, not of the contract
+_ENTRIES = st.one_of(st.floats(-10.0, 10.0), st.sampled_from(_NON_FINITE))
+_SCALARS = st.one_of(st.sampled_from([0.0, -1.0, *_NON_FINITE]), st.floats(-10.0, 10.0))
+_SIZES = st.sampled_from([0, -1, -3, 0.5, 2.5, *_NON_FINITE, True, 1, 2, 2.0, 3])
+_VECTORS = st.one_of(
+    st.sampled_from([[], np.empty(0), 0.0, np.zeros((2, 2)), np.zeros((1, 2, 2))]),
+    hnp.arrays(float, st.tuples(st.integers(1, 4)), elements=_ENTRIES),
+)
+_MATRICES = st.one_of(
+    st.sampled_from([[], [[]], np.empty((0, 2)), np.zeros((2, 0)), [1.0, 2.0],
+                     np.zeros((2, 2, 2)), [[0.0, 0.0], [1.0]], 0.0]),
+    hnp.arrays(float, st.tuples(st.integers(1, 3), st.integers(1, 3)), elements=_ENTRIES),
+)
+_LABELS = st.one_of(_VECTORS, st.lists(st.sampled_from([-1.0, 1.0, 0.0]), min_size=3, max_size=3))
+_INDICES = st.one_of(
+    st.sampled_from([[], [0.5], [1.9], [-1], [4], [math.nan], [math.inf], [[1, 2]]]),
+    st.lists(st.integers(0, 3), min_size=2, max_size=2),
+)
+
+# constructor: {argument: (valid default, strategy of inputs, names its message may give)}
+_TABLE = [
+    (VertexHull, {"vertices": ([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]], _MATRICES, ("vertices",))}),
+    (Box, {"lower": (-1.0, _SCALARS, ("lower",)), "upper": (1.0, _SCALARS, ("upper",)),
+           "dim": (2, _SIZES, ("dim",))}),
+    (L1Ball, {"radius": (1.0, _SCALARS, ("radius",)), "dim": (2, _SIZES, ("dim",))}),
+    (NuclearBall, {"radius": (1.0, _SCALARS, ("radius",)), "rows": (2, _SIZES, ("rows",)),
+                   "cols": (3, _SIZES, ("cols",))}),
+    (QuadraticDistance, {"target": ([0.5, -1.0], _VECTORS, ("target",))}),
+    (ScalarHuber, {"eps": (0.1, _SCALARS, ("eps",))}),
+    (LeastSquares, {"design": (np.ones((3, 2)), _MATRICES, ("design", "response")),
+                    "response": ([1.0, 0.0, -1.0], _VECTORS, ("response",))}),
+    (LogisticLoss, {"features": (np.ones((3, 2)), _MATRICES, ("features", "labels")),
+                    "labels": ([1.0, -1.0, 1.0], _LABELS, ("labels",))}),
+    (MatrixHuber, {"index": ([1, 3], _INDICES, ("index", "values")),
+                   "values": ([0.5, -1.0], _VECTORS, ("values",)),
+                   "rows": (2, _SIZES, ("rows", "index")), "cols": (2, _SIZES, ("cols", "index")),
+                   "delta": (1.0, _SCALARS, ("delta",))}),
+    # a 1 x 1 lowrank problem observes round(0.5) = 0 entries, which MatrixHuber refuses
+    (lowrank_huber, {name: (3, st.integers(-2, 4), ("users", "items", "rank", "index"))
+                     for name in ("users", "items", "rank")}),
+    (lowrank_huber, {"seed": (0, st.integers(0, 3), ())}),
+    (sensing_least_squares, {"seed": (0, st.integers(0, 2), ())}),
+    (sensing_logistic, {"seed": (0, st.integers(0, 2), ())}),
+    (triangle, {}),
+    (scalar_box, {}),
+    (scalar_huber, {}),
+]
+
+
+def _broken(build, args, name):
+    """(build, keyword arguments, names) with argument name drawn and the others at default."""
+    defaults = {key: default for key, (default, _, _) in args.items()}
+    _, inputs, names = args[name]
+    return inputs.map(lambda value: (build, {**defaults, name: value}, names))
+
+
+_CALLS = st.one_of(
+    *[_broken(build, args, name) for build, args in _TABLE for name in args],
+    *[st.just((build, {}, ())) for build, args in _TABLE if not args],
+)
+
+
+def _parts(built):
+    return (built.objective, built.feasible_set) if isinstance(built, Problem) else (built,)
+
+
+def _assert_works_at_zero(part):
+    assert type(part.dim) is int and part.dim >= 1, f"{type(part).__name__} dim {part.dim!r}"
+    x = np.zeros(part.dim)
+    if hasattr(part, "lmo"):
+        assert np.isfinite(part.lmo(x)).all() and math.isfinite(part.violation(x))
+    else:
+        assert math.isfinite(part.value(x)) and np.isfinite(part.gradient(x)).all()
+
+
+# objectives that used to build with no coordinate or a negative dimension, whose value([])
+# returned a number, and a set whose lmo returned an infinite atom
+@example(call=(QuadraticDistance, {"target": []}, ("target",)))
+@example(call=(LeastSquares, {"design": np.zeros((2, 0)), "response": [1.0, 2.0]}, ("design",)))
+@example(call=(MatrixHuber, {"index": [], "values": [], "rows": 0, "cols": 3}, ("rows", "index")))
+@example(call=(MatrixHuber, {"index": [], "values": [], "rows": -1, "cols": 3}, ("rows", "index")))
+@example(call=(L1Ball, {"radius": math.inf, "dim": 2}, ("radius",)))
+@settings(derandomize=True, max_examples=500, deadline=None)
+@given(call=_CALLS)
+def test_every_constructor_refuses_or_builds_a_working_object(call):
+    build, kwargs, names = call
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            built = build(**kwargs)
+        except ValueError as err:
+            assert any(name in str(err) for name in names), f"{build.__name__}: {err}"
+            return
+        for part in _parts(built):
+            _assert_works_at_zero(part)
+

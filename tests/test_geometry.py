@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -193,7 +194,7 @@ class TestDiameter:
         assert peak < 16 * 2**20
 
 
-_HULL_SHAPE = "VertexHull needs an n x dim array of vertices with n, dim >= 1"
+_HULL_SHAPE = "VertexHull vertices must be a nonempty array of shape (None, None), None for any length"
 
 
 class TestConstruction:
@@ -206,20 +207,40 @@ class TestConstruction:
             (lambda: VertexHull(np.zeros((3, 0))), _HULL_SHAPE),
             (lambda: VertexHull(np.zeros((2, 2, 2))), _HULL_SHAPE),
             (lambda: VertexHull([1.0, 2.0]), _HULL_SHAPE),
-            (lambda: Box(-1.0, 1.0, dim=0), "Box dimension must be >= 1"),
-            (lambda: L1Ball(1.0, dim=0), "L1Ball dimension must be >= 1"),
-            (lambda: NuclearBall(0.0, 2, 2), "NuclearBall radius must be positive"),
-            (lambda: NuclearBall(np.nan, 2, 2), "NuclearBall radius must be positive"),
-            (lambda: NuclearBall(1.0, 0, 2), "NuclearBall shape must be positive"),
-            (lambda: NuclearBall(1.0, 2, 0), "NuclearBall shape must be positive"),
+            (lambda: VertexHull([[0.0, 0.0], [1.0]]), _HULL_SHAPE),
+            (lambda: Box(-1.0, 1.0, dim=0), "Box dimension must be a whole number >= 1, got 0"),
+            (lambda: Box(-1.0, 1.0, dim=2.5), "Box dimension must be a whole number >= 1, got 2.5"),
+            (lambda: Box(-math.inf, 1.0), "Box requires finite lower < upper"),
+            (lambda: Box(-1.0, math.inf), "Box requires finite lower < upper"),
+            (lambda: L1Ball(1.0, dim=0), "L1Ball dimension must be a whole number >= 1, got 0"),
+            (lambda: L1Ball(1.0, dim=2.5), "L1Ball dimension must be a whole number >= 1, got 2.5"),
+            (lambda: L1Ball(1.0, dim=math.nan), "L1Ball dimension must be a whole number >= 1, got nan"),
+            (lambda: L1Ball(math.inf, 2), "L1Ball radius must be positive and finite"),
+            (lambda: NuclearBall(0.0, 2, 2), "NuclearBall radius must be positive and finite"),
+            (lambda: NuclearBall(np.nan, 2, 2), "NuclearBall radius must be positive and finite"),
+            (lambda: NuclearBall(math.inf, 2, 2), "NuclearBall radius must be positive and finite"),
+            (lambda: NuclearBall(1.0, 0, 2), "NuclearBall rows must be a whole number >= 1, got 0"),
+            (lambda: NuclearBall(1.0, 2, 0), "NuclearBall cols must be a whole number >= 1, got 0"),
+            (lambda: NuclearBall(1.0, -1, 2), "NuclearBall rows must be a whole number >= 1, got -1"),
+            (lambda: NuclearBall(1.0, 2, 1.5), "NuclearBall cols must be a whole number >= 1, got 1.5"),
         ],
         ids=["hull-no-vertex", "hull-empty-list", "hull-no-coordinate", "hull-dim-0",
-             "hull-3-axes", "hull-1-axis", "box-dim-0", "l1-dim-0", "nuclear-radius-0",
-             "nuclear-radius-nan", "nuclear-rows-0", "nuclear-cols-0"],
+             "hull-3-axes", "hull-1-axis", "hull-ragged", "box-dim-0", "box-dim-fractional",
+             "box-lower-inf", "box-upper-inf", "l1-dim-0", "l1-dim-fractional", "l1-dim-nan",
+             "l1-radius-inf", "nuclear-radius-0", "nuclear-radius-nan", "nuclear-radius-inf",
+             "nuclear-rows-0", "nuclear-cols-0", "nuclear-rows-negative",
+             "nuclear-cols-fractional"],
     )
     def test_rejected_with_message(self, build, message):
-        with pytest.raises(ValueError, match=f"^{message}$"):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             build()
+
+    @pytest.mark.parametrize("fset", [Box(-1.0, 1.0, dim=2.0), L1Ball(1.0, dim=2.0),
+                                      NuclearBall(1.0, 2.0, 1)], ids=["box", "l1", "nuclear"])
+    def test_whole_float_sizes_build_int_dims(self, fset):
+        # a whole-number float size is read as its int, so the oracles take dim entries
+        assert type(fset.dim) is int and fset.dim == 2
+        assert fset.lmo([1.0, 0.0]).shape == (2,) and fset.violation([0.0, 0.0]) == 0.0
 
     def test_box_requires_order(self):
         with pytest.raises(ValueError):
@@ -232,7 +253,7 @@ class TestConstruction:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_hull_vertices_finite(self, bad):
         # rejected when built, not on a later lmo or violation call
-        with pytest.raises(ValueError, match="VertexHull vertices must be finite"):
+        with pytest.raises(ValueError, match="^VertexHull vertices has non-finite entries$"):
             VertexHull([[0.0, 0.0], [1.0, bad]])
 
 

@@ -104,6 +104,10 @@ class TestProperties:
                 assert lhs <= L * np.linalg.norm(x - y) + 1e-10
 
 
+def _shape(what, shape):
+    return f"{what} must be a nonempty array of shape ({shape}), None for any length"
+
+
 class TestConstruction:
     def test_huber_eps_positive(self):
         with pytest.raises(ValueError):
@@ -122,7 +126,7 @@ class TestConstruction:
             MatrixHuber([15], [1.0], 3, 3)  # entry (5, 0)
 
     def test_matrix_huber_lengths_match(self):
-        with pytest.raises(ValueError, match="lengths differ"):
+        with pytest.raises(ValueError, match=r"^MatrixHuber values must be .* of shape \(2,\)"):
             MatrixHuber([0, 1], [1.0], 3, 3)
 
     def test_check_gradient_needs_positive_h(self):
@@ -132,20 +136,47 @@ class TestConstruction:
     @pytest.mark.parametrize(
         "build, message",
         [
-            (lambda: LogisticLoss(np.ones((3, 2)), [1.0, -1.0]),
-             "features and labels row counts differ"),
-            (lambda: LogisticLoss(np.zeros((0, 3)), []), "LogisticLoss needs at least one sample"),
+            (lambda: LogisticLoss(np.ones((3, 2)), [1.0, -1.0]), _shape("LogisticLoss labels", "3,")),
+            (lambda: LogisticLoss(np.zeros((0, 3)), []), _shape("LogisticLoss features", "None, None")),
+            (lambda: LogisticLoss([[np.nan]], [1.0]), "LogisticLoss features has non-finite entries"),
             *[(lambda delta=delta: MatrixHuber([0], [1.0], 3, 3, delta=delta),
-               "MatrixHuber delta must be positive") for delta in (0.0, np.nan)],
-            *[(lambda eps=eps: ScalarHuber(eps), "ScalarHuber eps must be positive")
-              for eps in (0.0, np.nan)],
+               "MatrixHuber delta must be positive and finite") for delta in (0.0, np.nan, np.inf)],
+            *[(lambda eps=eps: ScalarHuber(eps), "ScalarHuber eps must be positive and finite")
+              for eps in (0.0, np.nan, np.inf)],
+            (lambda: QuadraticDistance([]), _shape("QuadraticDistance target", "None,")),
+            (lambda: QuadraticDistance([np.nan]), "QuadraticDistance target has non-finite entries"),
+            (lambda: LeastSquares(np.zeros((2, 0)), [1.0, 2.0]),
+             _shape("LeastSquares design", "None, None")),
+            (lambda: LeastSquares([1.0, 2.0], [1.0, 2.0]), _shape("LeastSquares design", "None, None")),
+            (lambda: LeastSquares([[np.inf]], [1.0]), "LeastSquares design has non-finite entries"),
+            (lambda: LeastSquares([[1.0]], [-np.inf]), "LeastSquares response has non-finite entries"),
+            (lambda: MatrixHuber([0], [np.nan], 1, 1), "MatrixHuber values has non-finite entries"),
+            (lambda: MatrixHuber([], [], 2, 2), _shape("MatrixHuber index", "None,")),
+            (lambda: MatrixHuber([0], [1.0], -1, -3),
+             "MatrixHuber rows must be a whole number >= 1, got -1"),
+            (lambda: MatrixHuber([0], [1.0], 2, 2.5),
+             "MatrixHuber cols must be a whole number >= 1, got 2.5"),
+            *[(lambda i=i: MatrixHuber([i], [1.0], 2, 2),
+               "MatrixHuber index entries must be whole numbers in [0, rows * cols)")
+              for i in (0.5, 1.9, -1, 4)],
         ],
-        ids=["logistic-rows", "logistic-no-sample", "matrix-huber-delta-0",
-             "matrix-huber-delta-nan", "scalar-huber-eps-0", "scalar-huber-eps-nan"],
+        ids=["logistic-rows", "logistic-no-sample", "logistic-nan", "matrix-huber-delta-0",
+             "matrix-huber-delta-nan", "matrix-huber-delta-inf", "scalar-huber-eps-0",
+             "scalar-huber-eps-nan", "scalar-huber-eps-inf", "quadratic-empty", "quadratic-nan",
+             "least-squares-no-column", "least-squares-1-axis", "least-squares-design-inf",
+             "least-squares-response-inf", "matrix-huber-values-nan", "matrix-huber-no-entry",
+             "matrix-huber-rows-negative", "matrix-huber-cols-fractional",
+             "matrix-huber-index-half", "matrix-huber-index-1.9", "matrix-huber-index-negative",
+             "matrix-huber-index-past-end"],
     )
     def test_rejected_with_message(self, build, message):
-        with pytest.raises(ValueError, match=f"^{message}$"):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             build()
+
+    def test_matrix_huber_whole_float_sizes(self):
+        obj = MatrixHuber([3.0], [1.0], 2.0, 2.0)
+        assert (obj.rows, obj.cols, obj.dim) == (2, 2, 4) and type(obj.dim) is int
+        np.testing.assert_array_equal(obj.gradient(np.zeros(4)), [0.0, 0.0, 0.0, -1.0])
 
 
 def _loop_check_gradient(obj, x, h=1e-5):
@@ -173,6 +204,18 @@ def _criterion_11_objectives(rng):
         LogisticLoss(A, y),
         MatrixHuber([1, 6], [0.5, -1.0], 3, 3),
     ]
+
+
+class _NoCoordinate:
+    """f = 0 on the zero-dimensional space, which no fwflow objective builds on."""
+
+    dim = 0
+
+    def value(self, x):
+        return 0.0
+
+    def gradient(self, x):
+        return np.array(x, dtype=float)
 
 
 class _NaNGradient:
@@ -223,7 +266,7 @@ class TestCheckGradient:
             check_gradient(QuadraticDistance(target=[0.0]), [1.0], h=h)
 
     def test_empty_point(self):
-        assert check_gradient(QuadraticDistance(target=np.empty(0)), []) == 0.0
+        assert check_gradient(_NoCoordinate(), []) == 0.0
 
 
 def test_scalar_huber_problem():
