@@ -9,60 +9,39 @@ from __future__ import annotations
 
 import numpy as np
 
+from .geometry import _size
+
 __all__ = ["gen_sensing", "gen_lowrank"]
 
 
-def gen_sensing(m: int, n: int, sparsity: float, noise_sd: float = 0.0, seed: int = 0):
-    """Synthetic sensing problem: Gaussian design, sparse Gaussian ground truth.
+def gen_sensing(seed: int = 0):
+    """Noiseless synthetic sensing problem: 500 x 100 Gaussian design, 10-sparse Gaussian truth.
 
-    Returns (A, b, true_x) with design A (m x n) and response b = A @ true_x + noise.
-    round(sparsity * n) entries of true_x are nonzero, at seeded-random positions.
+    Returns (A, b, true_x) with b = A @ true_x; the 10 nonzero entries of true_x sit at
+    seeded-random positions.
     """
-    if m < 1 or n < 1:
-        raise ValueError("m and n must be >= 1")
-    if not 0.0 < sparsity <= 1.0:
-        raise ValueError("sparsity must be in (0, 1]")
-    if noise_sd < 0:
-        raise ValueError("noise_sd must be nonnegative")
     rng = np.random.default_rng(seed)
-    A = rng.standard_normal((m, n))
-    k = int(round(sparsity * n))
-    support = rng.choice(n, size=k, replace=False)
-    true_x = np.zeros(n)
-    true_x[support] = rng.standard_normal(k)
-    b = A @ true_x
-    if noise_sd > 0:
-        b = b + noise_sd * rng.standard_normal(m)
-    return A, b, true_x
+    A = rng.standard_normal((500, 100))
+    support = rng.choice(100, size=10, replace=False)  # first: the draw order fixes the data
+    true_x = np.zeros(100)
+    true_x[support] = rng.standard_normal(10)
+    return A, A @ true_x, true_x
 
 
-def gen_lowrank(
-    users: int,
-    items: int,
-    rank: int,
-    observed_fraction: float,
-    noise_sd: float = 0.0,
-    seed: int = 0,
-):
-    """Synthetic low-rank ratings: seeded Gaussian factors U V^T, partial observation.
+def gen_lowrank(users: int, items: int, rank: int, seed: int = 0):
+    """Synthetic low-rank ratings: seeded Gaussian factors U V^T, half the entries observed.
 
-    Returns (index, values): the ascending row-major flat indices i * items + j
-    of the observed entries and their values, plus Gaussian noise if noise_sd > 0.
+    Returns (index, values): the ascending row-major flat indices i * items + j of the
+    observed entries, and their values plus Gaussian noise of sd 0.1.
     """
-    if rank < 1 or rank > min(users, items):
+    users, items, rank = _size(users, "users"), _size(items, "items"), _size(rank, "rank")
+    if users * items < 2:
+        raise ValueError(f"users * items must be >= 2, got {users} x {items}")
+    if rank > min(users, items):
         raise ValueError("rank must be in [1, min(users, items)]")
-    if not 0.0 < observed_fraction <= 1.0:
-        raise ValueError("observed_fraction must be in (0, 1]")
-    if noise_sd < 0:
-        raise ValueError("noise_sd must be nonnegative")
     rng = np.random.default_rng(seed)
     U = rng.standard_normal((users, rank))
     V = rng.standard_normal((items, rank))
-    M = U @ V.T
     total = users * items
-    n_obs = int(round(observed_fraction * total))
-    index = np.sort(rng.choice(total, size=n_obs, replace=False))
-    values = M.ravel()[index]
-    if noise_sd > 0:
-        values = values + noise_sd * rng.standard_normal(n_obs)
-    return index, values
+    index = np.sort(rng.choice(total, size=round(0.5 * total), replace=False))
+    return index, (U @ V.T).ravel()[index] + 0.1 * rng.standard_normal(index.size)

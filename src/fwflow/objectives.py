@@ -35,7 +35,11 @@ class QuadraticDistance:
     """f(x) = 0.5 ||x - target||^2."""
 
     def __init__(self, target):
-        self.target = _checked(np.ravel(target), (None,), "QuadraticDistance target")
+        try:
+            target = np.ravel(target)  # flattened first
+        except ValueError:  # ragged: left as given, so _checked refuses it by name
+            pass
+        self.target = _checked(target, (None,), "QuadraticDistance target")
 
     @property
     def dim(self) -> int:

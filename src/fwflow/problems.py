@@ -58,8 +58,8 @@ def scalar_huber() -> Problem:
 
 
 def sensing_least_squares(seed: int = 0) -> Problem:
-    """l1-ball (radius 1000) least squares on noiseless 500 x 100 sensing data, 10% sparse."""
-    A, b, _ = gen_sensing(500, 100, 0.1, 0.0, seed)
+    """l1-ball (radius 1000) least squares on gen_sensing's noiseless 500 x 100 data."""
+    A, b, _ = gen_sensing(seed)
     return Problem("sensing", LeastSquares(A, b), L1Ball(1000.0, 100), x0=np.zeros(100))
 
 
@@ -69,18 +69,16 @@ def sensing_logistic(seed: int = 0) -> Problem:
     The radius keeps the optimum on the l1 boundary without saturating the
     loss, which is the regime where zig-zagging is visible.
     """
-    A, b, _ = gen_sensing(500, 100, 0.1, 0.0, seed)
+    A, b, _ = gen_sensing(seed)
     obj = LogisticLoss(A, np.where(b >= 0.0, 1.0, -1.0))
     return Problem("logistic", obj, L1Ball(10.0, 100), x0=np.zeros(100))
 
 
 def lowrank_huber(users: int = 20, items: int = 15, rank: int = 2, seed: int = 0) -> Problem:
-    """Nuclear-ball (radius 50) Huber (delta 1) regression on synthetic low-rank ratings,
-    half the entries observed, with noise sd 0.1.
-    """
-    index, values = gen_lowrank(users, items, rank, 0.5, 0.1, seed)
+    """Nuclear-ball (radius 50) Huber (delta 1) regression on gen_lowrank's noisy ratings."""
+    index, values = gen_lowrank(users, items, rank, seed)
     obj = MatrixHuber(index, values, users, items, delta=1.0)
-    return Problem("lowrank", obj, NuclearBall(50.0, users, items), x0=np.zeros(users * items))
+    return Problem("lowrank", obj, NuclearBall(50.0, users, items), x0=np.zeros(obj.dim))
 
 
 BUILDERS = {

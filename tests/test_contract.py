@@ -70,8 +70,7 @@ _TABLE = [
                    "values": ([0.5, -1.0], _VECTORS, ("values",)),
                    "rows": (2, _SIZES, ("rows", "index")), "cols": (2, _SIZES, ("cols", "index")),
                    "delta": (1.0, _SCALARS, ("delta",))}),
-    # a 1 x 1 lowrank problem observes round(0.5) = 0 entries, which MatrixHuber refuses
-    (lowrank_huber, {name: (3, st.integers(-2, 4), ("users", "items", "rank", "index"))
+    (lowrank_huber, {name: (3, _SIZES, ("users", "items", "rank"))
                      for name in ("users", "items", "rank")}),
     (lowrank_huber, {"seed": (0, st.integers(0, 3), ())}),
     (sensing_least_squares, {"seed": (0, st.integers(0, 2), ())}),
@@ -115,6 +114,11 @@ def _assert_works_at_zero(part):
 @example(call=(MatrixHuber, {"index": [], "values": [], "rows": 0, "cols": 3}, ("rows", "index")))
 @example(call=(MatrixHuber, {"index": [], "values": [], "rows": -1, "cols": 3}, ("rows", "index")))
 @example(call=(L1Ball, {"radius": math.inf, "dim": 2}, ("radius",)))
+# sizes that reached numpy unchecked, a 1 x 1 problem refused for its empty MatrixHuber index,
+# and a ragged target flattened by numpy before it was checked
+@example(call=(lowrank_huber, {"users": 2.5, "items": 3, "rank": 2}, ("users",)))
+@example(call=(lowrank_huber, {"users": 1, "items": 1, "rank": 1}, ("users", "items")))
+@example(call=(QuadraticDistance, {"target": [[1.0], [1.0, 2.0]]}, ("target",)))
 @settings(derandomize=True, max_examples=500, deadline=None)
 @given(call=_CALLS)
 def test_every_constructor_refuses_or_builds_a_working_object(call):
