@@ -22,7 +22,7 @@ import numpy as np
 
 from . import diagnostics, problems, tableau as tableau_mod
 from .solvers import StepSchedule, _format_rows, check_settings, run as run_solver
-from .tableau import ConfigError
+from .tableau import ConfigError, _number
 
 # Every setting, per subcommand (a sweep entry or preset job is a "run"): key ->
 # (kind, default) or (kind, default, least value). A kind [int] or [float] is a
@@ -52,19 +52,6 @@ def _out_dir(path_arg: str) -> Path:
     return Path(os.environ.get("FWFLOW_OUTPUT_DIR") or path_arg)
 
 
-def _number(kind, value, key: str):
-    """kind(value) for a number or numeric string, integral if kind is int; else a ConfigError."""
-    try:
-        if isinstance(value, bool):
-            raise TypeError
-        number = kind(value) if isinstance(value, int) else float(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ConfigError(f"{key} must be a number, got {value!r}") from None
-    if kind is int and number % 1:  # a fractional part, or nan for nan and inf
-        raise ConfigError(f"{key} must be an integer, got {value!r}")
-    return kind(number)
-
-
 def _of_kind(value, kind, key: str):
     """value, which must be a kind: str, list or dict; else a ConfigError."""
     if not isinstance(value, kind):
@@ -92,13 +79,11 @@ def _parse(table: dict, cfg: dict, where: str, flags: bool = False) -> dict:
         kind, default, *least = entry
         value = cfg.get(key, default)
         if isinstance(kind, list):
-            value = [_number(kind[0], v, name) for v in _of_kind(value, list, name)]
+            value = [_number(kind[0], v, name, *least) for v in _of_kind(value, list, name)]
         elif kind is not str:
-            value = _number(kind, value, name)
+            value = _number(kind, value, name, *least)
         elif value is not None or default is not None:
             _of_kind(value, str, name)
-        if least and value < least[0]:
-            raise ConfigError(f"{name} must be >= {least[0]}")
         settings[key] = value
     return settings
 

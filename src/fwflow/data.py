@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .geometry import _size
+from .tableau import _number
 
 __all__ = ["gen_sensing", "gen_lowrank"]
 
@@ -20,7 +20,7 @@ def gen_sensing(seed: int = 0):
     Returns (A, b, true_x) with b = A @ true_x; the 10 nonzero entries of true_x sit at
     seeded-random positions.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_number(int, seed, "seed", 0))
     A = rng.standard_normal((500, 100))
     support = rng.choice(100, size=10, replace=False)  # first: the draw order fixes the data
     true_x = np.zeros(100)
@@ -34,12 +34,13 @@ def gen_lowrank(users: int, items: int, rank: int, seed: int = 0):
     Returns (index, values): the ascending row-major flat indices i * items + j of the
     observed entries, and their values plus Gaussian noise of sd 0.1.
     """
-    users, items, rank = _size(users, "users"), _size(items, "items"), _size(rank, "rank")
+    users, items = _number(int, users, "users", 1), _number(int, items, "items", 1)
+    rank = _number(int, rank, "rank", 1)
     if users * items < 2:
         raise ValueError(f"users * items must be >= 2, got {users} x {items}")
     if rank > min(users, items):
         raise ValueError("rank must be in [1, min(users, items)]")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_number(int, seed, "seed", 0))
     U = rng.standard_normal((users, rank))
     V = rng.standard_normal((items, rank))
     total = users * items

@@ -21,6 +21,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .tableau import _number
+
 # the slack within which a point counts as inside a set: run() rejects a start point beyond it
 FEASIBILITY_TOL = 1e-9
 
@@ -54,13 +56,6 @@ def _checked(values, shape: tuple, what: str) -> np.ndarray:
     if np.count_nonzero(np.isfinite(a)) != a.size:
         raise ValueError(f"{what} has non-finite entries")
     return a
-
-
-def _size(n, what: str) -> int:
-    """n as an int; a ValueError naming it what unless n is a whole number >= 1."""
-    if not 1 <= n < math.inf or n % 1:
-        raise ValueError(f"{what} must be a whole number >= 1, got {n!r}")
-    return int(n)
 
 
 @functools.cache
@@ -145,7 +140,7 @@ class Box:
         object.__setattr__(self, "upper", float(self.upper))
         if not -math.inf < self.lower < self.upper < math.inf:
             raise ValueError("Box requires finite lower < upper")
-        object.__setattr__(self, "dim", _size(self.dim, "Box dimension"))
+        object.__setattr__(self, "dim", _number(int, self.dim, "Box dimension", 1))
 
     def lmo(self, gradient) -> np.ndarray:
         g = _check_vector(self.dim, gradient, "gradient")
@@ -171,7 +166,7 @@ class L1Ball:
     def __post_init__(self):
         if not 0 < self.radius < math.inf:
             raise ValueError("L1Ball radius must be positive and finite")
-        object.__setattr__(self, "dim", _size(self.dim, "L1Ball dimension"))
+        object.__setattr__(self, "dim", _number(int, self.dim, "L1Ball dimension", 1))
 
     def lmo(self, gradient) -> np.ndarray:
         g = _check_vector(self.dim, gradient, "gradient")
@@ -207,8 +202,8 @@ class NuclearBall:
     def __post_init__(self):
         if not 0 < self.radius < math.inf:
             raise ValueError("NuclearBall radius must be positive and finite")
-        object.__setattr__(self, "rows", _size(self.rows, "NuclearBall rows"))
-        object.__setattr__(self, "cols", _size(self.cols, "NuclearBall cols"))
+        object.__setattr__(self, "rows", _number(int, self.rows, "NuclearBall rows", 1))
+        object.__setattr__(self, "cols", _number(int, self.cols, "NuclearBall cols", 1))
 
     @property
     def dim(self) -> int:

@@ -12,7 +12,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .geometry import _checked, _compiled, _size
+from .geometry import _checked, _compiled
+from .tableau import _number
 
 __all__ = [
     "QuadraticDistance",
@@ -146,8 +147,8 @@ class MatrixHuber:
     def __init__(self, index, values, rows: int, cols: int, delta: float = 1.0):
         if not 0 < delta < np.inf:
             raise ValueError("MatrixHuber delta must be positive and finite")
-        self.rows = _size(rows, "MatrixHuber rows")
-        self.cols = _size(cols, "MatrixHuber cols")
+        self.rows = _number(int, rows, "MatrixHuber rows", 1)
+        self.cols = _number(int, cols, "MatrixHuber cols", 1)
         self.delta = float(delta)
         index = _checked(index, (None,), "MatrixHuber index")
         if (index % 1).any() or index.min() < 0 or index.max() >= self.dim:

@@ -21,7 +21,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from .geometry import _check_vector, contains
-from .tableau import ConfigError, Tableau, _check_c, _gammas, validate
+from .tableau import ConfigError, Tableau, _check_c, _gammas, _number, validate
 
 __all__ = [
     "StepSchedule",
@@ -162,13 +162,12 @@ METHODS = ("fw", "flow", "rk", "rk+linesearch", "fw+linesearch", "fw+momentum")
 
 
 def check_settings(method: str, sched: StepSchedule, max_iter: int, size: int,
-                   stop_gap: float = 0.0, tableau: Tableau | None = None) -> None:
+                   stop_gap: float = 0.0, tableau: Tableau | None = None) -> int:
     """Raise ConfigError unless run() takes these settings for iterates of size entries;
-    a tableau is not validated here."""
+    a tableau is not validated here. Returns max_iter read as an int."""
     if method not in METHODS:
         raise ConfigError(f"unknown method {method!r}; choose from {METHODS}")
-    if max_iter < 1:
-        raise ConfigError("max_iter must be >= 1")
+    max_iter = _number(int, max_iter, "max_iter", 1)
     if max_iter >= (rows := MAX_RECORD_BYTES // (8 * (size + 3))):  # (max_iter + 1) rows
         raise ConfigError(f"max_iter must be < {rows} for {size}-entry iterates, whose record "
                           f"would exceed {MAX_RECORD_BYTES} bytes")
@@ -180,6 +179,7 @@ def check_settings(method: str, sched: StepSchedule, max_iter: int, size: int,
         raise ConfigError(f"method {method!r} requires a tableau")
     if not method.startswith("rk") and tableau is not None:
         raise ConfigError(f"method {method!r} takes no tableau; only rk and rk+linesearch do")
+    return max_iter
 
 
 def run(
@@ -202,7 +202,7 @@ def run(
     infeasible x0 raise ConfigError.
     """
     x = np.array(x0, dtype=float).ravel()
-    check_settings(method, sched, max_iter, x.size, stop_gap, tableau)
+    max_iter = check_settings(method, sched, max_iter, x.size, stop_gap, tableau)
     if tableau is not None:
         validate(tableau)
     if not contains(fset, x):

@@ -32,13 +32,30 @@ class ConfigError(ValueError):
     """Invalid configuration: a bad schedule, tableau or solver setting."""
 
 
+def _number(kind, value, key: str, least=None):
+    """kind(value) for a number or numeric string (not a boolean), integral if kind is int,
+    and >= least if given; else a ConfigError naming key. An int is read exactly."""
+    try:
+        if isinstance(value, (bool, np.bool_)):
+            raise TypeError
+        number = kind(value) if isinstance(value, (int, np.integer)) else float(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"{key} must be a number, got {value!r}") from None
+    if kind is int and number % 1:  # a fractional part, or nan for nan and inf
+        raise ConfigError(f"{key} must be an integer, got {value!r}")
+    number = kind(number)
+    if least is not None and not number >= least:
+        raise ConfigError(f"{key} must be >= {least}, got {number}")
+    return number
+
+
 @dataclass(frozen=True, eq=False)
 class Tableau:
     """Explicit Runge-Kutta tableau: stage matrix A, weights beta, offsets omega.
 
-    The arrays are read-only copies, so a tableau is checked once, when it is
-    built: an invalid one raises ConfigError. Tableaus compare and hash by
-    identity, as array fields have no single truth value.
+    Each entry is read by _number, the rule of every setting, into read-only copies, so a
+    tableau is checked once, when it is built: an invalid one raises ConfigError. Tableaus
+    compare and hash by identity, as array fields have no single truth value.
     """
 
     A: np.ndarray
@@ -53,10 +70,28 @@ class Tableau:
 
     def __post_init__(self):
         for key, shape in (("A", np.atleast_2d), ("beta", np.ravel), ("omega", np.ravel)):
-            entries = shape(np.asarray(getattr(self, key), dtype=float)).copy()
+            given, what = getattr(self, key), f"tableau {key}"
+            try:  # an object array: a ragged row is one entry, which is not a number
+                cells = np.asarray(given, dtype=object)
+            except ValueError:  # sub-arrays of unequal shapes: a sequence, which _number refuses
+                _number(float, given, what)
+            entries = shape(np.reshape([_number(float, v, what) for v in cells.flat], cells.shape))
             entries.setflags(write=False)
             object.__setattr__(self, key, entries)
-        _check_invariants(self)
+        if self.A.shape != (self.q, self.q) or self.omega.shape[0] != self.q:
+            raise ConfigError("shape mismatch: A must be q x q and omega length q")
+        for key, values in (("A", self.A), ("beta", self.beta), ("omega", self.omega)):
+            if not np.isfinite(values).all():
+                at = tuple(int(i) for i in np.argwhere(~np.isfinite(values))[0])
+                raise ConfigError(f"tableau entry {key}{list(at)} is {values[at]}, must be finite")
+        if abs(float(self.beta.sum()) - 1.0) > 1e-12:  # numpy's pairwise order, not a Python sum
+            raise ConfigError(f"beta sum is {self.beta.sum()!r}, must be 1")
+        if np.triu(self.A).any():
+            raise ConfigError("A is not strictly lower triangular")
+        if self.omega[0] != 0.0:
+            raise ConfigError("omega[0] must be 0")
+        if self.omega.min() < 0.0 or self.omega.max() > 1.0:
+            raise ConfigError("omega entries must lie in [0, 1]")
         terms = tuple(tuple((j, a) for j, a in enumerate(row[:i]) if a != 0.0)
                       for i, row in enumerate(self.A.tolist()))
         object.__setattr__(self, "_stage_terms", terms)
@@ -71,49 +106,23 @@ class Tableau:
     def from_json(cls, text: str, name: str = "") -> "Tableau":
         """Build a tableau from a JSON document {"A": [[..]], "beta": [..], "omega": [..]}.
 
-        Raises ConfigError when the document is not an object, lacks a key, or
-        holds a key whose value is not a (rectangular) array of numbers or numeric
-        strings (a JSON boolean is not a number), and when the tableau is invalid.
+        Raises ConfigError when the document is not an object or lacks a key, and, as
+        Tableau(...) does, when an entry is not a number (a JSON boolean is not) or the
+        tableau is invalid.
         """
         doc = json.loads(text)
         if not isinstance(doc, dict):
             raise ConfigError("tableau JSON must be an object with keys A, beta and omega")
-        entries = {}
         for key in ("A", "beta", "omega"):
             if key not in doc:
                 raise ConfigError(f"tableau JSON lacks the key {key!r}")
-            try:
-                entries[key] = np.asarray(doc[key], dtype=float)
-            except (TypeError, ValueError) as e:
-                raise ConfigError(f"tableau JSON key {key!r} must hold numbers: {e}") from None
-            if any(isinstance(v, bool) for v in np.asarray(doc[key], dtype=object).flat):
-                raise ConfigError(f"tableau JSON key {key!r} must hold numbers, not booleans")
-        return cls(**entries, name=name)
+        return cls(doc["A"], doc["beta"], doc["omega"], name=name)
 
 
 def validate(t: Tableau) -> None:
     """Raise ConfigError unless t is a Tableau, which was checked when it was built."""
     if not isinstance(t, Tableau):
         raise ConfigError(f"expected a Tableau, got {type(t).__name__}")
-
-
-def _check_invariants(t: Tableau) -> None:
-    """Raise ConfigError naming the first violated tableau invariant."""
-    q = t.q
-    if t.A.shape != (q, q) or t.omega.shape[0] != q:
-        raise ConfigError("shape mismatch: A must be q x q and omega length q")
-    for name, values in (("A", t.A), ("beta", t.beta), ("omega", t.omega)):
-        if not np.isfinite(values).all():
-            at = tuple(int(i) for i in np.argwhere(~np.isfinite(values))[0])
-            raise ConfigError(f"tableau entry {name}{list(at)} is {values[at]}, must be finite")
-    if abs(float(t.beta.sum()) - 1.0) > 1e-12:  # numpy's pairwise order, not a Python sum
-        raise ConfigError(f"beta sum is {t.beta.sum()!r}, must be 1")
-    if np.triu(t.A).any():
-        raise ConfigError("A is not strictly lower triangular")
-    if t.omega[0] != 0.0:
-        raise ConfigError("omega[0] must be 0")
-    if t.omega.min() < 0.0 or t.omega.max() > 1.0:
-        raise ConfigError("omega entries must lie in [0, 1]")
 
 
 _BUILTINS = {

@@ -345,7 +345,7 @@ RAGGED_A = {"A": [[0.0], [0.5, 0.0]], "beta": [0.0, 1.0], "omega": [0.0, 0.5]}
 BOOLEAN_EULER = {"A": [[False]], "beta": [True], "omega": [False]}  # euler, spelled in booleans
 EULER_DOC = {"A": [[0]], "beta": [1], "omega": [0]}
 BOTH_TABLEAUS = "error: give a tableau name or a tableau file, not both"
-NOT_NUMBERS = "error: tableau JSON key 'A' must hold numbers"
+NOT_NUMBERS = "error: tableau A must be a number, got"
 
 
 def _sweep_entry_with(**settings):
@@ -388,10 +388,10 @@ _LIBRARY_REJECTED_ENTRIES = {
         (["run", "--method", "rk"], NAN_IN_A, 2, "error: tableau entry A[1, 0] is nan"),
         (["run", "--method", "rk"], NO_OMEGA, 2, "error: tableau JSON lacks the key 'omega'"),
         (["run", "--method", "rk"], [[0.0]], 2, "error: tableau JSON must be an object"),
-        (["run", "--method", "rk"], NON_NUMERIC, 2, NOT_NUMBERS),
-        (["run", "--method", "rk"], RAGGED_A, 2, NOT_NUMBERS),
-        (["run", "--method", "rk"], BOOLEAN_EULER, 2, f"{NOT_NUMBERS}, not booleans"),
-        (["certify"], BOOLEAN_EULER, 2, f"{NOT_NUMBERS}, not booleans"),
+        (["run", "--method", "rk"], NON_NUMERIC, 2, f"{NOT_NUMBERS} 'x'\n"),
+        (["run", "--method", "rk"], RAGGED_A, 2, f"{NOT_NUMBERS} [0.0]\n"),
+        (["run", "--method", "rk"], BOOLEAN_EULER, 2, f"{NOT_NUMBERS} False\n"),
+        (["certify"], BOOLEAN_EULER, 2, f"{NOT_NUMBERS} False\n"),
         pytest.param(
             ["run", "--problem", "scalar_box", "--method", "rk", "--max-iter", "5"],
             OVERFLOWS,
@@ -792,6 +792,25 @@ def test_exit_code_contract(tmp_path, capsys, argv, doc, code, message):
     assert captured.err.startswith(message)
     if code == 2:
         assert captured.out == "" and not out.exists()
+
+
+# a JSON boolean in beta or omega; one in A is BOOLEAN_EULER
+_BOOLEAN_BETA = json.loads('{"A": [[0, 0], [0.5, 0]], "beta": [0, true], "omega": [0, 0.5]}')
+_BOOLEAN_OMEGA = json.loads('{"A": [[0]], "beta": [1], "omega": false}')
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [BOOLEAN_EULER, _BOOLEAN_BETA, _BOOLEAN_OMEGA, NON_NUMERIC, RAGGED_A, NAN_IN_A],
+    ids=["boolean-A", "boolean-beta", "boolean-omega", "non-numeric", "ragged", "nan"],
+)
+def test_tableau_file_and_constructor_refuse_alike(doc):
+    # one construction path: from_json hands its document to Tableau(...), which reads each entry
+    with pytest.raises(fwflow.tableau.ConfigError) as built:
+        fwflow.tableau.Tableau(**doc)
+    with pytest.raises(fwflow.tableau.ConfigError) as read:
+        fwflow.tableau.Tableau.from_json(json.dumps(doc))
+    assert str(read.value) == str(built.value)
 
 
 @pytest.mark.parametrize(

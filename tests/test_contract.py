@@ -1,9 +1,11 @@
-"""The construction contract of every feasible set, objective and problem builder.
+"""The construction contract of every feasible set, objective, problem builder and tableau.
 
 Each constructor either refuses its input with a ValueError (ConfigError is one) whose message
 names the argument at fault, or builds an object with an int dim >= 1 whose oracles take the
-zero point of that dim, without a warning, and give finite results. The table breaks one
-argument per call and keeps the others at a valid default.
+zero point of that dim, without a warning, and give finite results; a tableau that builds has
+a finite certificate. A tableau entry or a seed is read by the one number rule, so its refusal
+is a ConfigError. The table breaks one argument per call and keeps the others at a valid
+default.
 """
 
 import math
@@ -31,6 +33,7 @@ from fwflow.problems import (
     sensing_logistic,
     triangle,
 )
+from fwflow.tableau import ConfigError, Tableau, certificate
 
 _NON_FINITE = [math.nan, math.inf, -math.inf]
 # large finite magnitudes are left out: overflow is a question of numerics, not of the contract
@@ -51,6 +54,27 @@ _INDICES = st.one_of(
     st.sampled_from([[], [0.5], [1.9], [-1], [4], [math.nan], [math.inf], [[1, 2]]]),
     st.lists(st.integers(0, 3), min_size=2, max_size=2),
 )
+# seeds: refused ones, Python ints, and numpy ints, which are read exactly
+_SEEDS = st.one_of(
+    st.sampled_from([-1, 2.5, math.nan, math.inf, True, np.int32(-1), np.int64(2**62 + 1)]),
+    st.integers(0, 3),
+    st.integers(0, 3).map(np.int64),
+)
+# tableau entries: numbers, numeric strings, and what is not a number, a row included
+_TABLEAU_ENTRIES = st.one_of(
+    st.floats(-2.0, 2.0),
+    st.sampled_from([*_NON_FINITE, True, False, "x", "0.5", None, [0.0]]),
+)
+_TABLEAU_ARRAYS = st.one_of(
+    _TABLEAU_ENTRIES,  # a scalar
+    st.lists(_TABLEAU_ENTRIES, max_size=3),
+    st.lists(st.lists(_TABLEAU_ENTRIES, max_size=3), max_size=3),  # ragged when lengths differ
+)
+_TABLEAU_A = st.one_of(_TABLEAU_ARRAYS, _TABLEAU_ENTRIES.map(lambda a: [[0.0, 0.0], [a, 0.0]]))
+_TABLEAU_BETA = st.one_of(_TABLEAU_ARRAYS, st.floats(0.0, 1.0).map(lambda b: [1.0 - b, b]))
+_TABLEAU_OMEGA = st.one_of(_TABLEAU_ARRAYS, _TABLEAU_ENTRIES.map(lambda w: [0.0, w]))
+# arguments whose refusal is a ConfigError
+_CONFIG_ARGUMENTS = {"A", "beta", "omega", "seed"}
 
 # constructor: {argument: (valid default, strategy of inputs, names its message may give)}
 _TABLE = [
@@ -72,9 +96,13 @@ _TABLE = [
                    "delta": (1.0, _SCALARS, ("delta",))}),
     (lowrank_huber, {name: (3, _SIZES, ("users", "items", "rank"))
                      for name in ("users", "items", "rank")}),
-    (lowrank_huber, {"seed": (0, st.integers(0, 3), ())}),
-    (sensing_least_squares, {"seed": (0, st.integers(0, 2), ())}),
-    (sensing_logistic, {"seed": (0, st.integers(0, 2), ())}),
+    (lowrank_huber, {"seed": (0, _SEEDS, ("seed",))}),
+    (sensing_least_squares, {"seed": (0, _SEEDS, ("seed",))}),
+    (sensing_logistic, {"seed": (0, _SEEDS, ("seed",))}),
+    # a beta of another length than A's rows is an A of the wrong shape
+    (Tableau, {"A": ([[0.0, 0.0], [0.5, 0.0]], _TABLEAU_A, ("A",)),
+               "beta": ([0.0, 1.0], _TABLEAU_BETA, ("beta", "A")),
+               "omega": ([0.0, 0.5], _TABLEAU_OMEGA, ("omega",))}),
     (triangle, {}),
     (scalar_box, {}),
     (scalar_huber, {}),
@@ -119,6 +147,16 @@ def _assert_works_at_zero(part):
 @example(call=(lowrank_huber, {"users": 2.5, "items": 3, "rank": 2}, ("users",)))
 @example(call=(lowrank_huber, {"users": 1, "items": 1, "rank": 1}, ("users", "items")))
 @example(call=(QuadraticDistance, {"target": [[1.0], [1.0, 2.0]]}, ("target",)))
+# a ragged or non-numeric tableau refused by numpy, not by name, and seeds that reached numpy
+@example(call=(Tableau, {"A": [[0.0], [0.5, 0.0]], "beta": [0.0, 1.0], "omega": [0.0, 0.5]},
+               ("A",)))
+@example(call=(Tableau, {"A": "x", "beta": [0.0, 1.0], "omega": [0.0, 0.5]}, ("A",)))
+@example(call=(Tableau, {"A": [np.zeros((2, 2)), np.zeros((2, 3))], "beta": [0.0, 1.0],
+                         "omega": [0.0, 0.5]}, ("A",)))
+@example(call=(lowrank_huber, {"seed": -1}, ("seed",)))
+@example(call=(sensing_logistic, {"seed": 2.5}, ("seed",)))
+@example(call=(sensing_least_squares, {"seed": math.nan}, ("seed",)))
+@example(call=(sensing_logistic, {"seed": True}, ("seed",)))
 @settings(derandomize=True, max_examples=500, deadline=None)
 @given(call=_CALLS)
 def test_every_constructor_refuses_or_builds_a_working_object(call):
@@ -129,6 +167,10 @@ def test_every_constructor_refuses_or_builds_a_working_object(call):
             built = build(**kwargs)
         except ValueError as err:
             assert any(name in str(err) for name in names), f"{build.__name__}: {err}"
+            assert isinstance(err, ConfigError) or not _CONFIG_ARGUMENTS & set(kwargs), repr(err)
+            return
+        if isinstance(built, Tableau):
+            assert np.isfinite(certificate(built, 2.0, 1).z).all()
             return
         for part in _parts(built):
             _assert_works_at_zero(part)

@@ -1,9 +1,13 @@
+import math
+import re
+
 import numpy as np
 import pytest
 
 from fwflow.data import gen_lowrank, gen_sensing
 from fwflow.objectives import MatrixHuber
 from fwflow.problems import lowrank_huber
+from fwflow.tableau import ConfigError
 
 
 class TestGenSensing:
@@ -42,7 +46,7 @@ def test_sensing_bit_identical_to_reference(seed):
 @pytest.mark.parametrize(
     "generate, message",
     [
-        (lambda: gen_lowrank(2.5, 5, 2), "users must be a whole number >= 1, got 2.5"),
+        (lambda: gen_lowrank(2.5, 5, 2), "users must be an integer, got 2.5"),
         (lambda: gen_lowrank(1, 1, 1), r"users \* items must be >= 2, got 1 x 1"),
     ],
     ids=["lowrank-users-2.5", "lowrank-1x1"],
@@ -50,6 +54,30 @@ def test_sensing_bit_identical_to_reference(seed):
 def test_rejected_with_message(generate, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         generate()
+
+
+@pytest.mark.parametrize(
+    "seed, message",
+    [(-1, "seed must be >= 0, got -1"), (2.5, "seed must be an integer, got 2.5"),
+     (math.nan, "seed must be an integer, got nan"), (math.inf, "seed must be an integer, got inf"),
+     (True, "seed must be a number, got True"), ("x", "seed must be a number, got 'x'")],
+    ids=["negative", "fractional", "nan", "inf", "boolean", "string"],
+)
+@pytest.mark.parametrize("generate", [gen_sensing, lambda seed: gen_lowrank(4, 3, 1, seed)],
+                         ids=["sensing", "lowrank"])
+def test_seed_refused_by_name(generate, seed, message):
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        generate(seed)
+
+
+def test_numpy_int_seed_reaches_the_rng_exactly():
+    # 2**62 + 1 has no float, so a seed read through float would draw the data of seed 2**62
+    seed = 2**62 + 1
+    A, _, _ = gen_sensing(np.int64(seed))
+    assert A.tobytes() == np.random.default_rng(seed).standard_normal((500, 100)).tobytes()
+    assert A.tobytes() != gen_sensing(2**62)[0].tobytes()
+    for x, y in zip(gen_lowrank(4, 3, 1, np.int64(seed)), gen_lowrank(4, 3, 1, seed), strict=True):
+        assert x.tobytes() == y.tobytes()
 
 
 class TestGenLowrank:

@@ -76,3 +76,29 @@ def test_per_step_code_calls_dot_and_add_reduce(module):
         uses = [node.lineno for node in ast.walk(found[name]) if _slow_dispatch(node)]
         assert not uses, (f"{module}:{name} uses @, .sum(), np.argmax, np.argmin, np.all or "
                           f"np.any at lines {uses}")
+
+
+def _refuses_booleans(node) -> bool:
+    """True for isinstance(..., bool) or isinstance(..., (..., bool, ...)), np.bool_ included."""
+    if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "isinstance" and len(node.args) == 2):
+        return False
+    kinds = node.args[1].elts if isinstance(node.args[1], ast.Tuple) else [node.args[1]]
+    return any(getattr(kind, "id", getattr(kind, "attr", None)) in ("bool", "bool_")
+               for kind in kinds)
+
+
+def test_one_number_rule():
+    # every number a caller gives (a setting, a size, a seed, a tableau entry) is read by
+    # tableau._number, the one place that refuses a boolean; a second reader would fork the rule
+    readers, checks = [], []
+    for path in sorted(Path(fwflow.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        readers += [f"{path.name}:{name}" for name, node in _functions(tree)
+                    if name.rpartition(".")[2] in ("_number", "_size")]
+        checks += [path.name] * sum(map(_refuses_booleans, ast.walk(tree)))
+    assert readers == ["tableau.py:_number"], f"number readers {readers}"
+    assert checks == ["tableau.py"], f"isinstance(..., bool) in {checks}"
+    path = Path(fwflow.__file__).parent / "tableau.py"
+    number = dict(_functions(ast.parse(path.read_text(), filename=str(path))))["_number"]
+    assert any(map(_refuses_booleans, ast.walk(number))), "tableau._number accepts booleans"

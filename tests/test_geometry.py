@@ -208,21 +208,21 @@ class TestConstruction:
             (lambda: VertexHull(np.zeros((2, 2, 2))), _HULL_SHAPE),
             (lambda: VertexHull([1.0, 2.0]), _HULL_SHAPE),
             (lambda: VertexHull([[0.0, 0.0], [1.0]]), _HULL_SHAPE),
-            (lambda: Box(-1.0, 1.0, dim=0), "Box dimension must be a whole number >= 1, got 0"),
-            (lambda: Box(-1.0, 1.0, dim=2.5), "Box dimension must be a whole number >= 1, got 2.5"),
+            (lambda: Box(-1.0, 1.0, dim=0), "Box dimension must be >= 1, got 0"),
+            (lambda: Box(-1.0, 1.0, dim=2.5), "Box dimension must be an integer, got 2.5"),
             (lambda: Box(-math.inf, 1.0), "Box requires finite lower < upper"),
             (lambda: Box(-1.0, math.inf), "Box requires finite lower < upper"),
-            (lambda: L1Ball(1.0, dim=0), "L1Ball dimension must be a whole number >= 1, got 0"),
-            (lambda: L1Ball(1.0, dim=2.5), "L1Ball dimension must be a whole number >= 1, got 2.5"),
-            (lambda: L1Ball(1.0, dim=math.nan), "L1Ball dimension must be a whole number >= 1, got nan"),
+            (lambda: L1Ball(1.0, dim=0), "L1Ball dimension must be >= 1, got 0"),
+            (lambda: L1Ball(1.0, dim=2.5), "L1Ball dimension must be an integer, got 2.5"),
+            (lambda: L1Ball(1.0, dim=math.nan), "L1Ball dimension must be an integer, got nan"),
             (lambda: L1Ball(math.inf, 2), "L1Ball radius must be positive and finite"),
             (lambda: NuclearBall(0.0, 2, 2), "NuclearBall radius must be positive and finite"),
             (lambda: NuclearBall(np.nan, 2, 2), "NuclearBall radius must be positive and finite"),
             (lambda: NuclearBall(math.inf, 2, 2), "NuclearBall radius must be positive and finite"),
-            (lambda: NuclearBall(1.0, 0, 2), "NuclearBall rows must be a whole number >= 1, got 0"),
-            (lambda: NuclearBall(1.0, 2, 0), "NuclearBall cols must be a whole number >= 1, got 0"),
-            (lambda: NuclearBall(1.0, -1, 2), "NuclearBall rows must be a whole number >= 1, got -1"),
-            (lambda: NuclearBall(1.0, 2, 1.5), "NuclearBall cols must be a whole number >= 1, got 1.5"),
+            (lambda: NuclearBall(1.0, 0, 2), "NuclearBall rows must be >= 1, got 0"),
+            (lambda: NuclearBall(1.0, 2, 0), "NuclearBall cols must be >= 1, got 0"),
+            (lambda: NuclearBall(1.0, -1, 2), "NuclearBall rows must be >= 1, got -1"),
+            (lambda: NuclearBall(1.0, 2, 1.5), "NuclearBall cols must be an integer, got 1.5"),
         ],
         ids=["hull-no-vertex", "hull-empty-list", "hull-no-coordinate", "hull-dim-0",
              "hull-3-axes", "hull-1-axis", "hull-ragged", "box-dim-0", "box-dim-fractional",

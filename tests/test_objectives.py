@@ -153,9 +153,9 @@ class TestConstruction:
             (lambda: MatrixHuber([0], [np.nan], 1, 1), "MatrixHuber values has non-finite entries"),
             (lambda: MatrixHuber([], [], 2, 2), _shape("MatrixHuber index", "None,")),
             (lambda: MatrixHuber([0], [1.0], -1, -3),
-             "MatrixHuber rows must be a whole number >= 1, got -1"),
+             "MatrixHuber rows must be >= 1, got -1"),
             (lambda: MatrixHuber([0], [1.0], 2, 2.5),
-             "MatrixHuber cols must be a whole number >= 1, got 2.5"),
+             "MatrixHuber cols must be an integer, got 2.5"),
             *[(lambda i=i: MatrixHuber([i], [1.0], 2, 2),
                "MatrixHuber index entries must be whole numbers in [0, rows * cols)")
               for i in (0.5, 1.9, -1, 4)],

@@ -1,7 +1,9 @@
 import hashlib
 import io
 import json
+import math
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -387,6 +389,28 @@ class TestRun:
         p = triangle()
         with pytest.raises(ValueError):
             run(p.objective, p.feasible_set, p.x0, "fw", StepSchedule(), 0)
+
+    @pytest.mark.parametrize(
+        "max_iter, message",
+        [(0, "max_iter must be >= 1, got 0"), (2.5, "max_iter must be an integer, got 2.5"),
+         (math.nan, "max_iter must be an integer, got nan"),
+         (True, "max_iter must be a number, got True")],
+        ids=["0", "fractional", "nan", "boolean"],
+    )
+    def test_max_iter_read_as_an_integer(self, monkeypatch, max_iter, message):
+        # a fractional or nan max_iter used to pass check_settings and fail in np.empty
+        p = triangle()
+        monkeypatch.setattr(solvers.np, "empty", lambda *a, **k: pytest.fail("allocated"))
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            solvers.check_settings("fw", StepSchedule(), max_iter, 2)
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            run(p.objective, p.feasible_set, p.x0, "fw", StepSchedule(), max_iter)
+
+    def test_whole_float_max_iter_runs_as_int(self):
+        p = triangle()
+        want = run(p.objective, p.feasible_set, p.x0, "fw", StepSchedule(), 5)
+        got = run(p.objective, p.feasible_set, p.x0, "fw", StepSchedule(), 5.0)
+        assert got.x.tobytes() == want.x.tobytes() and got.f.tobytes() == want.f.tobytes()
 
     @pytest.mark.parametrize("max_iter", [MAX_RECORD_BYTES // 40, 10**302],
                              ids=["cap-plus-1", "1e302"])

@@ -221,7 +221,7 @@ class TestBuiltins:
         ('{"A": [[0]], "beta": [1], "omega": false}', "omega"),
     ])
     def test_json_rejects_booleans(self, doc, key):
-        with pytest.raises(ConfigError, match=f"^tableau JSON key '{key}' must hold numbers, not"):
+        with pytest.raises(ConfigError, match=f"^tableau {key} must be a number, got (False|True)$"):
             Tableau.from_json(doc)
 
 
