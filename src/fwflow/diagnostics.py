@@ -8,7 +8,7 @@ import math
 
 import numpy as np
 
-from .tableau import ConfigError, _check_c
+from .tableau import ConfigError, _number
 
 __all__ = [
     "zigzag_energy",
@@ -51,12 +51,9 @@ def zigzag_energy(points) -> float:
 def check_zigzag_settings(W: int, T: float, steps: float) -> int:
     """The number of W-step windows in round(steps) steps, T/delta or fewer if the run stops first.
 
-    Raises ConfigError unless W >= 2, the time span T > 0 is finite and one window fits.
+    Raises ConfigError unless the integer W >= 2, the time span T > 0 is finite and one window fits.
     """
-    if W < 2:
-        raise ConfigError("window size W must be >= 2")
-    if not 0 < T < math.inf:  # false for nan too
-        raise ConfigError(f"time span T must be positive and finite, got {T}")
+    W, T = _number(int, W, "window size W", 2), _number(float, T, "time span T", positive=True)
     if not steps < math.inf:  # T / delta can overflow
         raise ConfigError(f"time span T = {T:g} makes T / delta = {steps} steps, must be finite")
     n = round(steps)
@@ -78,16 +75,16 @@ def zigzag_protocol(traj, W: int, T: float) -> np.ndarray:
 
 
 def continuous_bound(c: float, t):
-    """Normalized error bound (c/(c+t))^c of the continuous flow at t, or at each time of a list t.
+    """Normalized error bound (c/(c+t))^c of the continuous flow at t, or a list at each time in t.
 
     Raises ConfigError unless c >= 1 and every time t >= 0, all finite.
     """
-    _check_c(c)
-    times = t if isinstance(t, list) else [t]
+    c = _number(float, c, "schedule constant c", 1)
+    times = np.ravel(t).tolist()  # Python floats, whose ** keeps the bits numpy's ** moves
     for bad in (u for u in times if not 0 <= u < math.inf):  # true for nan too
         raise ConfigError(f"time must be >= 0 and finite, got {bad}")
-    bounds = [(c / (c + u)) ** c for u in times]  # Python's float **: numpy's moves bits
-    return bounds if isinstance(t, list) else bounds[0]
+    bounds = [(c / (c + u)) ** c for u in times]
+    return bounds[0] if np.ndim(t) == 0 else bounds
 
 
 def schedule_bound(gamma, t: float) -> float:
@@ -96,8 +93,7 @@ def schedule_bound(gamma, t: float) -> float:
     For gamma(t) = c/(c+t) this equals continuous_bound(c, t). Raises
     ValueError unless t >= 0 is finite and the integral is finite and converges.
     """
-    if not 0 <= t < math.inf:  # false for nan too
-        raise ValueError(f"time t must be >= 0 and finite, got {t}")
+    t = _number(float, t, "time t", 0)
     from scipy.integrate import quad  # only fwflow bound needs it, and it loads slowly
     # full_output returns quad's warning as a fourth item instead of issuing it
     integral, _, _, *trouble = quad(gamma, 0.0, t, epsabs=1e-10, epsrel=1e-10, limit=200,
@@ -112,8 +108,7 @@ def slope_fit(traj, f_star: float, k_min: int) -> float:
 
     A slope near -p indicates O(1/k^p) decay of the objective error.
     """
-    if k_min < 1:
-        raise ValueError("k_min must be >= 1")
+    k_min = _number(int, k_min, "k_min", 1)
     ks, fs = traj.k, traj.f
     mask = (ks >= k_min) & (fs > f_star)
     if mask.sum() < 10:

@@ -136,8 +136,8 @@ class Box:
     dim: int = 1
 
     def __post_init__(self):
-        object.__setattr__(self, "lower", float(self.lower))
-        object.__setattr__(self, "upper", float(self.upper))
+        object.__setattr__(self, "lower", _number(float, self.lower, "Box lower"))
+        object.__setattr__(self, "upper", _number(float, self.upper, "Box upper"))
         if not -math.inf < self.lower < self.upper < math.inf:
             raise ValueError("Box requires finite lower < upper")
         object.__setattr__(self, "dim", _number(int, self.dim, "Box dimension", 1))
@@ -164,8 +164,8 @@ class L1Ball:
     dim: int
 
     def __post_init__(self):
-        if not 0 < self.radius < math.inf:
-            raise ValueError("L1Ball radius must be positive and finite")
+        object.__setattr__(self, "radius", _number(float, self.radius, "L1Ball radius",
+                                                   positive=True))
         object.__setattr__(self, "dim", _number(int, self.dim, "L1Ball dimension", 1))
 
     def lmo(self, gradient) -> np.ndarray:
@@ -200,8 +200,8 @@ class NuclearBall:
     _power_tol = 1e-10
 
     def __post_init__(self):
-        if not 0 < self.radius < math.inf:
-            raise ValueError("NuclearBall radius must be positive and finite")
+        object.__setattr__(self, "radius", _number(float, self.radius, "NuclearBall radius",
+                                                   positive=True))
         object.__setattr__(self, "rows", _number(int, self.rows, "NuclearBall rows", 1))
         object.__setattr__(self, "cols", _number(int, self.cols, "NuclearBall cols", 1))
 

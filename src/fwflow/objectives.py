@@ -145,11 +145,9 @@ class MatrixHuber:
     """
 
     def __init__(self, index, values, rows: int, cols: int, delta: float = 1.0):
-        if not 0 < delta < np.inf:
-            raise ValueError("MatrixHuber delta must be positive and finite")
+        self.delta = _number(float, delta, "MatrixHuber delta", positive=True)
         self.rows = _number(int, rows, "MatrixHuber rows", 1)
         self.cols = _number(int, cols, "MatrixHuber cols", 1)
-        self.delta = float(delta)
         index = _checked(index, (None,), "MatrixHuber index")
         if (index % 1).any() or index.min() < 0 or index.max() >= self.dim:
             raise ValueError("MatrixHuber index entries must be whole numbers in [0, rows * cols)")
@@ -183,10 +181,8 @@ class ScalarHuber(MatrixHuber):
     MatrixHuber of a 1 x 1 matrix whose one entry is observed with target 0 and delta eps."""
 
     def __init__(self, eps: float):
-        if not 0 < eps < np.inf:
-            raise ValueError("ScalarHuber eps must be positive and finite")
-        super().__init__([0], [0.0], 1, 1, delta=eps)
-        self.eps = eps
+        self.eps = _number(float, eps, "ScalarHuber eps", positive=True)
+        super().__init__([0], [0.0], 1, 1, delta=self.eps)
 
 
 def check_gradient(obj, x, h: float = 1e-5) -> float:
@@ -195,8 +191,7 @@ def check_gradient(obj, x, h: float = 1e-5) -> float:
     The error at coordinate i is |g_i - fd_i| / max(1, |g_i|), and one NaN error
     makes the result NaN. Avoiding nonsmooth points (Huber kinks) is the caller's task.
     """
-    if not 0 < h < np.inf:  # false for nan too
-        raise ValueError(f"finite-difference step h must be positive and finite, got {h}")
+    h = _number(float, h, "finite-difference step h", positive=True)
     x = np.asarray(x, dtype=float).ravel()
     g = obj.gradient(x)
     fd = np.empty_like(x)

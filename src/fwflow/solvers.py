@@ -21,7 +21,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from .geometry import _check_vector, contains
-from .tableau import ConfigError, Tableau, _check_c, _gammas, _number, validate
+from .tableau import ConfigError, Tableau, _gammas, _number, validate
 
 __all__ = [
     "StepSchedule",
@@ -45,7 +45,8 @@ class StepSchedule:
     delta: float = 1.0
 
     def __post_init__(self):
-        _check_c(self.c)
+        object.__setattr__(self, "c", _number(float, self.c, "schedule constant c", 1))
+        object.__setattr__(self, "delta", _number(float, self.delta, "discretization unit delta"))
         if not 0.0 < self.delta <= 1.0:
             raise ConfigError("discretization unit delta must be in (0, 1]")
 

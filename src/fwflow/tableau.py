@@ -32,20 +32,26 @@ class ConfigError(ValueError):
     """Invalid configuration: a bad schedule, tableau or solver setting."""
 
 
-def _number(kind, value, key: str, least=None):
-    """kind(value) for a number or numeric string (not a boolean), integral if kind is int,
-    and >= least if given; else a ConfigError naming key. An int is read exactly."""
+def _number(kind, value, key: str, least=None, positive=False):
+    """kind(value) for a number or numeric string (not a boolean), integral if kind is int, in
+    [least, inf) if least is given and in (0, inf) if positive; else a ConfigError naming key.
+    An int, or an integer string when kind is int, is read exactly."""
     try:
         if isinstance(value, (bool, np.bool_)):
             raise TypeError
+        if kind is int and isinstance(value, str) and value.strip().lstrip("+-").isdigit():
+            value = int(value)  # exactly: float() drops bits past 2**53; "5.0" is still read
         number = kind(value) if isinstance(value, (int, np.integer)) else float(value)
     except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"{key} must be a number, got {value!r}") from None
     if kind is int and number % 1:  # a fractional part, or nan for nan and inf
         raise ConfigError(f"{key} must be an integer, got {value!r}")
     number = kind(number)
-    if least is not None and not number >= least:
-        raise ConfigError(f"{key} must be >= {least}, got {number}")
+    if positive and not 0 < number < math.inf:  # false for nan too
+        raise ConfigError(f"{key} must be positive and finite, got {number}")
+    if least is not None and not least <= number < math.inf:
+        finite = " and finite" if kind is float else ""  # an int is always finite
+        raise ConfigError(f"{key} must be >= {least}{finite}, got {number}")
     return number
 
 
@@ -78,6 +84,8 @@ class Tableau:
             entries = shape(np.reshape([_number(float, v, what) for v in cells.flat], cells.shape))
             entries.setflags(write=False)
             object.__setattr__(self, key, entries)
+        if (rows := self.A.shape[0]) != self.q:
+            raise ConfigError(f"tableau beta length {self.q} differs from A's row count {rows}")
         if self.A.shape != (self.q, self.q) or self.omega.shape[0] != self.q:
             raise ConfigError("shape mismatch: A must be q x q and omega length q")
         for key, values in (("A", self.A), ("beta", self.beta), ("omega", self.omega)):
@@ -191,11 +199,6 @@ class Certificate:
     in_unit_interval: bool
 
 
-def _check_c(c: float) -> None:  # the one check of every schedule constant c
-    if not 1 <= c < math.inf:  # false for nan too
-        raise ConfigError(f"schedule constant c must be >= 1 and finite, got {c}")
-
-
 def _gammas(t: Tableau, c: float, time: float, delta: float = 1.0) -> list:
     """The one schedule rule: a step at time scales stage i by delta c/(c + time + omega_i delta).
 
@@ -218,9 +221,7 @@ def _solve_mixing(t: Tableau, gammas: np.ndarray, rhs: np.ndarray) -> np.ndarray
 def certificate(t: Tableau, c: float, k: int) -> Certificate:
     """Compute z = q Gamma (I + A^T Gamma)^(-1) beta for one iteration index."""
     validate(t)
-    _check_c(c)
-    if not (1 <= k < math.inf and k == int(k)):  # false for nan too
-        raise ValueError(f"certificate is defined for integer k >= 1, got {k}")
+    c, k = _number(float, c, "schedule constant c", 1), _number(int, k, "certificate index k", 1)
     gammas = np.array(_gammas(t, c, k))
     y = _solve_mixing(t, gammas, t.beta)
     z = t.q * gammas * y
@@ -230,8 +231,7 @@ def certificate(t: Tableau, c: float, k: int) -> Certificate:
 
 def certificate_decay(t: Tableau, c: float, k_max: int) -> np.ndarray:
     """Return ||z^(k)||_inf for k = 1..k_max."""
-    if k_max < 2:
-        raise ValueError("k_max must be >= 2")
+    k_max = _number(int, k_max, "k_max", 2)
     return np.array(
         [float(np.max(np.abs(certificate(t, c, k).z))) for k in range(1, k_max + 1)]
     )
@@ -257,11 +257,12 @@ def rate_constants(t: Tableau, c: float, L: float, diam: float, h_x0: float = 0.
     h0 = max(h_x0, D4 c^2 / (c - 1)), which needs c > 1.
     """
     validate(t)
-    _check_c(c)
+    c = _number(float, c, "schedule constant c", 1)
     if c == 1:
         raise ValueError("rate constants require c > 1")
-    if not (0 < L < math.inf and 0 <= diam < math.inf and math.isfinite(h_x0)):  # false for nan
-        raise ValueError(f"L > 0, diam >= 0 and h_x0 must all be finite, got {L}, {diam}, {h_x0}")
+    L, diam = _number(float, L, "L", positive=True), _number(float, diam, "diam", 0)
+    if not math.isfinite(h_x0 := _number(float, h_x0, "h_x0")):
+        raise ConfigError(f"h_x0 must be finite, got {h_x0}")
     gammas = np.array(_gammas(t, c, 1))
     Minv = _solve_mixing(t, gammas, np.eye(t.q))
     P = gammas[:, None] * Minv
@@ -273,10 +274,4 @@ def rate_constants(t: Tableau, c: float, L: float, diam: float, h_x0: float = 0.
     D3 = c2 * c1 * diam
     D4 = (L * D2**2 + 2.0 * L * D2 * D3 + 2.0 * D3) / 2.0
     h0 = max(h_x0, D4 * c * c / (c - 1.0))
-    return RateConstants(
-        p_max=p_max,
-        D2=D2,
-        D3=D3,
-        D4=D4,
-        h0=h0,
-    )
+    return RateConstants(p_max=p_max, D2=D2, D3=D3, D4=D4, h0=h0)

@@ -873,6 +873,19 @@ def test_integer_setting_takes_integral_spellings(tmp_path, max_iter):
         assert len((tmp_path / f"{stem}.csv").read_text().splitlines()) == 1 + 6
 
 
+def test_integer_string_read_exactly(tmp_path, monkeypatch, capsys):
+    # 2**53 + 1 has no float: read through float, "9007199254740993" was the seed 2**53
+    number = fwflow.tableau._number
+    assert number(int, "9007199254740993", "seed", 0) == 2**53 + 1
+    assert [number(int, s, "seed") for s in ("5.0", "1e3", " 7 ")] == [5, 1000, 7]
+    seeds = []
+    monkeypatch.setitem(problems.BUILDERS, "sensing",
+                        lambda seed: seeds.append(seed) or problems.triangle())
+    assert main(["run", "--problem", "sensing", "--seed", "9007199254740993", "--max-iter", "1",
+                 "--output-dir", str(tmp_path)]) == 0
+    assert seeds == [2**53 + 1] and type(seeds[0]) is int
+
+
 def _table_settings(table, section=()):
     """(section path, key, entry) for every setting and section of a _SETTINGS table."""
     for key, entry in table.items():

@@ -4,18 +4,23 @@ Each constructor either refuses its input with a ValueError (ConfigError is one)
 names the argument at fault, or builds an object with an int dim >= 1 whose oracles take the
 zero point of that dim, without a warning, and give finite results; a tableau that builds has
 a finite certificate. A tableau entry or a seed is read by the one number rule, so its refusal
-is a ConfigError. The table breaks one argument per call and keeps the others at a valid
-default.
+is a ConfigError, and so is the refusal of a boolean given for any argument. The table breaks
+one argument per call and keeps the others at a valid default.
 """
 
 import math
+import pickle
+import re
 import warnings
+from functools import partial
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from fwflow.diagnostics import check_zigzag_settings, continuous_bound, schedule_bound
 from fwflow.geometry import Box, L1Ball, NuclearBall, VertexHull
 from fwflow.objectives import (
     LeastSquares,
@@ -23,6 +28,7 @@ from fwflow.objectives import (
     MatrixHuber,
     QuadraticDistance,
     ScalarHuber,
+    check_gradient,
 )
 from fwflow.problems import (
     Problem,
@@ -33,12 +39,22 @@ from fwflow.problems import (
     sensing_logistic,
     triangle,
 )
-from fwflow.tableau import ConfigError, Tableau, certificate
+from fwflow.solvers import StepSchedule
+from fwflow.tableau import (
+    ConfigError,
+    Tableau,
+    builtin,
+    certificate,
+    certificate_decay,
+    rate_constants,
+)
 
 _NON_FINITE = [math.nan, math.inf, -math.inf]
 # large finite magnitudes are left out: overflow is a question of numerics, not of the contract
 _ENTRIES = st.one_of(st.floats(-10.0, 10.0), st.sampled_from(_NON_FINITE))
-_SCALARS = st.one_of(st.sampled_from([0.0, -1.0, *_NON_FINITE]), st.floats(-10.0, 10.0))
+# scalars: numbers, and what the one number rule refuses or reads as the CLI does
+_SCALARS = st.one_of(st.sampled_from([0.0, -1.0, *_NON_FINITE, True, np.True_, "1.5", "x", None]),
+                     st.floats(-10.0, 10.0))
 _SIZES = st.sampled_from([0, -1, -3, 0.5, 2.5, *_NON_FINITE, True, 1, 2, 2.0, 3])
 _VECTORS = st.one_of(
     st.sampled_from([[], np.empty(0), 0.0, np.zeros((2, 2)), np.zeros((1, 2, 2))]),
@@ -99,9 +115,8 @@ _TABLE = [
     (lowrank_huber, {"seed": (0, _SEEDS, ("seed",))}),
     (sensing_least_squares, {"seed": (0, _SEEDS, ("seed",))}),
     (sensing_logistic, {"seed": (0, _SEEDS, ("seed",))}),
-    # a beta of another length than A's rows is an A of the wrong shape
     (Tableau, {"A": ([[0.0, 0.0], [0.5, 0.0]], _TABLEAU_A, ("A",)),
-               "beta": ([0.0, 1.0], _TABLEAU_BETA, ("beta", "A")),
+               "beta": ([0.0, 1.0], _TABLEAU_BETA, ("beta",)),
                "omega": ([0.0, 0.5], _TABLEAU_OMEGA, ("omega",))}),
     (triangle, {}),
     (scalar_box, {}),
@@ -157,21 +172,63 @@ def _assert_works_at_zero(part):
 @example(call=(sensing_logistic, {"seed": 2.5}, ("seed",)))
 @example(call=(sensing_least_squares, {"seed": math.nan}, ("seed",)))
 @example(call=(sensing_logistic, {"seed": True}, ("seed",)))
+# a boolean radius that built, and scalars that raised a bare TypeError
+@example(call=(L1Ball, {"radius": True, "dim": 2}, ("radius",)))
+@example(call=(L1Ball, {"radius": "x", "dim": 2}, ("radius",)))
+@example(call=(ScalarHuber, {"eps": None}, ("eps",)))
 @settings(derandomize=True, max_examples=500, deadline=None)
 @given(call=_CALLS)
 def test_every_constructor_refuses_or_builds_a_working_object(call):
     build, kwargs, names = call
+    boolean = any(isinstance(value, (bool, np.bool_)) for value in kwargs.values())
+    by_rule = boolean or _CONFIG_ARGUMENTS & set(kwargs)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         try:
             built = build(**kwargs)
         except ValueError as err:
             assert any(name in str(err) for name in names), f"{build.__name__}: {err}"
-            assert isinstance(err, ConfigError) or not _CONFIG_ARGUMENTS & set(kwargs), repr(err)
+            assert isinstance(err, ConfigError) or not by_rule, repr(err)
             return
+        assert not boolean, f"{build.__name__} built from a boolean: {kwargs}"
         if isinstance(built, Tableau):
             assert np.isfinite(certificate(built, 2.0, 1).z).all()
             return
         for part in _parts(built):
             _assert_works_at_zero(part)
 
+
+
+# library function: (callable, {scalar argument: valid value})
+_FUNCTIONS = {
+    "StepSchedule": (StepSchedule, {"c": 2.0, "delta": 1.0}),
+    "certificate": (partial(certificate, builtin("rk4")), {"c": 2.0, "k": 1}),
+    "certificate_decay": (partial(certificate_decay, builtin("rk4"), 2.0), {"k_max": 3}),
+    "rate_constants": (partial(rate_constants, builtin("rk4")),
+                       {"c": 2.0, "L": 1.0, "diam": 2.0, "h_x0": 0.0}),
+    "continuous_bound": (partial(continuous_bound, t=1.0), {"c": 2.0}),
+    "schedule_bound": (partial(schedule_bound, StepSchedule().gamma), {"t": 1.0}),
+    "check_zigzag_settings": (partial(check_zigzag_settings, steps=10), {"W": 2, "T": 10.0}),
+    "check_gradient": (partial(check_gradient, QuadraticDistance([0.0]), [1.0]), {"h": 1e-5}),
+}
+_SCALAR_ARGUMENTS = [(name, key) for name, (_, valid) in _FUNCTIONS.items() for key in valid]
+
+
+def _outcome(function, kwargs):
+    """function(**kwargs) pickled, so bit for bit, or the message of the ValueError it raised."""
+    try:
+        return pickle.dumps(function(**kwargs))
+    except ValueError as err:
+        return str(err)
+
+
+@pytest.mark.parametrize("name, key", _SCALAR_ARGUMENTS,
+                         ids=[f"{name}-{key}" for name, key in _SCALAR_ARGUMENTS])
+def test_scalar_arguments_are_read_by_the_number_rule(name, key):
+    # a boolean, a non-number and None are refused by name, and "2" is read as 2 is
+    function, valid = _FUNCTIONS[name]
+    for value in (True, "x", None):
+        message = rf"\b{key} must be a number, got {re.escape(repr(value))}$"
+        with pytest.raises(ConfigError, match=message):
+            function(**{**valid, key: value})
+    assert _outcome(function, {**valid, key: "2"}) == _outcome(function, {**valid, key: 2})

@@ -90,6 +90,14 @@ class TestBounds:
         assert want == [(c / (c + t)) ** c for t in times]  # Python's float **, not numpy's
         assert type(continuous_bound(c, 1.5)) is float and continuous_bound(c, []) == []
 
+    @pytest.mark.parametrize("sequence", [tuple, np.array], ids=["tuple", "ndarray"])
+    def test_continuous_takes_any_sequence_of_times_as_a_list(self, sequence):
+        times = (np.arange(5001) * 0.01).tolist() + [7.0, 1e300]
+        got = continuous_bound(3.0, sequence(times))
+        assert type(got) is list and all(type(bound) is float for bound in got)
+        want = np.array(continuous_bound(3.0, times)).view(np.int64)
+        assert np.array_equal(np.array(got).view(np.int64), want)
+
     @pytest.mark.parametrize("bad", [math.nan, -1.0, math.inf])
     @pytest.mark.parametrize("good", [[], [0.0, 2.5, 1e6]])
     def test_continuous_list_rejects_a_bad_time_as_the_scalar_call(self, good, bad):
@@ -138,8 +146,8 @@ class TestBounds:
     [
         *[(lambda t=t: continuous_bound(2.0, t), ConfigError,
            f"time must be >= 0 and finite, got {t}") for t in (-1.0, math.nan, math.inf)],
-        (lambda: slope_fit(_synthetic_traj([[1.0]] * 20), 0.0, 0), ValueError,
-         "k_min must be >= 1"),
+        (lambda: slope_fit(_synthetic_traj([[1.0]] * 20), 0.0, 0), ConfigError,
+         "k_min must be >= 1, got 0"),
         (lambda: check_zigzag_settings(5, 1e308, math.inf), ConfigError,
          "time span T = 1e+308 makes T / delta = inf steps, must be finite"),
         # quad reaches its subdivision limit without converging

@@ -88,16 +88,36 @@ def _refuses_booleans(node) -> bool:
                for kind in kinds)
 
 
+# the range guards written out by hand: _number's, and those run once per step or per time,
+# where a _number call would cost more than the arithmetic it guards
+_RANGE_GUARDS = {"tableau.py:_number", "solvers.py:StepSchedule.gamma", "solvers.py:step",
+                 "diagnostics.py:continuous_bound"}
+
+
+def _range_guards(path, functions):
+    """module:function of each line of path that says "positive and finite" or "and finite, got",
+    the function being the innermost one around it."""
+    for lineno, line in enumerate(path.read_text().splitlines(), 1):
+        if "positive and finite" in line or "and finite, got" in line:
+            around = [(node.lineno, name) for name, node in functions
+                      if node.lineno <= lineno <= node.end_lineno]
+            yield f"{path.name}:{max(around, default=(0, '<module>'))[1]}"
+
+
 def test_one_number_rule():
-    # every number a caller gives (a setting, a size, a seed, a tableau entry) is read by
-    # tableau._number, the one place that refuses a boolean; a second reader would fork the rule
-    readers, checks = [], []
+    # every number a caller gives (a setting, a size, a seed, a tableau entry, a scalar
+    # argument) is read by tableau._number, the one place that refuses a boolean and checks a
+    # range; a second reader or a hand-written range check would fork the rule
+    readers, checks, guards = [], [], set()
     for path in sorted(Path(fwflow.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
-        readers += [f"{path.name}:{name}" for name, node in _functions(tree)
-                    if name.rpartition(".")[2] in ("_number", "_size")]
+        functions = list(_functions(tree))
+        readers += [f"{path.name}:{name}" for name, node in functions
+                    if name.rpartition(".")[2] in ("_number", "_size", "_check_c")]
         checks += [path.name] * sum(map(_refuses_booleans, ast.walk(tree)))
+        guards.update(_range_guards(path, functions))
     assert readers == ["tableau.py:_number"], f"number readers {readers}"
+    assert guards <= _RANGE_GUARDS, f"range guards outside _number {guards - _RANGE_GUARDS}"
     assert checks == ["tableau.py"], f"isinstance(..., bool) in {checks}"
     path = Path(fwflow.__file__).parent / "tableau.py"
     number = dict(_functions(ast.parse(path.read_text(), filename=str(path))))["_number"]

@@ -215,10 +215,13 @@ class TestConstruction:
             (lambda: L1Ball(1.0, dim=0), "L1Ball dimension must be >= 1, got 0"),
             (lambda: L1Ball(1.0, dim=2.5), "L1Ball dimension must be an integer, got 2.5"),
             (lambda: L1Ball(1.0, dim=math.nan), "L1Ball dimension must be an integer, got nan"),
-            (lambda: L1Ball(math.inf, 2), "L1Ball radius must be positive and finite"),
-            (lambda: NuclearBall(0.0, 2, 2), "NuclearBall radius must be positive and finite"),
-            (lambda: NuclearBall(np.nan, 2, 2), "NuclearBall radius must be positive and finite"),
-            (lambda: NuclearBall(math.inf, 2, 2), "NuclearBall radius must be positive and finite"),
+            (lambda: L1Ball(math.inf, 2), "L1Ball radius must be positive and finite, got inf"),
+            (lambda: NuclearBall(0.0, 2, 2),
+             "NuclearBall radius must be positive and finite, got 0.0"),
+            (lambda: NuclearBall(np.nan, 2, 2),
+             "NuclearBall radius must be positive and finite, got nan"),
+            (lambda: NuclearBall(math.inf, 2, 2),
+             "NuclearBall radius must be positive and finite, got inf"),
             (lambda: NuclearBall(1.0, 0, 2), "NuclearBall rows must be >= 1, got 0"),
             (lambda: NuclearBall(1.0, 2, 0), "NuclearBall cols must be >= 1, got 0"),
             (lambda: NuclearBall(1.0, -1, 2), "NuclearBall rows must be >= 1, got -1"),

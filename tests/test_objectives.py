@@ -140,8 +140,10 @@ class TestConstruction:
             (lambda: LogisticLoss(np.zeros((0, 3)), []), _shape("LogisticLoss features", "None, None")),
             (lambda: LogisticLoss([[np.nan]], [1.0]), "LogisticLoss features has non-finite entries"),
             *[(lambda delta=delta: MatrixHuber([0], [1.0], 3, 3, delta=delta),
-               "MatrixHuber delta must be positive and finite") for delta in (0.0, np.nan, np.inf)],
-            *[(lambda eps=eps: ScalarHuber(eps), "ScalarHuber eps must be positive and finite")
+               f"MatrixHuber delta must be positive and finite, got {delta}")
+              for delta in (0.0, np.nan, np.inf)],
+            *[(lambda eps=eps: ScalarHuber(eps),
+               f"ScalarHuber eps must be positive and finite, got {eps}")
               for eps in (0.0, np.nan, np.inf)],
             (lambda: QuadraticDistance([]), _shape("QuadraticDistance target", "None,")),
             (lambda: QuadraticDistance([np.nan]), "QuadraticDistance target has non-finite entries"),

@@ -32,7 +32,8 @@ class TestValidate:
     @pytest.mark.parametrize(
         "A, beta, omega, message",
         [
-            ([[0.0, 0.0], [1.0, 0.0]], [1.0], [0.0], _SHAPE),
+            ([[0.0, 0.0], [1.0, 0.0]], [1.0], [0.0],
+             "tableau beta length 1 differs from A's row count 2"),
             ([[0.0]], [1.0], [0.0, 0.5], _SHAPE),
             ([[0.0, 0.0], [0.5, 0.0]], [0.0, 1.0], [0.0, 1.5], _OMEGA_RANGE),
             ([[0.0, 0.0], [0.5, 0.0]], [0.0, 1.0], [0.0, -0.5], _OMEGA_RANGE),
@@ -74,6 +75,8 @@ class TestValidate:
 def _reference_validate(A: np.ndarray, beta: np.ndarray, omega: np.ndarray) -> None:
     """The tableau checks as numpy reductions: the independent side of the property below."""
     q = beta.shape[0]
+    if A.shape[0] != q:
+        raise ConfigError(f"tableau beta length {q} differs from A's row count {A.shape[0]}")
     if A.shape != (q, q) or omega.shape[0] != q:
         raise ConfigError("shape mismatch: A must be q x q and omega length q")
     for name, entries in (("A", A), ("beta", beta), ("omega", omega)):
@@ -252,7 +255,8 @@ class TestCertificate:
 
     @pytest.mark.parametrize("k", [0, -1, 1.5, float("nan"), float("inf")])
     def test_requires_integer_k_at_least_one(self, k):
-        message = f"^certificate is defined for integer k >= 1, got {k}$"
+        rule = "be >= 1" if k in (0, -1) else "be an integer"
+        message = f"^certificate index k must {rule}, got {k}$"
         with pytest.raises(ValueError, match=message):
             certificate(builtin("rk4"), 2.0, k)
 
@@ -267,7 +271,7 @@ class TestCertificate:
 
     @pytest.mark.parametrize("k_max", [1, 0])
     def test_decay_needs_two_indices(self, k_max):
-        with pytest.raises(ValueError, match="^k_max must be >= 2$"):
+        with pytest.raises(ConfigError, match=f"^k_max must be >= 2, got {k_max}$"):
             certificate_decay(builtin("midpoint"), 2.0, k_max)
 
     def test_decay_non_increasing_all_builtins(self):
@@ -316,14 +320,22 @@ class TestRateConstants:
             rate_constants(builtin("euler"), c=c, L=1.0, diam=2.0)
 
     @pytest.mark.parametrize(
-        "L, diam, h_x0",
-        [(np.nan, 2.0, 0.0), (1.0, np.inf, 0.0), (1.0, 2.0, np.nan), (np.inf, 2.0, 0.0),
-         (1.0, np.nan, 0.0), (1.0, 2.0, np.inf), (0.0, 2.0, 0.0), (1.0, -1.0, 0.0)],
+        "L, diam, h_x0, message",
+        [(np.nan, 2.0, 0.0, "L must be positive and finite, got nan"),
+         (1.0, np.inf, 0.0, "diam must be >= 0 and finite, got inf"),
+         (1.0, 2.0, np.nan, "h_x0 must be finite, got nan"),
+         (np.inf, 2.0, 0.0, "L must be positive and finite, got inf"),
+         (1.0, np.nan, 0.0, "diam must be >= 0 and finite, got nan"),
+         (1.0, 2.0, np.inf, "h_x0 must be finite, got inf"),
+         (0.0, 2.0, 0.0, "L must be positive and finite, got 0.0"),
+         (1.0, -1.0, 0.0, "diam must be >= 0 and finite, got -1.0")],
+        ids=["nan-2.0-0.0", "1.0-inf-0.0", "1.0-2.0-nan", "inf-2.0-0.0", "1.0-nan-0.0",
+             "1.0-2.0-inf", "0.0-2.0-0.0", "1.0--1.0-0.0"],
     )
-    def test_rejects_non_finite_constants(self, L, diam, h_x0):
+    def test_rejects_non_finite_constants(self, L, diam, h_x0, message):
         # L = nan would drop the D4 term from h0, and h_x0 = nan would make h0 nan, a bound
         # that no h0/(k+1) check can fail
-        with pytest.raises(ValueError, match="L > 0, diam >= 0 and h_x0 must all be finite"):
+        with pytest.raises(ConfigError, match=f"^{message}$"):
             rate_constants(builtin("rk4"), c=2.0, L=L, diam=diam, h_x0=h_x0)
 
     def test_bound_curve(self):
