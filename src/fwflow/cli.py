@@ -165,55 +165,54 @@ def _plan(s: dict, built: dict) -> tuple:
                                                    in _SUFFIXES.items() if name in diag]
 
 
-def _plans(settings: list) -> list:
-    """(s, problem, sched, tableau, files) for every run's settings s, each checked by _plan."""
-    built = {}  # one problem per (problem, seed), made for this call only
-    return [(s, *_plan(s, built)) for s in settings]
+def _runs(jobs: list, out_dir: Path):
+    """Run every job in turn, yielding each path it writes.
 
-
-def _trajectories(plans: list):
-    """Run each of _plans' plans in turn: yield (s, problem, sched, files, traj)."""
-    for s, problem, sched, tab, files in plans:
-        yield s, problem, sched, files, run_solver(
-            problem.objective, problem.feasible_set, problem.x0, s["method"], sched,
-            s["max_iter"], stop_gap=s["stop_gap"], tableau=tab)
-
-
-def _runs(settings: list, out_dir: Path):
-    """Run every run's settings in turn, yielding each path it writes.
-
-    A run's diagnostics are all computed before any of its files is written, so a
-    diagnostic that fails leaves none of that run's files behind. No two runs write one file.
+    A job is (table, runs), runs a list of run settings: with table None each run writes
+    <stem>.csv, then its diagnostics' tables; else its runs' rows go to _zigzag_job's one table.
+    _plan checks every run and builds each (problem, seed) once, and no two files may be one
+    path, all before the first run. A run's diagnostics are all computed before any of its
+    files is written, so a diagnostic that fails leaves none of that run's files behind.
     """
-    plans = _plans(settings)
-    paths = [(out_dir / name).resolve() for *_, files in plans for name in files]
+    built = {}  # one problem per (problem, seed), made for this call only
+    plans = [(table, [(s, *_plan(s, built)) for s in runs]) for table, runs in jobs]
+    paths = [(out_dir / name).resolve() for table, plan in plans
+             for name in ([table[0]] if table else [n for *_, files in plan for n in files])]
     if shared := [path for path in paths if paths.count(path) > 1]:
         raise ConfigError(f"two runs would write {shared[0].name!r} in {shared[0].parent}")
-    for s, problem, sched, files, traj in _trajectories(plans):
-        diag, tables = s.get("diagnostics", {}), {}  # diagnostic -> lines of its table
-        if "zigzag" in diag:
-            rows = _zigzag_rows(traj, s["method"], diag["zigzag"]["W"], diag["zigzag"]["T"])
-            tables["zigzag"] = [_ZIGZAG_HEADER] + rows
-        if "slope" in diag:
-            k_min = diag["slope"]["k_min"]
-            slope = diagnostics.slope_fit(traj, problem.f_star, k_min)
-            tables["slope"] = ["k_min,slope\n", f"{k_min},{slope:.17g}\n"]
-        if "lower_bound" in diag:
-            anchors = diag["lower_bound"]["anchors"]
-            vals = diagnostics.lower_bound_probe(traj, anchors)
-            rows = ["anchor,probe\n"] + [f"{a},{v:.17g}\n" for a, v in zip(anchors, vals)]
-            tables["lower_bound"] = rows
-        if "bound_compare" in diag:  # the bounds now; their lines as the file is written
-            h0 = float(traj.f[0]) - problem.f_star  # row 0 holds f(x0)
-            bounds = np.array(diagnostics.continuous_bound(sched.c, traj.t))
-            tables["bound_compare"] = chain(["t,normalized_error,bound\n"], _format_rows(
-                "%.17g,%.17g,%.17g\n", traj.t, (traj.f - problem.f_star) / h0, bounds))
-        csv, *table_paths = (out_dir / name for name in files)
-        csv.parent.mkdir(parents=True, exist_ok=True)
-        traj.to_csv(csv)
-        yield csv
-        for path, rows in zip(table_paths, (tables[n] for n in _SUFFIXES if n in tables)):
-            yield _write_rows(path, rows)
+    for table, plan in plans:
+        lines = [_ZIGZAG_HEADER]  # a table's, its runs' rows in turn
+        for s, problem, sched, tab, files in plan:
+            traj = run_solver(problem.objective, problem.feasible_set, problem.x0, s["method"],
+                              sched, s["max_iter"], stop_gap=s["stop_gap"], tableau=tab)
+            if table:
+                lines += _zigzag_rows(traj, s["tableau"] or "fw", *table[1:])
+                continue
+            diag, tables = s.get("diagnostics", {}), {}  # diagnostic -> lines of its table
+            if "zigzag" in diag:
+                rows = _zigzag_rows(traj, s["method"], diag["zigzag"]["W"], diag["zigzag"]["T"])
+                tables["zigzag"] = [_ZIGZAG_HEADER] + rows
+            if "slope" in diag:
+                k_min = diag["slope"]["k_min"]
+                slope = diagnostics.slope_fit(traj, problem.f_star, k_min)
+                tables["slope"] = ["k_min,slope\n", f"{k_min},{slope:.17g}\n"]
+            if "lower_bound" in diag:
+                anchors = diag["lower_bound"]["anchors"]
+                pairs = zip(anchors, diagnostics.lower_bound_probe(traj, anchors))
+                tables["lower_bound"] = ["anchor,probe\n"] + [f"{a},{v:.17g}\n" for a, v in pairs]
+            if "bound_compare" in diag:  # the bounds now; their lines as the file is written
+                h0 = float(traj.f[0]) - problem.f_star  # row 0 holds f(x0)
+                bounds = np.array(diagnostics.continuous_bound(sched.c, traj.t))
+                tables["bound_compare"] = chain(["t,normalized_error,bound\n"], _format_rows(
+                    "%.17g,%.17g,%.17g\n", traj.t, (traj.f - problem.f_star) / h0, bounds))
+            csv, *table_paths = (out_dir / name for name in files)
+            csv.parent.mkdir(parents=True, exist_ok=True)
+            traj.to_csv(csv)
+            yield csv
+            for path, rows in zip(table_paths, (tables[n] for n in _SUFFIXES if n in tables)):
+                yield _write_rows(path, rows)
+        if table:
+            yield _write_rows(out_dir / table[0], lines)
 
 
 def _cmd_run(args) -> int:
@@ -225,7 +224,7 @@ def _cmd_run(args) -> int:
         if not isinstance(doc, list) or not all(isinstance(cfg, dict) for cfg in doc):
             raise ConfigError("sweep config must be a JSON list of run configuration objects")
         entries = [_parse(_SETTINGS["run"], cfg, "run configuration") for cfg in doc]
-    for p in _runs(entries, _out_dir(args.output_dir)):
+    for p in _runs([(None, entries)], _out_dir(args.output_dir)):
         print(p)
     return 0
 
@@ -260,8 +259,8 @@ def _cmd_bound(args) -> int:
     return 0
 
 
-def _zigzag_table(path: Path, s: dict, runs) -> Path:
-    """Write to one CSV the zig-zag energy of each run over each window W of s, zigzag settings.
+def _zigzag_job(name: str, s: dict, runs) -> tuple:
+    """The _runs job of one CSV, name: each run's zig-zag energy per window W of s, zigzag settings.
 
     runs holds (delta, tableau name or None) pairs: rk with a tableau, the flow
     without one (fw at delta = 1). Each run covers time T in round(T / delta)
@@ -272,30 +271,27 @@ def _zigzag_table(path: Path, s: dict, runs) -> Path:
     for W in s["windows"]:  # each run's step count, the longest step's (the fewest) first
         for delta in sorted((d for d, _ in runs), reverse=True):
             diagnostics.check_zigzag_settings(W, s["T"], s["T"] / delta)
-    entries = [
+    return (name, s["windows"], s["T"]), [
         _parse(_SETTINGS["run"], {"problem": s["problem"], "seed": s["seed"], "c": s["c"],
                                   "method": "rk" if tab else "flow", "delta": delta,
                                   "tableau": tab, "max_iter": round(s["T"] / delta)},
                "run configuration")
         for delta, tab in runs
     ]
-    rows = [_ZIGZAG_HEADER]
-    for e, *_, traj in _trajectories(_plans(entries)):
-        rows += _zigzag_rows(traj, e["tableau"] or "fw", s["windows"], s["T"])
-    return _write_rows(path, rows)
 
 
 def _cmd_zigzag(args) -> int:
     s = _flag_settings(args)
-    path = _out_dir(args.output_dir) / (s["output"] or "zigzag.csv")
-    print(_zigzag_table(path, s, [(delta, None) for delta in s["deltas"]]))
+    job = _zigzag_job(s["output"] or "zigzag.csv", s, [(delta, None) for delta in s["deltas"]])
+    for p in _runs([job], _out_dir(args.output_dir)):
+        print(p)
     return 0
 
 
 # ---------------------------------------------------------------------------
 # presets: each is a list of jobs, all plain data. A dict is a run configuration,
 # whose left-out settings take their _SETTINGS defaults; a list [output, runs,
-# windows] is a _zigzag_table with the zigzag command's other defaults.
+# windows] is a _zigzag_job with the zigzag command's other defaults.
 
 _PRESETS = {
     # continuous flow vs discrete FW on the triangle, several c and delta
@@ -355,12 +351,11 @@ _PRESETS = {
 def _cmd_preset(args) -> int:
     if args.name not in _PRESETS:
         raise ConfigError(f"unknown preset {args.name!r}; choose from {sorted(_PRESETS)}")
-    out_dir, jobs = _out_dir(args.output_dir), _PRESETS[args.name]
-    list(_runs([_parse(_SETTINGS["run"], job, "run configuration")
-                for job in jobs if isinstance(job, dict)], out_dir))
-    for output, runs, windows in (job for job in jobs if isinstance(job, list)):
-        s = _parse(_SETTINGS["zigzag"], {"windows": windows}, "zigzag")
-        _zigzag_table(out_dir / output, s, runs)
+    out_dir, zigzag = _out_dir(args.output_dir), _SETTINGS["zigzag"]
+    list(_runs([_zigzag_job(job[0], _parse(zigzag, {"windows": job[2]}, "zigzag"), job[1])
+                if isinstance(job, list) else
+                (None, [_parse(_SETTINGS["run"], job, "run configuration")])
+                for job in _PRESETS[args.name]], out_dir))
     print(out_dir)
     return 0
 

@@ -48,8 +48,8 @@ def zigzag_energy(points) -> float:
     return total / (W - 1)
 
 
-def check_zigzag_settings(W: int, T: float, steps: float) -> int:
-    """The number of W-step windows in round(steps) steps, T/delta or fewer if the run stops first.
+def check_zigzag_settings(W: int, T: float, steps: float) -> tuple:
+    """(int W, the number of W-step windows in round(steps) steps, T/delta or fewer if cut short).
 
     Raises ConfigError unless the integer W >= 2, the time span T > 0 is finite and one window fits.
     """
@@ -59,7 +59,7 @@ def check_zigzag_settings(W: int, T: float, steps: float) -> int:
     n = round(steps)
     if n < W:
         raise ConfigError(f"a run of {n} steps over T = {T:g} is shorter than one window W = {W}")
-    return n // W
+    return W, n // W
 
 
 def zigzag_protocol(traj, W: int, T: float) -> np.ndarray:
@@ -70,21 +70,26 @@ def zigzag_protocol(traj, W: int, T: float) -> np.ndarray:
     zigzag_energy value. A bad W or T, or a trajectory shorter than one
     window, raises ConfigError.
     """
-    n_windows = check_zigzag_settings(W, T, min(T / traj.delta, len(traj) - 1))
+    W, n_windows = check_zigzag_settings(W, T, min(T / traj.delta, len(traj) - 1))
     return np.array([zigzag_energy(traj.x[w * W : w * W + W + 1]) for w in range(n_windows)])
 
 
 def continuous_bound(c: float, t):
     """Normalized error bound (c/(c+t))^c of the continuous flow at t, or a list at each time in t.
 
-    Raises ConfigError unless c >= 1 and every time t >= 0, all finite.
+    Raises ConfigError unless c >= 1 and each time t >= 0, all finite numbers (a scalar by _number).
     """
     c = _number(float, c, "schedule constant c", 1)
-    times = np.ravel(t).tolist()  # Python floats, whose ** keeps the bits numpy's ** moves
+    if np.ndim(t) == 0:
+        return (c / (c + _number(float, t, "time", 0))) ** c
+    times = np.ravel(t)
+    if times.dtype.kind not in "iuf":  # once per call: a bool, str, None or other object
+        bad = next((u for u in times.tolist() if type(u) not in (int, float)), t)
+        raise ConfigError(f"time must be a number, got {bad!r}")
+    times = times.astype(float, copy=False).tolist()  # Python floats: numpy's ** moves bits
     for bad in (u for u in times if not 0 <= u < math.inf):  # true for nan too
         raise ConfigError(f"time must be >= 0 and finite, got {bad}")
-    bounds = [(c / (c + u)) ** c for u in times]
-    return bounds[0] if np.ndim(t) == 0 else bounds
+    return [(c / (c + u)) ** c for u in times]
 
 
 def schedule_bound(gamma, t: float) -> float:

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 import fwflow.tableau
 from fwflow import cli, geometry, problems
-from fwflow.cli import _PRESETS, _SETTINGS, _parse, _zigzag_table, build_parser, main
+from fwflow.cli import _PRESETS, _SETTINGS, _parse, _runs, _zigzag_job, build_parser, main
 
 
 def test_run_writes_trajectory(tmp_path, capsys):
@@ -222,9 +222,23 @@ def test_zigzag_table_shape(tmp_path):
 def test_zigzag_rows_labelled_by_tableau(tmp_path):
     s = _parse(_SETTINGS["zigzag"], {"problem": "triangle", "windows": [5], "T": 20.0}, "zigzag")
     runs = [(0.5, None), (1.0, None), (1.0, "midpoint")]
-    path = _zigzag_table(tmp_path / "z.csv", s, runs)
+    [path] = _runs([_zigzag_job("z.csv", s, runs)], tmp_path)
     labels = [row.split(",")[0] for row in path.read_text().strip().split("\n")[1:]]
     assert labels == ["fw", "fw", "midpoint"]
+
+
+@pytest.mark.parametrize("table_first", [False, True], ids=["run-first", "table-first"])
+def test_one_path_check_covers_zigzag_tables(tmp_path, monkeypatch, table_first):
+    # a run with output z and a zig-zag table named z.csv would write one file, so no run starts
+    monkeypatch.setattr(cli, "run_solver", lambda *args, **kwargs: pytest.fail("a run started"))
+    s = _parse(_SETTINGS["zigzag"], {"problem": "triangle", "T": 20.0}, "zigzag")
+    jobs = [(None, [_parse(_SETTINGS["run"], {"output": "z"}, "run configuration")]),
+            _zigzag_job("z.csv", s, [(1.0, None)])]
+    out = tmp_path / "out"
+    with pytest.raises(fwflow.tableau.ConfigError) as refused:
+        list(_runs(jobs[::-1] if table_first else jobs, out))
+    assert str(refused.value) == f"two runs would write 'z.csv' in {out.resolve()}"
+    assert not out.exists()
 
 
 def test_presets_hold_only_data():
@@ -236,6 +250,12 @@ def test_presets_hold_only_data():
     [
         (["preset", "fig2-bottom"], None, ["logistic"]),
         (["zigzag", "--deltas", "1,0.5", "--T", "20"], None, ["logistic"]),
+        (  # a run job and a zig-zag table job of one preset share (logistic, 0)
+            ["preset", "run-and-table"],
+            [{"problem": "logistic", "max_iter": 5, "output": "r"},
+             ["z.csv", [[1.0, None], [1.0, "rk4"]], [5]]],
+            ["logistic"],
+        ),
         (
             ["sweep"],
             [{"problem": problem, "method": method, "tableau": tab, "max_iter": 5,
@@ -245,7 +265,7 @@ def test_presets_hold_only_data():
             ["logistic", "sensing"],
         ),
     ],
-    ids=["preset-fig2-bottom", "zigzag", "sweep-logistic-sensing"],
+    ids=["preset-fig2-bottom", "zigzag", "preset-run-and-table", "sweep-logistic-sensing"],
 )
 def test_command_builds_each_problem_once(tmp_path, monkeypatch, capsys, argv, doc, builds):
     built = []
@@ -254,7 +274,9 @@ def test_command_builds_each_problem_once(tmp_path, monkeypatch, capsys, argv, d
             built.append(name)
             return builder(*args, **kwargs)
         monkeypatch.setitem(problems.BUILDERS, name, counted)
-    if doc is not None:
+    if argv[0] == "preset" and doc is not None:
+        monkeypatch.setitem(_PRESETS, argv[1], doc)
+    elif doc is not None:
         (tmp_path / "sweep.json").write_text(json.dumps(doc))
         argv = [*argv, "--config", str(tmp_path / "sweep.json")]
     assert main([*argv, "--output-dir", str(tmp_path / "out")]) == 0

@@ -72,6 +72,15 @@ class TestZigzagProtocol:
         with pytest.raises(ValueError):
             zigzag_protocol(_synthetic_traj([(0.0,)] * 10), W=1, T=9.0)
 
+    @pytest.mark.parametrize("W", [5.0, "5"], ids=["float", "string"])
+    def test_windows_sliced_by_the_integer_read(self, W):
+        # the check reads W by the number rule, and the windows are cut with what it read
+        p = triangle()
+        traj = run(p.objective, p.feasible_set, p.x0, "fw", StepSchedule(), 20)
+        assert check_zigzag_settings(W, 20.0, 20) == (5, 4)
+        got, want = zigzag_protocol(traj, W, 20.0), zigzag_protocol(traj, 5, 20.0)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
 
 class TestBounds:
     def test_continuous_values(self):
@@ -105,6 +114,26 @@ class TestBounds:
             continuous_bound(2.0, bad)
         with pytest.raises(ConfigError, match=f"^{re.escape(str(scalar.value))}$"):
             continuous_bound(2.0, [*good, bad, -2.0, 3.0])  # the first bad time is named
+
+    @pytest.mark.parametrize(
+        "t, got",
+        [(None, "None"), (True, "True"), ("x", "'x'"), ([True, False], "True"),
+         ([1.0, None], "None"), (("1", "2"), "'1'"),
+         (np.array([1.5, 2.0], dtype=object), "array([1.5, 2.0], dtype=object)")],
+        ids=["none", "bool", "str", "bool-list", "none-in-list", "str-tuple", "object-array"],
+    )
+    def test_continuous_refuses_a_time_that_is_not_a_number(self, t, got):
+        with pytest.raises(ConfigError, match=f"^time must be a number, got {re.escape(got)}$"):
+            continuous_bound(2.0, t)
+
+    def test_continuous_reads_times_as_floats(self):
+        # a scalar by the number rule, so "1" is 1; a sequence's integers as floats
+        assert continuous_bound(2.0, "1") == continuous_bound(2.0, 1.0) == 4 / 9
+        assert continuous_bound(2.0, [1, 3]) == continuous_bound(2.0, [1.0, 3.0])
+        with pytest.raises(ConfigError) as scalar:
+            continuous_bound(2.0, -1)
+        with pytest.raises(ConfigError, match=f"^{re.escape(str(scalar.value))}$"):
+            continuous_bound(2.0, np.array([2, -1]))
 
     def test_continuous_list_checks_c_first(self):
         with pytest.raises(ConfigError, match="^schedule constant c must be >= 1 and finite, "):

@@ -122,3 +122,25 @@ def test_one_number_rule():
     path = Path(fwflow.__file__).parent / "tableau.py"
     number = dict(_functions(ast.parse(path.read_text(), filename=str(path))))["_number"]
     assert any(map(_refuses_booleans, ast.walk(number))), "tableau._number accepts booleans"
+
+
+def test_one_runner_in_the_cli():
+    # run, sweep, zigzag and preset run and write through cli._runs, which calls the module
+    # global run_solver (that a caller may replace by name) at its one site; only fwflow bound,
+    # which runs no solver, writes a file of its own
+    path = Path(fwflow.__file__).parent / "cli.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    functions = list(_functions(tree))
+    sites = {}  # called name -> the innermost function around each call of it
+    for call in (node for node in ast.walk(tree) if isinstance(node, ast.Call)):
+        callee = getattr(call.func, "id", getattr(call.func, "attr", None))
+        around = [(node.lineno, name) for name, node in functions
+                  if node.lineno <= call.lineno <= node.end_lineno]
+        sites.setdefault(callee, []).append(max(around, default=(0, "<module>"))[1])
+    uses = [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and node.id == "run_solver"]
+    assert sites.get("run_solver") == ["_runs"] and len(uses) == 1, f"run_solver at {uses}"
+    writers = set(sites.get("to_csv", []) + sites.get("_write_rows", []))
+    assert writers <= {"_runs", "_cmd_bound"}, f"files written in {writers}"
+    gone = {"_zigzag_table", "_plans", "_trajectories"} & {name for name, _ in functions}
+    assert not gone, f"second runners {gone}"

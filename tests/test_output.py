@@ -83,7 +83,7 @@ def test_bound_compare_matches_the_per_row_writer(tmp_path, monkeypatch, n, c):
     monkeypatch.setattr(cli, "run_solver", lambda *args, **kwargs: traj)
     cfg = {"problem": "triangle", "method": "flow", "c": c, "delta": delta, "max_iter": n,
            "output": "e", "diagnostics": {"bound_compare": {}}}
-    written = list(cli._runs([cli._parse(cli._SETTINGS["run"], cfg, "run")], tmp_path))
+    written = list(cli._runs([(None, [cli._parse(cli._SETTINGS["run"], cfg, "run")])], tmp_path))
     assert [p.name for p in written] == ["e.csv", "e_bound.csv"]
     assert (tmp_path / "e.csv").read_bytes().decode() == _to_csv_reference(traj)
     want = _bound_compare_reference(traj, 0.0, c)  # the triangle's f* is 0
