@@ -148,8 +148,7 @@ def _plan(s: dict, built: dict) -> tuple:
     diag = s.get("diagnostics", {})
     anchors = diag.get("lower_bound", {}).get("anchors", ())
     for W in diag.get("zigzag", {}).get("W", ()):
-        T = diag["zigzag"]["T"]
-        diagnostics.check_zigzag_settings(W, T, min(T / sched.delta, max_iter))
+        diagnostics.check_zigzag_settings(W, diag["zigzag"]["T"], max_iter, sched.delta)
     if "lower_bound" in diag and np.shape(problem.x0) != (1,):
         raise ConfigError("lower_bound diagnostic needs a problem with a scalar x0")
     if "lower_bound" in diag and not all(0 <= a <= max_iter for a in anchors):
@@ -169,7 +168,8 @@ def _runs(jobs: list, out_dir: Path):
     """Run every job in turn, yielding each path it writes.
 
     A job is (table, runs), runs a list of run settings: with table None each run writes
-    <stem>.csv, then its diagnostics' tables; else its runs' rows go to _zigzag_job's one table.
+    <stem>.csv, then its diagnostics' tables; else its runs' rows go to _zigzag_job's one table,
+    which reads only x, so those runs skip the per-row f and violation audit.
     _plan checks every run and builds each (problem, seed) once, and no two files may be one
     path, all before the first run. A run's diagnostics are all computed before any of its
     files is written, so a diagnostic that fails leaves none of that run's files behind.
@@ -184,7 +184,7 @@ def _runs(jobs: list, out_dir: Path):
         lines = [_ZIGZAG_HEADER]  # a table's, its runs' rows in turn
         for s, problem, sched, tab, files in plan:
             traj = run_solver(problem.objective, problem.feasible_set, problem.x0, s["method"],
-                              sched, s["max_iter"], stop_gap=s["stop_gap"], tableau=tab)
+                              sched, s["max_iter"], s["stop_gap"], tab, audit=not table)
             if table:
                 lines += _zigzag_rows(traj, s["tableau"] or "fw", *table[1:])
                 continue
@@ -270,7 +270,7 @@ def _zigzag_job(name: str, s: dict, runs) -> tuple:
         StepSchedule(c=s["c"], delta=delta)
     for W in s["windows"]:  # each run's step count, the longest step's (the fewest) first
         for delta in sorted((d for d, _ in runs), reverse=True):
-            diagnostics.check_zigzag_settings(W, s["T"], s["T"] / delta)
+            diagnostics.check_zigzag_settings(W, s["T"], delta=delta)
     return (name, s["windows"], s["T"]), [
         _parse(_SETTINGS["run"], {"problem": s["problem"], "seed": s["seed"], "c": s["c"],
                                   "method": "rk" if tab else "flow", "delta": delta,

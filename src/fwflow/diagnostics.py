@@ -48,13 +48,13 @@ def zigzag_energy(points) -> float:
     return total / (W - 1)
 
 
-def check_zigzag_settings(W: int, T: float, steps: float) -> tuple:
-    """(int W, the number of W-step windows in round(steps) steps, T/delta or fewer if cut short).
+def check_zigzag_settings(W: int, T: float, steps: float = math.inf, delta: float = 1.0) -> tuple:
+    """(int W, the number of W-step windows in a run of round(min(T / delta, steps)) steps).
 
     Raises ConfigError unless the integer W >= 2, the time span T > 0 is finite and one window fits.
     """
     W, T = _number(int, W, "window size W", 2), _number(float, T, "time span T", positive=True)
-    if not steps < math.inf:  # T / delta can overflow
+    if not (steps := min(T / delta, steps)) < math.inf:  # T / delta can overflow
         raise ConfigError(f"time span T = {T:g} makes T / delta = {steps} steps, must be finite")
     n = round(steps)
     if n < W:
@@ -70,7 +70,7 @@ def zigzag_protocol(traj, W: int, T: float) -> np.ndarray:
     zigzag_energy value. A bad W or T, or a trajectory shorter than one
     window, raises ConfigError.
     """
-    W, n_windows = check_zigzag_settings(W, T, min(T / traj.delta, len(traj) - 1))
+    W, n_windows = check_zigzag_settings(W, T, len(traj) - 1, traj.delta)
     return np.array([zigzag_energy(traj.x[w * W : w * W + W + 1]) for w in range(n_windows)])
 
 
@@ -80,9 +80,15 @@ def continuous_bound(c: float, t):
     Raises ConfigError unless c >= 1 and each time t >= 0, all finite numbers (a scalar by _number).
     """
     c = _number(float, c, "schedule constant c", 1)
-    if np.ndim(t) == 0:
+    cells = t if isinstance(t, np.ndarray) else np.array(t, dtype=object)  # a ragged row is a cell
+    if cells.ndim == 0:
         return (c / (c + _number(float, t, "time", 0))) ** c
-    times = np.ravel(t)
+    times = cells.ravel()
+    if cells is not t:  # a sequence, cell by cell, as numpy reads True as 1.0 among numbers
+        for bad in (u for u in times.tolist()
+                    if type(u) is bool or not isinstance(u, (int, float, np.number))):
+            raise ConfigError(f"time must be a number, got {bad!r}")
+        times = np.array(times.tolist())  # the checked numbers as numpy reads them
     if times.dtype.kind not in "iuf":  # once per call: a bool, str, None or other object
         bad = next((u for u in times.tolist() if type(u) not in (int, float)), t)
         raise ConfigError(f"time must be a number, got {bad!r}")

@@ -60,22 +60,24 @@ class StepSchedule:
 class Trajectory:
     """A run stored as columns: row k holds iterate x^(k), its objective value f,
     FW gap and feasibility violation. Index k and flow time t = k * delta are derived.
+    f and violation are None for a run that ``run(audit=False)`` did not audit.
     """
 
     x: np.ndarray
-    f: np.ndarray
+    f: np.ndarray | None
     gap: np.ndarray
-    violation: np.ndarray
+    violation: np.ndarray | None
     delta: float = 1.0
 
     def __len__(self):
-        return self.f.shape[0]
+        return self.x.shape[0]
 
     def __getitem__(self, i):
-        """Row i as an object with fields k, t, x, f, gap and violation."""
+        """Row i as an object with fields k, t, x, f, gap and violation (None if unaudited)."""
         k = range(len(self))[i]
-        return SimpleNamespace(k=k, t=k * self.delta, x=self.x[k], f=float(self.f[k]),
-                               gap=float(self.gap[k]), violation=float(self.violation[k]))
+        f, v = (None, None) if self.f is None else (float(self.f[k]), float(self.violation[k]))
+        return SimpleNamespace(k=k, t=k * self.delta, x=self.x[k], f=f, gap=float(self.gap[k]),
+                               violation=v)
 
     @property
     def k(self) -> np.ndarray:
@@ -87,6 +89,8 @@ class Trajectory:
 
     def to_csv(self, target) -> None:
         """Write iter,t,f,gap,feas_violation rows with 17 significant digits, a chunk at a time."""
+        if self.f is None:
+            raise ValueError("an unaudited trajectory has no f or violation column to write")
         is_path = isinstance(target, str) or hasattr(target, "__fspath__")
         with open(target, "w", newline="\n") if is_path else nullcontext(target) as fh:
             fh.write("iter,t,f,gap,feas_violation\n")
@@ -192,6 +196,7 @@ def run(
     max_iter: int,
     stop_gap: float = 0.0,
     tableau: Tableau | None = None,
+    audit: bool = True,
 ) -> Trajectory:
     """Drive one solver over max_iter steps, recording every iterate.
 
@@ -200,7 +205,7 @@ def run(
     Stops early once the gap g . (x - s) <= stop_gap (stop_gap = 0 disables the check).
     Feasibility is monitored (recorded per step), never enforced. Before the
     first step, bad settings (check_settings), a bad tableau and an
-    infeasible x0 raise ConfigError.
+    infeasible x0 raise ConfigError. With audit=False, f and violation are None, never evaluated.
     """
     x = np.array(x0, dtype=float).ravel()
     max_iter = check_settings(method, sched, max_iter, x.size, stop_gap, tableau)
@@ -219,9 +224,9 @@ def run(
         d = x - s  # first in the product, so that a gradient given as a list still works
         gap = float(d.dot(g)) + 0.0  # -0 to +0, as @ gives for one-entry d and g
         xs[j] = x
-        fs[j] = obj.value(x)
         gaps[j] = gap
-        viols[j] = fset.violation(x)
+        if audit:
+            fs[j], viols[j] = obj.value(x), fset.violation(x)
         if j == max_iter or (stop_gap > 0.0 and gap <= stop_gap):
             break
 
@@ -240,4 +245,5 @@ def run(
                     else sched.delta * sched.gamma(j * sched.delta))
             x = x - coef * d  # x + coef (s - x), bit for bit but for -0 entries (module doc)
     n = j + 1  # rows recorded; fewer than max_iter + 1 when stop_gap ended the run
-    return Trajectory(xs[:n], fs[:n], gaps[:n], viols[:n], delta=sched.delta)
+    fs, viols = (fs[:n], viols[:n]) if audit else (None, None)
+    return Trajectory(xs[:n], fs, gaps[:n], viols, delta=sched.delta)

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fwflow.tableau
-from fwflow import cli, geometry, problems
+from fwflow import cli, geometry, objectives, problems
 from fwflow.cli import _PRESETS, _SETTINGS, _parse, _runs, _zigzag_job, build_parser, main
 
 
@@ -283,6 +283,16 @@ def test_command_builds_each_problem_once(tmp_path, monkeypatch, capsys, argv, d
     assert built == builds
 
 
+def _counter(calls: Counter):
+    """counted(name, fn): fn, adding 1 to calls[name] per call."""
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+    return counted
+
+
 @pytest.mark.parametrize(
     "argv, lmos, runs",
     [
@@ -297,13 +307,7 @@ def test_cli_call_counts(tmp_path, monkeypatch, capsys, argv, lmos, runs):
     # the counts that the benchmark tracer's self-check asserts for its two CLI probes,
     # counted here by wrappers of this test's own
     calls = Counter()
-
-    def counted(name, fn):
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
-        return wrapper
-
+    counted = _counter(calls)
     for cls in vars(geometry).values():
         if isinstance(cls, type) and cls.__module__ == geometry.__name__ and "lmo" in vars(cls):
             monkeypatch.setattr(cls, "lmo", counted("lmo", vars(cls)["lmo"]))
@@ -312,6 +316,35 @@ def test_cli_call_counts(tmp_path, monkeypatch, capsys, argv, lmos, runs):
         monkeypatch.setitem(problems.BUILDERS, name, counted("build", builder))
     assert main([*argv, "--output-dir", str(tmp_path)]) == 0
     assert calls == {"lmo": lmos, "run": runs, "build": 1}
+
+
+@pytest.mark.parametrize(
+    "argv, doc, runs, values, violations",
+    [
+        # zig-zag table runs read only x: no value call, and violation once per run, for x0
+        (["zigzag", "--T", "50"], None, 3, 0, 3),
+        (["preset", "fig2-bottom"], None, 3, 0, 3),
+        # a run that writes its CSV is audited, zigzag diagnostic and all: value per record,
+        # violation per record plus x0's; here 20 steps, 21 records
+        (["sweep"], [{"problem": "logistic", "max_iter": 20,
+                      "diagnostics": {"zigzag": {"W": [5], "T": 20}}}], 1, 21, 22),
+    ],
+    ids=["zigzag", "preset-fig2-bottom", "sweep-zigzag-diagnostic"],
+)
+def test_cli_audits_exactly_the_runs_that_write_a_csv(tmp_path, monkeypatch, capsys, argv, doc,
+                                                      runs, values, violations):
+    calls = Counter()
+    counted = _counter(calls)
+    for module, name in ((objectives, "value"), (geometry, "violation")):
+        for cls in vars(module).values():
+            if isinstance(cls, type) and cls.__module__ == module.__name__ and name in vars(cls):
+                monkeypatch.setattr(cls, name, counted(name, vars(cls)[name]))
+    monkeypatch.setattr(cli, "run_solver", counted("run", cli.run_solver))
+    if doc is not None:
+        (tmp_path / "sweep.json").write_text(json.dumps(doc))
+        argv = [*argv, "--config", str(tmp_path / "sweep.json")]
+    assert main([*argv, "--output-dir", str(tmp_path / "out")]) == 0
+    assert calls == Counter(run=runs, value=values, violation=violations)  # 0 if missing
 
 
 # SHA-256 of each zig-zag energy table the CLI writes

@@ -72,14 +72,23 @@ class TestZigzagProtocol:
         with pytest.raises(ValueError):
             zigzag_protocol(_synthetic_traj([(0.0,)] * 10), W=1, T=9.0)
 
-    @pytest.mark.parametrize("W", [5.0, "5"], ids=["float", "string"])
-    def test_windows_sliced_by_the_integer_read(self, W):
-        # the check reads W by the number rule, and the windows are cut with what it read
+    @pytest.mark.parametrize("W, T", [(5.0, 20.0), ("5", 20.0), (5, "20")],
+                             ids=["float", "string", "T-string"])
+    def test_windows_sliced_by_the_integer_read(self, W, T):
+        # the check reads W and T by the number rule, before T is divided, and the windows
+        # are cut with what it read
         p = triangle()
         traj = run(p.objective, p.feasible_set, p.x0, "fw", StepSchedule(), 20)
-        assert check_zigzag_settings(W, 20.0, 20) == (5, 4)
-        got, want = zigzag_protocol(traj, W, 20.0), zigzag_protocol(traj, 5, 20.0)
+        assert check_zigzag_settings(W, T, 20) == (5, 4)
+        got, want = zigzag_protocol(traj, W, T), zigzag_protocol(traj, 5, 20.0)
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    def test_W_refused_before_T(self):
+        traj = _synthetic_traj([(0.0,)] * 10)
+        with pytest.raises(ConfigError, match="^window size W must be >= 2, got 1$"):
+            zigzag_protocol(traj, 1, "x")
+        with pytest.raises(ConfigError, match="^time span T must be a number, got 'x'$"):
+            zigzag_protocol(traj, 2, "x")
 
 
 class TestBounds:
@@ -119,8 +128,11 @@ class TestBounds:
         "t, got",
         [(None, "None"), (True, "True"), ("x", "'x'"), ([True, False], "True"),
          ([1.0, None], "None"), (("1", "2"), "'1'"),
-         (np.array([1.5, 2.0], dtype=object), "array([1.5, 2.0], dtype=object)")],
-        ids=["none", "bool", "str", "bool-list", "none-in-list", "str-tuple", "object-array"],
+         (np.array([1.5, 2.0], dtype=object), "array([1.5, 2.0], dtype=object)"),
+         ([True, 2.0], "True"), ([2.0, np.True_], "np.True_"), ([[1.0], 2.0], "[1.0]"),
+         ([[1.0, 2.0], [3.0]], "[1.0, 2.0]")],
+        ids=["none", "bool", "str", "bool-list", "none-in-list", "str-tuple", "object-array",
+             "bool-among-floats", "numpy-bool-among-floats", "ragged-list", "ragged-rows"],
     )
     def test_continuous_refuses_a_time_that_is_not_a_number(self, t, got):
         with pytest.raises(ConfigError, match=f"^time must be a number, got {re.escape(got)}$"):
@@ -130,6 +142,8 @@ class TestBounds:
         # a scalar by the number rule, so "1" is 1; a sequence's integers as floats
         assert continuous_bound(2.0, "1") == continuous_bound(2.0, 1.0) == 4 / 9
         assert continuous_bound(2.0, [1, 3]) == continuous_bound(2.0, [1.0, 3.0])
+        assert continuous_bound(2.0, [np.int64(1), np.float32(3.0)]) == [4 / 9, (2 / 5) ** 2]
+        assert continuous_bound(2.0, ([1.0], [3.0])) == continuous_bound(2.0, [1.0, 3.0])
         with pytest.raises(ConfigError) as scalar:
             continuous_bound(2.0, -1)
         with pytest.raises(ConfigError, match=f"^{re.escape(str(scalar.value))}$"):
@@ -177,7 +191,7 @@ class TestBounds:
            f"time must be >= 0 and finite, got {t}") for t in (-1.0, math.nan, math.inf)],
         (lambda: slope_fit(_synthetic_traj([[1.0]] * 20), 0.0, 0), ConfigError,
          "k_min must be >= 1, got 0"),
-        (lambda: check_zigzag_settings(5, 1e308, math.inf), ConfigError,
+        (lambda: check_zigzag_settings(5, 1e308, delta=1e-300), ConfigError,
          "time span T = 1e+308 makes T / delta = inf steps, must be finite"),
         # quad reaches its subdivision limit without converging
         *[(lambda t=t: schedule_bound(StepSchedule(c=2.0).gamma, t), ValueError,

@@ -126,8 +126,8 @@ def test_one_number_rule():
 
 def test_one_runner_in_the_cli():
     # run, sweep, zigzag and preset run and write through cli._runs, which calls the module
-    # global run_solver (that a caller may replace by name) at its one site; only fwflow bound,
-    # which runs no solver, writes a file of its own
+    # global run_solver (that a caller may replace by name) at its one site, passing audit=;
+    # only fwflow bound, which runs no solver, writes a file of its own
     path = Path(fwflow.__file__).parent / "cli.py"
     tree = ast.parse(path.read_text(), filename=str(path))
     functions = list(_functions(tree))
@@ -140,6 +140,10 @@ def test_one_runner_in_the_cli():
     uses = [node.lineno for node in ast.walk(tree)
             if isinstance(node, ast.Name) and node.id == "run_solver"]
     assert sites.get("run_solver") == ["_runs"] and len(uses) == 1, f"run_solver at {uses}"
+    # and that one call decides which runs are audited
+    call = next(node for node in ast.walk(tree)
+                if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "run_solver")
+    assert "audit" in [keyword.arg for keyword in call.keywords], "run_solver without audit="
     writers = set(sites.get("to_csv", []) + sites.get("_write_rows", []))
     assert writers <= {"_runs", "_cmd_bound"}, f"files written in {writers}"
     gone = {"_zigzag_table", "_plans", "_trajectories"} & {name for name, _ in functions}

@@ -456,21 +456,25 @@ class TestRun:
             run(p.objective, p.feasible_set, [5.0, 5.0], "fw", StepSchedule(), 5)
 
     @pytest.mark.parametrize(
-        "slack, inside",
-        [(FEASIBILITY_TOL, True), (float(np.nextafter(FEASIBILITY_TOL, 1.0)), False)],
-        ids=["at-tol", "above-tol"],
+        "slack, inside, audit",
+        [pytest.param(slack, inside, audit, id=name + ("" if audit else "-unaudited"))
+         for slack, inside, name in [(FEASIBILITY_TOL, True, "at-tol"),
+                                     (float(np.nextafter(FEASIBILITY_TOL, 1.0)), False,
+                                      "above-tol")]
+         for audit in (True, False)],
     )
-    def test_start_checked_as_contains_does(self, slack, inside):
-        # one tolerance and one rule, violation <= FEASIBILITY_TOL, read with one violation call
+    def test_start_checked_as_contains_does(self, slack, inside, audit):
+        # one tolerance and one rule, violation <= FEASIBILITY_TOL, read with one violation call,
+        # audited run or not
         fset = _FixedSlack(slack)
         assert contains(fset, [0.5]) is inside
         fset.calls = 0
         if inside:
-            run(HALF_SQUARE, fset, [0.5], "fw", StepSchedule(), 1)
-            assert fset.calls == 3  # x0, then one per recorded row
+            run(HALF_SQUARE, fset, [0.5], "fw", StepSchedule(), 1, audit=audit)
+            assert fset.calls == (3 if audit else 1)  # x0, then one per audited row
         else:
             with pytest.raises(ConfigError, match="^x0 is outside the feasible set$"):
-                run(HALF_SQUARE, fset, [0.5], "fw", StepSchedule(), 1)
+                run(HALF_SQUARE, fset, [0.5], "fw", StepSchedule(), 1, audit=audit)
             assert fset.calls == 1
 
     def test_unknown_method(self):
@@ -499,6 +503,10 @@ class TestRun:
         assert traj.x.shape == (n, 2)
         assert traj.f.shape == traj.gap.shape == traj.violation.shape == (n,)
         assert traj.k.shape == traj.t.shape == (n,) and traj[-1].k == n - 1
+        # an unaudited run stops at the same row
+        bare = run(p.objective, p.feasible_set, p.x0, "fw", StepSchedule(), 10000, stop_gap=1e-3,
+                   audit=False)
+        assert len(bare) == n and bare.gap.tobytes() == traj.gap.tobytes()
 
     def test_fw_iterates_feasible(self):
         p = triangle()
@@ -651,29 +659,66 @@ class _Counting:
         return counted
 
 
-@pytest.mark.parametrize("method, name", [("fw", None), ("flow", None), ("fw+momentum", None),
-                                          ("fw+linesearch", None)]
-                         + [(method, name) for method in ("rk", "rk+linesearch")
-                            for name in builtin_names()])
-def test_run_oracle_counts(monkeypatch, method, name):
+_RUNS = [("fw", None), ("flow", None), ("fw+momentum", None), ("fw+linesearch", None)] + [
+    (method, name) for method in ("rk", "rk+linesearch") for name in builtin_names()]
+
+
+@pytest.mark.parametrize("method, name, audit", [
+    pytest.param(method, name, audit, id=f"{method}-{name}" + ("" if audit else "-unaudited"))
+    for method, name in _RUNS for audit in (True, False)])
+def test_run_oracle_counts(monkeypatch, method, name, audit):
     # run() over n steps: one gradient and LMO call per record, plus q per rk step and
-    # one more LMO per momentum step; one value per record, and as many more as a line
-    # search needs; x0's violation check plus one per record; one tableau validation
-    # per run plus one per rk step
+    # one more LMO per momentum step; one value per audited record, and as many more as
+    # the line search makes, once per fw+linesearch step or rk+linesearch stage; x0's
+    # violation check plus one per audited record; one tableau validation per run plus
+    # one per rk step. audit=False changes only the value and violation counts
     p, n = triangle(), 12
     obj = _Counting(p.objective, "gradient", "value")
     fset = _Counting(p.feasible_set, "lmo", "violation")
-    validated = []
+    validated, searched = [], []  # per line search, the value calls it made
     monkeypatch.setattr(solvers, "validate", lambda t: validated.append(t) or validate(t))
+
+    def search(o, x, d):
+        before = obj.calls["value"]
+        gamma = _descent_gamma(o, x, d)
+        searched.append(obj.calls["value"] - before)
+        return gamma
+
+    monkeypatch.setattr(solvers, "_descent_gamma", search)
     t = builtin(name) if name else None
     sched = StepSchedule(c=2.0, delta=0.1 if method == "flow" else 1.0)
-    run(obj, fset, p.x0, method, sched, n, tableau=t)
+    run(obj, fset, p.x0, method, sched, n, tableau=t, audit=audit)
     calls = (t.q + 1) * n + 1 if t else n + 1
-    values = obj.calls["value"] if method.endswith("linesearch") else n + 1
-    assert obj.calls == {"gradient": calls, "value": values}
+    audited = n + 1 if audit else 0
+    assert len(searched) == (n * (t.q if t else 1) if method.endswith("linesearch") else 0)
+    assert obj.calls == {"gradient": calls, "value": audited + sum(searched)}
     lmos = calls + n if method == "fw+momentum" else calls
-    assert fset.calls == {"lmo": lmos, "violation": n + 2}
+    assert fset.calls == {"lmo": lmos, "violation": audited + 1}
     assert len(validated) == {"rk": n + 1, "rk+linesearch": 1}.get(method, 0)
+
+
+@pytest.mark.parametrize("problem", [triangle, sensing_logistic], ids=["triangle", "logistic"])
+@pytest.mark.parametrize("method, name", [("fw", None), ("flow", None), ("fw+momentum", None),
+                                          ("fw+linesearch", None), ("rk", "rk4"),
+                                          ("rk+linesearch", "midpoint")])
+def test_unaudited_run_records_x_and_gap_only(tmp_path, problem, method, name):
+    # the same iterates and gaps bit for bit, with no f or violation column to read or write
+    p, t = problem(), builtin(name) if name else None
+    sched = StepSchedule(c=2.0, delta=0.1 if method == "flow" else 1.0)
+    audited, bare = (run(p.objective, p.feasible_set, p.x0, method, sched, 20, tableau=t,
+                         audit=audit) for audit in (True, False))
+    for column in ("x", "gap"):
+        got, want = getattr(bare, column), getattr(audited, column)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    assert bare.f is None and bare.violation is None and bare.delta == audited.delta
+    assert len(bare) == len(audited) == 21 and np.array_equal(bare.t, audited.t)
+    row, want = bare[-1], audited[-1]
+    assert (row.k, row.t, row.gap, row.f, row.violation) == (20, want.t, want.gap, None, None)
+    assert row.x.tobytes() == want.x.tobytes() and bare[0].x.size == p.x0.size
+    path = tmp_path / "bare.csv"
+    with pytest.raises(ValueError, match="^an unaudited trajectory has no f or violation column"):
+        bare.to_csv(path)
+    assert not path.exists()
 
 
 def _order_problem():
